@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage or parse error, 3 verification failure,
 4 internal (non-convergence).  Output files are byte-stable for a fixed
-seed and configuration regardless of --threads.  Set DSR_LOG=debug|info
-for progress logging.
+seed and configuration.  All work runs in one thread; --threads is still
+accepted and ignored.  Set DSR_LOG=debug|info for progress logging.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
+
+# The GIL made a thread pool slower than one thread on this pure-Python
+# work, so the option only survives for existing command lines.
+THREADS_HELP = "accepted for compatibility; the work runs in one thread"
 
 SEARCH_REPORT_SCHEMA = {
     "type": "object",
@@ -282,7 +286,7 @@ def cmd_search(args) -> int:
     if args.corpus:
         with open(args.corpus, "rb") as fh:
             corpus = fh.read().splitlines()
-    report = extremal_search(args.n, args.r, corpus=corpus, threads=args.threads)
+    report = extremal_search(args.n, args.r, corpus=corpus)
     payload = {
         "n": report.n,
         "r": report.r,
@@ -318,7 +322,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    results = run_all_suites(seed=args.seed, max_n=args.max_n, threads=args.threads)
+    results = run_all_suites(seed=args.seed, max_n=args.max_n)
     if args.inject_fault:
         from .verify import SuiteResult
 
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--corpus", help="graph6 file, one class representative per line")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-n", type=int, default=8, dest="max_n",
                    help="cap for the exhaustive scans (scales the grid too)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_all)

@@ -1,11 +1,11 @@
-"""Exhaustive streams of connected graphs, one representative per isomorphism class.
+"""Exhaustive streams of connected graphs, one canonical representative per
+isomorphism class.
 
-Orders 1..6 come from a scan of all labeled upper-triangle bitmasks; orders
-7 and 8 are grown by vertex augmentation from the connected (n-1)-vertex
-classes (every connected graph has a non-cut vertex, so augmentation is
-complete).  Duplicates are removed through an invariant-keyed bucket of
-representatives with exact isomorphism tests inside each bucket; the
-emission order is deterministic.
+Order n is grown from the connected order-(n-1) classes by adding a vertex
+joined to every nonempty subset of the old ones.  Every connected graph has
+a vertex whose removal leaves it connected, so this reaches every class.
+Candidates go into a dict keyed by their canonical form, which removes
+duplicates and keeps the emission order deterministic.
 """
 
 from __future__ import annotations
@@ -14,77 +14,27 @@ import logging
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, _bfs_levels, upper_triangle_pairs
-from .isomorphism import distance_profiles, isomorphic
+from .graphs import Graph
+from .isomorphism import canonical_form
 
 logger = logging.getLogger(__name__)
 
 MAX_BUILTIN_ORDER = 8
-
-# largest order handled by the labeled-bitmask scan; beyond it we augment
-_MASK_SCAN_MAX = 6
-
-
-class _Dedup:
-    """Bucket candidates by the multiset of vertex distance profiles, then
-    settle collisions with exact isomorphism tests."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.buckets: dict[tuple, list[Graph]] = {}
-        self.reps: list[Graph] = []
-
-    def offer(self, rows: tuple[int, ...]) -> None:
-        g = Graph(self.n, rows)
-        key = tuple(sorted(distance_profiles(g)))
-        bucket = self.buckets.setdefault(key, [])
-        for rep in bucket:
-            if isomorphic(g, rep):
-                return
-        bucket.append(g)
-        self.reps.append(g)
-
-
-def _scan_masks(n: int) -> list[Graph]:
-    pairs = upper_triangle_pairs(n)
-    full = (1 << n) - 1
-    dedup = _Dedup(n)
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                i, j = pairs[idx]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            m >>= 1
-            idx += 1
-        _, seen = _bfs_levels(tuple(rows), n, 0)
-        if seen != full:
-            continue
-        dedup.offer(tuple(rows))
-    return dedup.reps
-
-
-def _augment(n: int) -> list[Graph]:
-    dedup = _Dedup(n)
-    new_bit = 1 << (n - 1)
-    for parent in _classes(n - 1):
-        prow = parent.rows
-        for sub in range(1, new_bit):
-            rows = tuple(
-                prow[i] | new_bit if sub >> i & 1 else prow[i] for i in range(n - 1)
-            ) + (sub,)
-            dedup.offer(rows)
-    return dedup.reps
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
-    reps = _scan_masks(n) if n <= _MASK_SCAN_MAX else _augment(n)
+    new_bit = 1 << (n - 1)
+    reps: dict[Graph, None] = {}
+    for parent in _classes(n - 1):
+        prow = parent.rows
+        for sub in range(1, new_bit):
+            rows = tuple(
+                prow[i] | new_bit if sub >> i & 1 else prow[i] for i in range(n - 1)
+            ) + (sub,)
+            reps[canonical_form(Graph(n, rows))] = None
     logger.info("enumerated %d connected classes of order %d", len(reps), n)
     return tuple(reps)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -27,9 +26,9 @@ from .families import (
     random_cross_edges,
     tilde_level_groups,
 )
-from .graph6 import graph6_decode, graph6_encode
+from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
-from .isomorphism import isomorphic
+from .isomorphism import canonical_form, isomorphic
 from .spectra import perron, perron_group_pattern, quadratic_form
 
 logger = logging.getLogger(__name__)
@@ -116,14 +115,6 @@ class ExtremalReport:
         return self.uniqueness_gap is None or self.uniqueness_gap > UNIQUENESS_GAP
 
 
-def _pmap(fn, items: Iterable, threads: int) -> list:
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # ---------------------------------------------------------------------------
 # extremal search
 
@@ -132,49 +123,57 @@ def extremal_search(
     n: int,
     r: int,
     corpus: Iterable[bytes | str] | None = None,
-    threads: int = 1,
 ) -> ExtremalReport:
     """Scan every connected order-n class, keep those with edge connectivity
     exactly r, and report the minimum-radius class with its uniqueness gap
     and the isomorphism verdict against kpq(n-1, r).
 
-    The reduction is a min over (rho, graph6) pairs, so the result does not
-    depend on scheduling.
+    The minimizer is the least (rho, graph6) pair.  The runner-up is the
+    next graph in that order that is not isomorphic to it, so a corpus that
+    lists one class twice cannot fake a tie, and a true tie between two
+    classes shows as a zero gap.
     """
     if not 1 <= r <= n - 2:
         raise ValueError(f"need 1 <= r <= n-2, got n={n}, r={r}")
-    if corpus is None:
-        graphs = list(enumerate_connected(n))
-    else:
-        graphs = []
-        for lineno, line in enumerate(corpus, start=1):
-            if isinstance(line, bytes):
-                line = line.decode("ascii", errors="replace")
-            line = line.strip()
-            if not line:
-                continue
-            g = graph6_decode(line)
-            if g.n != n:
-                raise ValueError(f"corpus line {lineno}: order {g.n}, expected {n}")
-            graphs.append(g)
-
-    def evaluate(g: Graph) -> tuple[float, str] | None:
-        if edge_connectivity(g).size != r:
-            return None
-        return graph_rho(g), graph6_encode(g).decode("ascii")
-
-    kept = [res for res in _pmap(evaluate, graphs, threads) if res is not None]
+    graphs = enumerate_connected(n) if corpus is None else _read_corpus(corpus, n)
+    kept = [
+        (graph_rho(g), graph6_encode(g).decode("ascii"), g)
+        for g in graphs
+        if edge_connectivity(g).size == r
+    ]
     if not kept:
         raise ValueError(f"no connected graphs of order {n} with edge connectivity {r}")
-    min_rho, min_g6 = min(kept)
-    runner = min((rho for rho, _ in kept if rho > min_rho), default=None)
+    kept.sort(key=lambda item: item[:2])
+    min_rho, min_g6, _ = kept[0]
+    best = canonical_form(graph6_decode(min_g6))  # the reported string itself
+    runner = next((rho for rho, _, g in kept[1:] if canonical_form(g) != best), None)
     gap = None if runner is None else runner - min_rho
-    matches = isomorphic(graph6_decode(min_g6), kpq(n - 1, r))
+    matches = best == canonical_form(kpq(n - 1, r))
     logger.info(
         "search n=%d r=%d: %d classes, min %.6f at %s, gap %s",
         n, r, len(kept), min_rho, min_g6, gap,
     )
     return ExtremalReport(n, r, len(kept), min_rho, runner, gap, min_g6, matches)
+
+
+def _read_corpus(corpus: Iterable[bytes | str], n: int) -> Iterator[Graph]:
+    """Connected order-n graphs from graph6 lines; blank lines are skipped and
+    every error names its line."""
+    for lineno, line in enumerate(corpus, start=1):
+        if isinstance(line, bytes):
+            line = line.decode("ascii", errors="replace")
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            g = graph6_decode(line)
+        except Graph6Error as exc:
+            raise ValueError(f"corpus line {lineno}: {exc}") from None
+        if g.n != n:
+            raise ValueError(f"corpus line {lineno}: order {g.n}, expected {n}")
+        if not is_connected(g):
+            raise ValueError(f"corpus line {lineno}: graph is disconnected")
+        yield g
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +458,7 @@ def suite_graph6_roundtrip(max_n: int = 7) -> SuiteResult:
     return SuiteResult("graph6_roundtrip", instances, failures)
 
 
-def suite_spectra_oracle(max_n: int = 7, threads: int = 1) -> SuiteResult:
+def suite_spectra_oracle(max_n: int = 7) -> SuiteResult:
     """Power-iteration radius vs. a dense symmetric eigensolver, and the
     phase-contraction cut vs. the bipartition scan, over every class."""
 
@@ -477,13 +476,13 @@ def suite_spectra_oracle(max_n: int = 7, threads: int = 1) -> SuiteResult:
     failures = 0
     instances = 0
     for n in range(1, max_n + 1):
-        results = _pmap(examine, enumerate_connected(n), threads)
+        results = [examine(g) for g in enumerate_connected(n)]
         instances += len(results)
         failures += sum(1 for ok in results if not ok)
     return SuiteResult("spectra_and_cut_oracle", instances, failures)
 
 
-def suite_theorem(max_n: int = 8, threads: int = 1) -> SuiteResult:
+def suite_theorem(max_n: int = 8) -> SuiteResult:
     """For every n and every feasible r, the minimum-radius class must be
     kpq(n-1, r), unique with a clear gap."""
     failures = 0
@@ -493,7 +492,7 @@ def suite_theorem(max_n: int = 8, threads: int = 1) -> SuiteResult:
         corpus = [graph6_encode(g) for g in enumerate_connected(n)]
         for r in range(1, n - 1):
             instances += 1
-            report = extremal_search(n, r, corpus=corpus, threads=threads)
+            report = extremal_search(n, r, corpus=corpus)
             if not (report.matches_kpq and report.unique()):
                 failures += 1
                 notes.append(f"n={n} r={r}: minimizer {report.minimizer_graph6}")
@@ -552,7 +551,6 @@ def suite_bridge_grid(
     seed: int = 0,
     placements: int = 5,
     r_max: int = 4,
-    threads: int = 1,
 ) -> SuiteResult:
     """Bridge-family grid: flattening strictly lowers the radius, lands on
     kpq, shows the three-level pattern, and satisfies both eigen identities."""
@@ -568,7 +566,7 @@ def suite_bridge_grid(
         return verdict.holds and worst < IDENTITY_TOL, worst
 
     grid = list(bridge_grid(seed, range(1, r_max + 1), placements=placements))
-    results = _pmap(examine, grid, threads)
+    results = [examine(params) for params in grid]
     failures = sum(1 for ok, _ in results if not ok)
     worst = max((res for _, res in results), default=0.0)
     return SuiteResult(
@@ -580,7 +578,7 @@ def suite_bridge_grid(
 
 
 def suite_cut_sides(
-    max_n: int = 8, seed: int = 0, r_max: int = 4, threads: int = 1
+    max_n: int = 8, seed: int = 0, r_max: int = 4
 ) -> SuiteResult:
     """Two-clique minimum cuts with all degrees above the cut size must leave
     at least r+2 vertices on each side: exhaustively over small classes and
@@ -593,7 +591,7 @@ def suite_cut_sides(
     failures = 0
     instances = 0
     for n in range(2, max_n + 1):
-        results = _pmap(scan, enumerate_connected(n), threads)
+        results = [scan(g) for g in enumerate_connected(n)]
         instances += len(results)
         failures += sum(1 for ok in results if not ok)
 
@@ -602,7 +600,7 @@ def suite_cut_sides(
         return verdict.applicable and verdict.holds
 
     grid = list(bridge_grid(seed, range(1, r_max + 1)))
-    results = _pmap(grid_case, grid, threads)
+    results = [grid_case(params) for params in grid]
     instances += len(results)
     failures += sum(1 for ok in results if not ok)
     return SuiteResult("cut_side_orders", instances, failures)
@@ -612,7 +610,6 @@ def run_all_suites(
     seed: int = 0,
     max_n: int = 8,
     monotonicity_cases: int = 200,
-    threads: int = 1,
 ) -> list[SuiteResult]:
     """Every verification suite at the given caps, in a fixed order."""
     small = min(7, max_n)
@@ -620,12 +617,12 @@ def run_all_suites(
     results = [
         suite_closed_forms(),
         suite_graph6_roundtrip(small),
-        suite_spectra_oracle(small, threads),
+        suite_spectra_oracle(small),
     ]
     if max_n >= 4:
-        results.append(suite_theorem(max_n, threads))
+        results.append(suite_theorem(max_n))
     results.append(suite_edge_monotonicity(monotonicity_cases, seed))
     results.append(suite_perron_order(small))
-    results.append(suite_bridge_grid(seed, r_max=grid_r, threads=threads))
-    results.append(suite_cut_sides(max_n, seed, grid_r, threads))
+    results.append(suite_bridge_grid(seed, r_max=grid_r))
+    results.append(suite_cut_sides(max_n, seed, grid_r))
     return results

@@ -4,7 +4,7 @@ import math
 import jsonschema
 import pytest
 
-from dsr import enumerate_connected, graph6_encode
+from dsr import enumerate_connected, graph6_encode, kpq
 from dsr.cli import (
     CHECK_RECORD_SCHEMA,
     SEARCH_REPORT_SCHEMA,
@@ -96,6 +96,29 @@ class TestSearch:
                              "--corpus", str(corpus))
         assert code == 3
         assert "COUNTEREXAMPLE" in err
+
+    def test_duplicate_class_corpus_exit_0(self, tmp_path, capsys):
+        classes = [graph6_encode(g) for g in enumerate_connected(6)]
+        duplicate = graph6_encode(kpq(5, 2))
+        assert duplicate not in classes  # a second labeling of a listed class
+        corpus = tmp_path / "dup.g6"
+        corpus.write_bytes(b"\n".join(classes + [duplicate]))
+        code, out, err = run(capsys, "search", "--n", "6", "--r", "2",
+                             "--corpus", str(corpus))
+        assert code == 0, err
+        assert json.loads(out)["uniqueness_gap"] == pytest.approx(0.2593, abs=1e-4)
+
+    @pytest.mark.parametrize("bad, message", [
+        (b"~?@G", "corpus line 3: long-form graph6"),
+        (b"EwCG", "corpus line 3: graph is disconnected"),
+    ], ids=["malformed", "disconnected"])
+    def test_corpus_error_names_line_exit_2(self, tmp_path, capsys, bad, message):
+        corpus = tmp_path / "bad.g6"
+        corpus.write_bytes(b"E~~?\n\n" + bad + b"\nE~~w\n")
+        code, _, err = run(capsys, "search", "--n", "6", "--r", "2",
+                           "--corpus", str(corpus))
+        assert code == 2
+        assert message in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "search", "--n", "4", "--r", "1",

@@ -12,10 +12,10 @@ from dsr.graphs import Graph, upper_triangle_pairs
 from helpers import cycle_graph, path_graph, perm_canonical, star_graph
 
 # connected graphs per isomorphism class, a classic sequence
-EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_class_counts(n):
     assert sum(1 for _ in enumerate_connected(n)) == EXPECTED_COUNTS[n]
 

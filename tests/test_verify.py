@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -16,6 +17,7 @@ from dsr import (
     complete_graph,
     enumerate_connected,
     extremal_search,
+    from_edge_list,
     graph6_decode,
     graph6_encode,
     graph_rho,
@@ -175,10 +177,19 @@ class TestExtremalSearch:
         with pytest.raises(ValueError, match="order"):
             extremal_search(5, 1, corpus=[graph6_encode(complete_graph(4))])
 
-    def test_threads_do_not_change_result(self):
-        a = extremal_search(5, 2, threads=1)
-        b = extremal_search(5, 2, threads=4)
-        assert a == b
+    def test_duplicate_class_in_corpus_is_not_a_tie(self):
+        classes = [graph6_encode(g) for g in enumerate_connected(6)]
+        relabelings = (
+            graph6_encode(from_edge_list(6, [(p[u], p[v]) for u, v in kpq(5, 2).edges()]))
+            for p in permutations(range(6))
+        )
+        duplicate = next(code for code in relabelings if code not in classes)
+        plain = extremal_search(6, 2, corpus=classes)
+        rep = extremal_search(6, 2, corpus=classes + [duplicate])
+        assert rep.unique() and rep.matches_kpq
+        assert rep.class_size == plain.class_size + 1
+        assert rep.uniqueness_gap == pytest.approx(plain.uniqueness_gap, abs=1e-12)
+        assert rep.uniqueness_gap == pytest.approx(0.2593, abs=1e-4)
 
     def test_single_class_has_no_runner_up(self):
         rep = extremal_search(3, 1)
