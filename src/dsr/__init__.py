@@ -35,10 +35,13 @@ from .spectra import (
     PerronPair,
     perron,
     perron_group_pattern,
+    perron_stack,
     quadratic_form,
     rayleigh_bound_check,
 )
 from .verify import (
+    ClassTable,
+    CorpusError,
     CutOrderVerdict,
     ExtremalReport,
     LemmaVerdict,
@@ -51,6 +54,7 @@ from .verify import (
     check_hub_row_identity,
     check_perron_order,
     check_transformation,
+    class_table,
     extremal_search,
     graph_rho,
     run_all_suites,
@@ -60,7 +64,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BridgeFamilyParams",
+    "ClassTable",
     "ConvergenceError",
+    "CorpusError",
     "CutCertificate",
     "CutOrderVerdict",
     "DisconnectedGraphError",
@@ -83,6 +89,7 @@ __all__ = [
     "check_hub_row_identity",
     "check_perron_order",
     "check_transformation",
+    "class_table",
     "complete_graph",
     "distance_matrix",
     "edge_connectivity",
@@ -98,6 +105,7 @@ __all__ = [
     "min_degree",
     "perron",
     "perron_group_pattern",
+    "perron_stack",
     "quadratic_form",
     "random_cross_edges",
     "rayleigh_bound_check",

@@ -24,11 +24,13 @@ import sys
 from dataclasses import asdict
 
 from .cuts import edge_connectivity
+from .enumeration import MAX_BUILTIN_ORDER
 from .families import BridgeFamilyParams, random_cross_edges
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
-from .graphs import Graph, distance_matrix, from_edge_list
+from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .spectra import ConvergenceError, perron
 from .verify import (
+    CorpusError,
     VerificationError,
     check_form_shift_identity,
     check_hub_row_identity,
@@ -159,9 +161,12 @@ def _parse_edges(text: str, n_override: int | None) -> Graph:
         raise _InputError("no edges given")
     n = n_override if n_override is not None else top + 1
     try:
-        return from_edge_list(n, pairs)
+        g = from_edge_list(n, pairs)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
+    if not is_connected(g):
+        raise _InputError("--edges: graph is disconnected")
+    return g
 
 
 def _load_graphs(args) -> list[tuple[str, Graph]]:
@@ -181,6 +186,8 @@ def _load_graphs(args) -> list[tuple[str, Graph]]:
                 g = graph6_decode(line)
             except Graph6Error as exc:
                 raise _InputError(f"{args.source}: line {lineno}: {exc}") from None
+            if not is_connected(g):
+                raise _InputError(f"{args.source}: line {lineno}: graph is disconnected")
             out.append((line.decode("ascii"), g))
     if not out:
         raise _InputError(f"{args.source}: no graphs found")
@@ -383,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run every verification suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-n", type=int, default=8, dest="max_n",
-                   help="cap for the exhaustive scans (scales the grid too)")
+                   help="cap for the exhaustive scans, 1..8 (scales the grid too)")
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
@@ -404,8 +411,13 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "search" and not 1 <= args.r <= args.n - 2:
-        parser.error(f"need 1 <= r <= n-2, got n={args.n}, r={args.r}")
+    if args.command == "search":
+        if not 1 <= args.r <= args.n - 2:
+            parser.error(f"need 1 <= r <= n-2, got n={args.n}, r={args.r}")
+        if args.n > MAX_BUILTIN_ORDER and not args.corpus:
+            parser.error(f"--n above {MAX_BUILTIN_ORDER} needs --corpus, got n={args.n}")
+    if args.command == "verify-all" and not 1 <= args.max_n <= MAX_BUILTIN_ORDER:
+        parser.error(f"--max-n must be in 1..{MAX_BUILTIN_ORDER}, got {args.max_n}")
     if args.command == "check":
         try:
             BridgeFamilyParams(
@@ -417,7 +429,7 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     try:
         return args.func(args)
-    except (_InputError, Graph6Error, FileNotFoundError, ValueError) as exc:
+    except (_InputError, Graph6Error, CorpusError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

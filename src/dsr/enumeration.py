@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .graphs import Graph
-from .isomorphism import canonical_form
+from .isomorphism import _canonical_rows
 
 logger = logging.getLogger(__name__)
 
@@ -34,7 +34,9 @@ def _classes(n: int) -> tuple[Graph, ...]:
             rows = tuple(
                 prow[i] | new_bit if sub >> i & 1 else prow[i] for i in range(n - 1)
             ) + (sub,)
-            reps[canonical_form(Graph(n, rows))] = None
+            # relabeling keeps any asymmetry, so validating the canonical
+            # rows checks the candidate too
+            reps[Graph(n, _canonical_rows(n, rows))] = None
     logger.info("enumerated %d connected classes of order %d", len(reps), n)
     return tuple(reps)
 

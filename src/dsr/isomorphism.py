@@ -56,7 +56,11 @@ def _orbit(v: int, generators: list[tuple[int, ...]]) -> set[int]:
 
 def canonical_form(g: Graph) -> Graph:
     """The relabeling of g that every graph isomorphic to g maps to."""
-    n, rows = g.n, g.rows
+    return Graph(g.n, _canonical_rows(g.n, g.rows))
+
+
+def _canonical_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Adjacency rows of the canonical relabeling; ``rows`` are not validated."""
     nbrs = [list(_bits(row)) for row in rows]
     best_code = best_colors = best_path = None
     automorphisms: list[tuple[int, ...]] = []
@@ -108,7 +112,7 @@ def canonical_form(g: Graph) -> Graph:
                 unwind_to = -1
 
     search(_refine(nbrs, [0] * n), [])
-    return Graph(n, best_code)
+    return best_code
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cuts import brute_force_min_cut, edge_connectivity, min_degree
+from .cuts import CutCertificate, brute_force_min_cut, edge_connectivity, min_degree
 from .enumeration import enumerate_connected
 from .families import (
     BridgeFamilyParams,
@@ -29,7 +30,7 @@ from .families import (
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .isomorphism import canonical_form, isomorphic
-from .spectra import perron, perron_group_pattern, quadratic_form
+from .spectra import perron, perron_group_pattern, perron_stack, quadratic_form
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +48,11 @@ ENTRY_EQ_TOL = 1e-10
 
 class VerificationError(RuntimeError):
     """A property that must hold mathematically failed numerically."""
+
+
+class CorpusError(ValueError):
+    """A search input that cannot be scanned: a bad corpus line, or no graph
+    with the requested edge connectivity."""
 
 
 def graph_rho(g: Graph) -> float:
@@ -116,6 +122,49 @@ class ExtremalReport:
 
 
 # ---------------------------------------------------------------------------
+# class tables
+
+
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """Per-graph quantities of connected order-n graphs, one column each.
+
+    Row i describes ``graphs[i]``: ``lam`` its edge connectivity (0 for a
+    single vertex), ``rho``, ``x`` and ``residual`` its certified Perron
+    pair.  ``x`` is one (k, n) array, not an object per graph.
+    """
+
+    graphs: tuple[Graph, ...]
+    lam: np.ndarray
+    rho: np.ndarray
+    x: np.ndarray
+    residual: np.ndarray
+
+    def __post_init__(self):
+        # cached tables are shared by every caller in the process
+        for column in (self.lam, self.rho, self.x, self.residual):
+            column.setflags(write=False)
+
+
+def _build_table(n: int, graphs: Iterable[Graph]) -> ClassTable:
+    graphs = tuple(graphs)
+    lam = np.array(
+        [edge_connectivity(g).size if n >= 2 else 0 for g in graphs], dtype=np.int64
+    )
+    # every distance is below n <= 64, so int8 holds the stack compactly
+    dist = np.empty((len(graphs), n, n), dtype=np.int8)
+    for i, g in enumerate(graphs):
+        dist[i] = distance_matrix(g).d
+    return ClassTable(graphs, lam, *perron_stack(dist))
+
+
+@lru_cache(maxsize=None)
+def class_table(n: int) -> ClassTable:
+    """The table of every connected order-n class, built once per order."""
+    return _build_table(n, enumerate_connected(n))
+
+
+# ---------------------------------------------------------------------------
 # extremal search
 
 
@@ -124,9 +173,10 @@ def extremal_search(
     r: int,
     corpus: Iterable[bytes | str] | None = None,
 ) -> ExtremalReport:
-    """Scan every connected order-n class, keep those with edge connectivity
-    exactly r, and report the minimum-radius class with its uniqueness gap
-    and the isomorphism verdict against kpq(n-1, r).
+    """Scan every connected order-n class (the cached class table, or a table
+    of the corpus lines), keep those with edge connectivity exactly r, and
+    report the minimum-radius class with its uniqueness gap and the
+    isomorphism verdict against kpq(n-1, r).
 
     The minimizer is the least (rho, graph6) pair.  The runner-up is the
     next graph in that order that is not isomorphic to it, so a corpus that
@@ -135,17 +185,16 @@ def extremal_search(
     """
     if not 1 <= r <= n - 2:
         raise ValueError(f"need 1 <= r <= n-2, got n={n}, r={r}")
-    graphs = enumerate_connected(n) if corpus is None else _read_corpus(corpus, n)
-    kept = [
-        (graph_rho(g), graph6_encode(g).decode("ascii"), g)
-        for g in graphs
-        if edge_connectivity(g).size == r
-    ]
+    table = class_table(n) if corpus is None else _build_table(n, _read_corpus(corpus, n))
+    kept = []
+    for i in np.flatnonzero(table.lam == r):
+        g = table.graphs[i]
+        kept.append((float(table.rho[i]), graph6_encode(g).decode("ascii"), g))
     if not kept:
-        raise ValueError(f"no connected graphs of order {n} with edge connectivity {r}")
+        raise CorpusError(f"no connected graphs of order {n} with edge connectivity {r}")
     kept.sort(key=lambda item: item[:2])
-    min_rho, min_g6, _ = kept[0]
-    best = canonical_form(graph6_decode(min_g6))  # the reported string itself
+    min_rho, min_g6, min_g = kept[0]
+    best = canonical_form(min_g)
     runner = next((rho for rho, _, g in kept[1:] if canonical_form(g) != best), None)
     gap = None if runner is None else runner - min_rho
     matches = best == canonical_form(kpq(n - 1, r))
@@ -168,11 +217,11 @@ def _read_corpus(corpus: Iterable[bytes | str], n: int) -> Iterator[Graph]:
         try:
             g = graph6_decode(line)
         except Graph6Error as exc:
-            raise ValueError(f"corpus line {lineno}: {exc}") from None
+            raise CorpusError(f"corpus line {lineno}: {exc}") from None
         if g.n != n:
-            raise ValueError(f"corpus line {lineno}: order {g.n}, expected {n}")
+            raise CorpusError(f"corpus line {lineno}: order {g.n}, expected {n}")
         if not is_connected(g):
-            raise ValueError(f"corpus line {lineno}: graph is disconnected")
+            raise CorpusError(f"corpus line {lineno}: graph is disconnected")
         yield g
 
 
@@ -356,7 +405,10 @@ def check_cut_order_bound(g: Graph) -> CutOrderVerdict:
     """When the certified minimum cut splits the graph into two cliques and
     every degree exceeds the cut size, both sides must have at least cut
     size + 2 vertices."""
-    cert = edge_connectivity(g)
+    return _cut_order(g, edge_connectivity(g))
+
+
+def _cut_order(g: Graph, cert: CutCertificate) -> CutOrderVerdict:
     sides = (len(cert.side_a), len(cert.side_b))
     md = min_degree(g)
     applicable = (
@@ -459,24 +511,26 @@ def suite_graph6_roundtrip(max_n: int = 7) -> SuiteResult:
 
 
 def suite_spectra_oracle(max_n: int = 7) -> SuiteResult:
-    """Power-iteration radius vs. a dense symmetric eigensolver, and the
-    phase-contraction cut vs. the bipartition scan, over every class."""
+    """Over every class: the class table's stacked radius vs. power
+    iteration, power iteration vs. a dense symmetric eigensolver, and the
+    table's phase-contraction cut size vs. the bipartition scan."""
 
-    def examine(g: Graph) -> bool:
+    def examine(g: Graph, rho: float, lam: int) -> bool:
         dm = distance_matrix(g)
-        rho = perron(dm).rho
+        power = perron(dm).rho
         dense = float(np.linalg.eigvalsh(dm.d.astype(float))[-1])
         scale = max(1.0, abs(dense))
-        if abs(rho - dense) > 1e-8 * scale:
+        if abs(rho - power) > 1e-8 * scale or abs(power - dense) > 1e-8 * scale:
             return False
-        if g.n >= 2 and edge_connectivity(g).size != brute_force_min_cut(g).size:
+        if g.n >= 2 and lam != brute_force_min_cut(g).size:
             return False
         return True
 
     failures = 0
     instances = 0
     for n in range(1, max_n + 1):
-        results = [examine(g) for g in enumerate_connected(n)]
+        table = class_table(n)
+        results = [examine(*row) for row in zip(table.graphs, table.rho, table.lam)]
         instances += len(results)
         failures += sum(1 for ok in results if not ok)
     return SuiteResult("spectra_and_cut_oracle", instances, failures)
@@ -484,18 +538,24 @@ def suite_spectra_oracle(max_n: int = 7) -> SuiteResult:
 
 def suite_theorem(max_n: int = 8) -> SuiteResult:
     """For every n and every feasible r, the minimum-radius class must be
-    kpq(n-1, r), unique with a clear gap."""
+    kpq(n-1, r), unique with a clear gap.  The notes lead with the smallest
+    uniqueness gap and where it occurs."""
     failures = 0
     instances = 0
     notes = []
+    closest = None  # (gap, n, r) of the smallest uniqueness gap
     for n in range(4, max_n + 1):
-        corpus = [graph6_encode(g) for g in enumerate_connected(n)]
         for r in range(1, n - 1):
             instances += 1
-            report = extremal_search(n, r, corpus=corpus)
+            report = extremal_search(n, r)
+            gap = report.uniqueness_gap
+            if gap is not None and (closest is None or gap < closest[0]):
+                closest = (gap, n, r)
             if not (report.matches_kpq and report.unique()):
                 failures += 1
                 notes.append(f"n={n} r={r}: minimizer {report.minimizer_graph6}")
+    if closest is not None:
+        notes.insert(0, "min uniqueness gap {:.6e} at n={} r={}".format(*closest))
     return SuiteResult("extremal_theorem", instances, failures, "; ".join(notes))
 
 
@@ -537,8 +597,8 @@ def suite_perron_order(max_n: int = 7) -> SuiteResult:
     failures = 0
     instances = 0
     for n in range(2, max_n + 1):
-        for g in enumerate_connected(n):
-            x = perron(distance_matrix(g)).x
+        table = class_table(n)
+        for g, x in zip(table.graphs, table.x):
             for u in range(n):
                 for v in range(u + 1, n):
                     instances += 1
@@ -582,18 +642,17 @@ def suite_cut_sides(
 ) -> SuiteResult:
     """Two-clique minimum cuts with all degrees above the cut size must leave
     at least r+2 vertices on each side: exhaustively over small classes and
-    on every grid instance (where the check must also apply)."""
-
-    def scan(g: Graph) -> bool:
-        verdict = check_cut_order_bound(g)
-        return verdict.holds
-
+    on every grid instance (where the check must also apply).  A class whose
+    minimum degree equals its edge connectivity cannot meet the hypothesis,
+    so only the others get a cut certificate."""
     failures = 0
     instances = 0
     for n in range(2, max_n + 1):
-        results = [scan(g) for g in enumerate_connected(n)]
-        instances += len(results)
-        failures += sum(1 for ok in results if not ok)
+        table = class_table(n)
+        for g, lam in zip(table.graphs, table.lam):
+            instances += 1
+            if min_degree(g) > lam and not _cut_order(g, edge_connectivity(g)).holds:
+                failures += 1
 
     def grid_case(params: BridgeFamilyParams) -> bool:
         verdict = check_cut_order_bound(bridge_graph(params))

@@ -19,6 +19,18 @@ def star_graph(n: int) -> Graph:
     return from_edge_list(n, [(0, i) for i in range(1, n)])
 
 
+def random_graph(rng, n: int, p: float) -> Graph:
+    """Erdos-Renyi sample G(n, p), possibly disconnected."""
+    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < p])
+
+
+def random_connected(rng, n: int, p: float) -> Graph:
+    """G(n, p) plus a random spanning tree (vertex v joins an earlier one)."""
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    return from_edge_list(n, tree + random_graph(rng, n, p).edges())
+
+
 def perm_canonical(g: Graph) -> tuple:
     """Minimum adjacency bit string over all vertex permutations.
 

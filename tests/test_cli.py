@@ -4,6 +4,7 @@ import math
 import jsonschema
 import pytest
 
+import dsr.cli
 from dsr import enumerate_connected, graph6_encode, kpq
 from dsr.cli import (
     CHECK_RECORD_SCHEMA,
@@ -60,6 +61,26 @@ class TestCompute:
         assert code == 2
         assert "self-loop" in err
 
+    def test_disconnected_line_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.g6"
+        src.write_text("C~\nCA\n")  # line 2: one edge on four vertices
+        code, out, err = run(capsys, "compute", str(src))
+        assert code == 2 and not out
+        assert "line 2: graph is disconnected" in err
+
+    def test_disconnected_inline_edges_exit_2(self, capsys):
+        code, _, err = run(capsys, "compute", "--edges", "0-1,2-3")
+        assert code == 2
+        assert "disconnected" in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        def broken(dm):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(dsr.cli, "perron", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["compute", "--edges", "0-1,1-2"])
+
 
 class TestSearch:
     def test_report_schema_and_exit(self, capsys):
@@ -74,6 +95,20 @@ class TestSearch:
         with pytest.raises(SystemExit) as exc:
             main(["search", "--n", "4", "--r", "3"])
         assert exc.value.code == 2
+
+    def test_usage_error_above_builtin_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "9", "--r", "2"])
+        assert exc.value.code == 2
+        assert "needs --corpus" in capsys.readouterr().err
+
+    def test_no_graph_with_connectivity_r_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "paths.g6"
+        corpus.write_bytes(b"DhC\n")  # the path on five vertices, connectivity 1
+        code, out, err = run(capsys, "search", "--n", "5", "--r", "3",
+                             "--corpus", str(corpus))
+        assert code == 2 and not out
+        assert "no connected graphs of order 5 with edge connectivity 3" in err
 
     def test_corpus_file(self, tmp_path, capsys):
         corpus = tmp_path / "order5.g6"
@@ -166,6 +201,13 @@ class TestVerifyAll:
         jsonschema.validate(payload, VERIFY_REPORT_SCHEMA)
         assert payload["ok"] is True
         assert all(s["failures"] == 0 for s in payload["suites"])
+
+    @pytest.mark.parametrize("max_n", ["0", "9"])
+    def test_max_n_out_of_range_exit_2(self, capsys, max_n):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-all", "--max-n", max_n])
+        assert exc.value.code == 2
+        assert "--max-n must be in 1..8" in capsys.readouterr().err
 
     def test_injected_fault_exit_3(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--max-n", "4",

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsr import (
     BridgeFamilyParams,
@@ -14,7 +18,7 @@ from dsr import (
     min_degree,
     enumerate_connected,
 )
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, random_connected
 
 
 def assert_valid_certificate(g, cert):
@@ -107,3 +111,12 @@ def test_phase_contraction_matches_brute_force(n):
         assert fast.size <= min_degree(g)
         assert_valid_certificate(g, fast)
         assert_valid_certificate(g, slow)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_phase_contraction_matches_brute_force_random(n, p, seed):
+    g = random_connected(random.Random(seed), n, p)
+    cert = edge_connectivity(g)
+    assert cert.size == brute_force_min_cut(g).size
+    assert_valid_certificate(g, cert)

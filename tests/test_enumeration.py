@@ -1,5 +1,6 @@
 import pytest
 
+import dsr.enumeration
 from dsr import (
     complete_graph,
     enumerate_connected,
@@ -83,3 +84,20 @@ def test_pairwise_non_isomorphic_n5():
 def test_all_emitted_connected():
     for n in (2, 5, 6):
         assert all(is_connected(g) for g in enumerate_connected(n))
+
+
+def test_each_candidate_validated_once(monkeypatch):
+    """Order 5 grows each of the 6 order-4 classes by 15 attachment sets; each
+    of those 90 candidates builds exactly one Graph, its canonical form."""
+    expected = tuple(enumerate_connected(5))  # fills the cache up to order 5
+    built = []
+
+    class CountingGraph(Graph):
+        def __post_init__(self):
+            built.append(self.rows)
+            super().__post_init__()
+
+    monkeypatch.setattr(dsr.enumeration, "Graph", CountingGraph)
+    classes = dsr.enumeration._classes.__wrapped__(5)  # order 4 comes from the cache
+    assert len(built) == 6 * 15
+    assert [g.rows for g in classes] == [g.rows for g in expected]

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsr import (
     Graph,
@@ -8,7 +12,7 @@ from dsr import (
     graph6_decode,
     graph6_encode,
 )
-from helpers import path_graph
+from helpers import path_graph, random_graph
 
 
 def test_decode_k4():
@@ -81,3 +85,10 @@ class TestDecodeErrors:
     def test_data_byte_out_of_range(self):
         with pytest.raises(Graph6Error):
             graph6_decode("C" + chr(30))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 62), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_roundtrip_random(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    assert graph6_decode(graph6_encode(g)) == g

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dsr import complete_graph, enumerate_connected, from_edge_list, isomorphic, kpq
 from dsr.graphs import upper_triangle_pairs
 from dsr.isomorphism import canonical_form
-from helpers import cycle_graph, path_graph, perm_canonical, star_graph
+from helpers import cycle_graph, path_graph, perm_canonical, random_graph, star_graph
 
 
 def relabel(g, perm):
@@ -81,11 +81,6 @@ def paley(q):
     squares = {x * x % q for x in range(1, q)}
     return from_edge_list(q, [(u, v) for u in range(q) for v in range(u + 1, q)
                               if (v - u) % q in squares])
-
-
-def random_graph(rng, n, p):
-    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                              if rng.random() < p])
 
 
 def shuffled(g, rng):

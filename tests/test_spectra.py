@@ -1,10 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsr import (
     BridgeFamilyParams,
+    ConvergenceError,
     bridge_graph_tilde,
     complete_graph,
     distance_matrix,
@@ -12,11 +16,12 @@ from dsr import (
     kpq,
     perron,
     perron_group_pattern,
+    perron_stack,
     quadratic_form,
     rayleigh_bound_check,
     tilde_level_groups,
 )
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, random_connected
 
 
 class TestPerron:
@@ -65,6 +70,70 @@ class TestPerron:
             rho = perron(dm).rho
             dense = np.linalg.eigvalsh(dm.d.astype(float))[-1]
             assert abs(rho - dense) <= 1e-8 * max(1.0, dense)
+
+
+def assert_stack_matches_oracles(graphs):
+    """perron_stack against eigvalsh and power iteration, row by row."""
+    dms = [distance_matrix(g) for g in graphs]
+    rho, x, residual = perron_stack([dm.d for dm in dms])
+    width = max(g.n for g in graphs)
+    assert rho.shape == residual.shape == (len(graphs),)
+    assert x.shape == (len(graphs), width)
+    for i, dm in enumerate(dms):
+        n = dm.n
+        dense = float(np.linalg.eigvalsh(dm.d.astype(float))[-1])
+        power = perron(dm)
+        assert abs(rho[i] - dense) <= 1e-8 * max(1.0, dense)
+        assert abs(rho[i] - power.rho) <= 1e-8 * max(1.0, dense)
+        assert np.abs(x[i, :n] - power.x).max() <= 1e-8
+        assert (x[i, :n] > 0).all() and not x[i, n:].any()
+        assert abs(np.linalg.norm(x[i]) - 1.0) <= 1e-12
+        assert residual[i] <= 1e-12 * n
+
+
+class TestPerronStack:
+    def test_one_order_stack(self):
+        assert_stack_matches_oracles(list(enumerate_connected(6)))
+
+    def test_single_vertex_and_empty(self):
+        rho, x, residual = perron_stack([np.zeros((1, 1))])
+        assert rho.tolist() == [0.0] and x.tolist() == [[1.0]]
+        assert residual.tolist() == [0.0]
+        rho, x, residual = perron_stack([])
+        assert rho.shape == residual.shape == (0,) and x.shape == (0, 0)
+
+    def test_chunked_stack(self, monkeypatch):
+        import dsr.spectra
+
+        monkeypatch.setattr(dsr.spectra, "STACK_ENTRIES", 3 * 25)  # three per chunk
+        graphs = list(enumerate_connected(5))
+        rho, x, _ = perron_stack([distance_matrix(g).d for g in graphs])
+        monkeypatch.undo()
+        whole_rho, whole_x, _ = perron_stack([distance_matrix(g).d for g in graphs])
+        assert np.abs(rho - whole_rho).max() <= 1e-12
+        assert np.abs(x - whole_x).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [
+        # two vertices joined, one isolated: the top eigenvector has a zero
+        np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+        # eigh reads one triangle only; the full product exposes the asymmetry
+        np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]]),
+    ], ids=["zero-entry", "asymmetric"])
+    def test_uncertified_row_raises(self, bad):
+        good = distance_matrix(complete_graph(3)).d
+        with pytest.raises(ConvergenceError, match="matrix 1 .order 3. not certified"):
+            perron_stack([good, bad, good])
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(
+    orders=st.lists(st.integers(2, 40), min_size=1, max_size=6),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_perron_stack_mixed_orders_match_oracles(orders, p, seed):
+    rng = random.Random(seed)
+    assert_stack_matches_oracles([random_connected(rng, n, p) for n in orders])
 
 
 class TestQuadraticForm:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import permutations
@@ -6,6 +7,7 @@ import pytest
 
 from dsr import (
     BridgeFamilyParams,
+    CorpusError,
     check_cut_order_bound,
     check_degree_r_reduction,
     check_edge_monotonicity,
@@ -14,7 +16,9 @@ from dsr import (
     check_perron_order,
     check_transformation,
     bridge_graph,
+    class_table,
     complete_graph,
+    edge_connectivity,
     enumerate_connected,
     extremal_search,
     from_edge_list,
@@ -24,9 +28,16 @@ from dsr import (
     is_connected,
     isomorphic,
     kpq,
+    min_degree,
     random_cross_edges,
 )
-from dsr.verify import bridge_grid, random_connected_graph
+import dsr.verify
+from dsr.verify import (
+    bridge_grid,
+    random_connected_graph,
+    suite_cut_sides,
+    suite_theorem,
+)
 from helpers import cycle_graph, path_graph
 
 
@@ -174,8 +185,12 @@ class TestExtremalSearch:
         assert rep.matches_kpq
 
     def test_corpus_order_mismatch(self):
-        with pytest.raises(ValueError, match="order"):
+        with pytest.raises(CorpusError, match="order"):
             extremal_search(5, 1, corpus=[graph6_encode(complete_graph(4))])
+
+    def test_corpus_without_connectivity_r(self):
+        with pytest.raises(CorpusError, match="edge connectivity 3"):
+            extremal_search(5, 3, corpus=[graph6_encode(path_graph(5))])
 
     def test_duplicate_class_in_corpus_is_not_a_tie(self):
         classes = [graph6_encode(g) for g in enumerate_connected(6)]
@@ -215,3 +230,88 @@ def test_bridge_grid_deterministic():
     assert a == b
     # hub-only cells yield one instance, mixed cells five
     assert len(a) == 25 + 25 + 125
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_columns_match_per_graph_paths(self, n):
+        table = class_table(n)
+        assert table.graphs == tuple(enumerate_connected(n))
+        k = len(table.graphs)
+        assert table.lam.shape == table.rho.shape == table.residual.shape == (k,)
+        assert table.x.shape == (k, n)
+        for g, lam, rho, x, res in zip(
+            table.graphs, table.lam, table.rho, table.x, table.residual
+        ):
+            assert lam == (edge_connectivity(g).size if n >= 2 else 0)
+            assert rho == pytest.approx(graph_rho(g), abs=1e-9)
+            assert (x > 0).all() and res <= 1e-12 * n
+
+    def test_built_once_per_order_and_read_only(self):
+        table = class_table(5)
+        assert class_table(5) is table
+        with pytest.raises(ValueError):
+            table.x[0, 0] = 0.0
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSuiteTheorem:
+    def test_one_cut_and_one_stack_per_order_no_decodes(self, monkeypatch):
+        class_table.cache_clear()
+        cuts = _count_calls(monkeypatch, dsr.verify, "edge_connectivity")
+        decodes = _count_calls(monkeypatch, dsr.verify, "graph6_decode")
+        stacks = _count_calls(monkeypatch, dsr.verify, "perron_stack")
+        result = suite_theorem(6)
+        assert result.ok and result.instances == 2 + 3 + 4
+        assert len(cuts) == 6 + 21 + 112  # one per class of orders 4..6
+        assert not decodes
+        assert len(stacks) == 3
+
+    def test_notes_lead_with_smallest_gap(self):
+        result = suite_theorem(8)
+        assert result.ok
+        assert result.notes.startswith("min uniqueness gap 1.9148")
+        gaps = [extremal_search(n, r).uniqueness_gap
+                for n in range(4, 9) for r in range(1, n - 1)]
+        assert result.notes == f"min uniqueness gap {min(gaps):.6e} at n=8 r=2"
+
+    def test_failures_follow_the_gap(self, monkeypatch):
+        search = dsr.verify.extremal_search
+
+        def fake(n, r, corpus=None):
+            rep = search(n, r, corpus)
+            matches = rep.matches_kpq and (n, r) != (5, 2)
+            return dataclasses.replace(rep, matches_kpq=matches)
+
+        monkeypatch.setattr(dsr.verify, "extremal_search", fake)
+        result = suite_theorem(5)
+        minimizer = extremal_search(5, 2).minimizer_graph6
+        assert result.failures == 1
+        head, tail = result.notes.split("; ")
+        assert head.startswith("min uniqueness gap ")
+        assert tail == f"n=5 r=2: minimizer {minimizer}"
+
+
+def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch):
+    tables = [class_table(n) for n in range(2, 9)]
+    eligible = [
+        sum(1 for g, lam in zip(t.graphs, t.lam) if min_degree(g) > lam) for t in tables
+    ]
+    assert eligible[-1] == 44  # of the 11,117 order-8 classes
+    cuts = _count_calls(monkeypatch, dsr.verify, "edge_connectivity")
+    result = suite_cut_sides(max_n=8, r_max=1)
+    grid = len(list(bridge_grid(0, (1,))))  # one cut per grid instance
+    assert result.ok
+    assert result.instances == sum(len(t.graphs) for t in tables) + grid
+    assert len(cuts) == sum(eligible) + grid
