@@ -30,7 +30,13 @@ from .families import (
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .isomorphism import canonical_form, isomorphic
-from .spectra import perron, perron_group_pattern, perron_stack, quadratic_form
+from .spectra import (
+    PerronPair,
+    perron,
+    perron_group_pattern,
+    perron_stack,
+    quadratic_form,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -321,7 +327,10 @@ def check_degree_r_reduction(g: Graph, v: int) -> LemmaVerdict:
     )
 
 
-def _tilde_pattern(params: BridgeFamilyParams):
+_TildePattern = tuple[Graph, PerronPair, list[tuple[float, float]]]
+
+
+def _tilde_pattern(params: BridgeFamilyParams) -> _TildePattern:
     """Perron pair of the flattened graph plus its three-level group stats."""
     tilde = bridge_graph_tilde(params)
     pp = perron(distance_matrix(tilde))
@@ -332,8 +341,12 @@ def _tilde_pattern(params: BridgeFamilyParams):
 def check_transformation(params: BridgeFamilyParams) -> LemmaVerdict:
     """Flattening a two-clique bridge graph strictly lowers the radius, lands
     on kpq(n1+n2-1, r), and produces the three-level Perron pattern."""
+    return _transformation(params, _tilde_pattern(params))
+
+
+def _transformation(params: BridgeFamilyParams, pattern: _TildePattern) -> LemmaVerdict:
+    tilde, pp, stats = pattern
     g = bridge_graph(params)
-    tilde, pp, stats = _tilde_pattern(params)
     lhs = graph_rho(g)
     rhs = pp.rho
     margin = lhs - rhs
@@ -363,8 +376,12 @@ def check_form_shift_identity(params: BridgeFamilyParams) -> float:
     graph: the change equals 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2)."""
     if params.t != params.r:
         raise ValueError(f"identity requires t == r, got t={params.t}, r={params.r}")
+    return _form_shift_identity(params, _tilde_pattern(params))
+
+
+def _form_shift_identity(params: BridgeFamilyParams, pattern: _TildePattern) -> float:
+    tilde, pp, stats = pattern
     g = bridge_graph(params)
-    tilde, pp, stats = _tilde_pattern(params)
     (m1, _), (m2, _), (m3, _) = stats
     x = pp.x
     direct = quadratic_form(distance_matrix(g), x) - quadratic_form(distance_matrix(tilde), x)
@@ -377,7 +394,11 @@ def check_hub_row_identity(params: BridgeFamilyParams) -> float:
     """Residual of the eigen-equation row at the hub of the flattened graph,
     rho*x1 = r*x3 + 2(n1+n2-r-1)*x2, plus the strict consequences: the radius
     exceeds order-1 and x1 < r*x3 + 2(n2-r)*x2."""
-    _, pp, stats = _tilde_pattern(params)
+    return _hub_row_identity(params, _tilde_pattern(params))
+
+
+def _hub_row_identity(params: BridgeFamilyParams, pattern: _TildePattern) -> float:
+    _, pp, stats = pattern
     (m1, _), (m2, _), (m3, _) = stats
     n = params.order
     r = params.r
@@ -616,11 +637,12 @@ def suite_bridge_grid(
     kpq, shows the three-level pattern, and satisfies both eigen identities."""
 
     def examine(params: BridgeFamilyParams) -> tuple[bool, float]:
-        verdict = check_transformation(params)
+        pattern = _tilde_pattern(params)  # one Perron pair shared by all three checks
+        verdict = _transformation(params, pattern)
         try:
-            worst = check_hub_row_identity(params)
+            worst = _hub_row_identity(params, pattern)
             if params.t == params.r:
-                worst = max(worst, check_form_shift_identity(params))
+                worst = max(worst, _form_shift_identity(params, pattern))
         except VerificationError:
             return False, float("inf")
         return verdict.holds and worst < IDENTITY_TOL, worst

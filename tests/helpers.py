@@ -1,10 +1,12 @@
 """Shared test helpers, including brute-force oracles kept deliberately
 independent of the production code paths they check."""
 
+from functools import lru_cache
 from itertools import permutations
 
 from dsr import Graph, from_edge_list
 from dsr.graphs import upper_triangle_pairs
+from dsr.isomorphism import canonical_form
 
 
 def path_graph(n: int) -> Graph:
@@ -44,3 +46,22 @@ def perm_canonical(g: Graph) -> tuple:
         if best is None or s < best:
             best = s
     return best
+
+
+@lru_cache(maxsize=None)
+def unfiltered_classes(n: int) -> frozenset:
+    """Canonical rows of the connected order-n classes, grown from the
+    order-(n-1) ones by adding a vertex joined to every nonempty subset of
+    the old ones and canonicalizing every candidate, with no acceptance rule.
+    """
+    if n == 1:
+        return frozenset({(0,)})
+    new_bit = 1 << (n - 1)
+    classes = set()
+    for prow in unfiltered_classes(n - 1):
+        for sub in range(1, new_bit):
+            rows = tuple(
+                prow[i] | new_bit if sub >> i & 1 else prow[i] for i in range(n - 1)
+            ) + (sub,)
+            classes.add(canonical_form(Graph(n, rows)).rows)
+    return frozenset(classes)

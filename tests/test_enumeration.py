@@ -1,16 +1,26 @@
+import logging
+
 import pytest
 
 import dsr.enumeration
 from dsr import (
     complete_graph,
     enumerate_connected,
+    from_edge_list,
     graph6_encode,
     is_connected,
     isomorphic,
     kpq,
 )
+from dsr.enumeration import _last_is_chosen
 from dsr.graphs import Graph, upper_triangle_pairs
-from helpers import cycle_graph, path_graph, perm_canonical, star_graph
+from helpers import (
+    cycle_graph,
+    path_graph,
+    perm_canonical,
+    star_graph,
+    unfiltered_classes,
+)
 
 # connected graphs per isomorphism class, a classic sequence
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -87,8 +97,9 @@ def test_all_emitted_connected():
 
 
 def test_each_candidate_validated_once(monkeypatch):
-    """Order 5 grows each of the 6 order-4 classes by 15 attachment sets; each
-    of those 90 candidates builds exactly one Graph, its canonical form."""
+    """Order 5 grows each of the 6 order-4 classes by 15 attachment sets; the
+    34 of those 90 candidates whose new vertex is a chosen removal each build
+    exactly one Graph, its canonical form, and the others build none."""
     expected = tuple(enumerate_connected(5))  # fills the cache up to order 5
     built = []
 
@@ -99,5 +110,56 @@ def test_each_candidate_validated_once(monkeypatch):
 
     monkeypatch.setattr(dsr.enumeration, "Graph", CountingGraph)
     classes = dsr.enumeration._classes.__wrapped__(5)  # order 4 comes from the cache
-    assert len(built) == 6 * 15
+    assert len(built) == 34
     assert [g.rows for g in classes] == [g.rows for g in expected]
+
+
+def test_log_counts_candidates_and_canonical_forms(caplog):
+    tuple(enumerate_connected(4))  # order 4 comes from the cache
+    with caplog.at_level(logging.INFO, logger="dsr.enumeration"):
+        dsr.enumeration._classes.__wrapped__(5)
+    assert caplog.messages == [
+        "enumerated 21 connected classes of order 5 (90 candidates, 34 canonicalized)"
+    ]
+
+
+def test_emitted_sorted_by_canonical_rows():
+    rows = [g.rows for g in enumerate_connected(6)]
+    assert rows == sorted(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_same_classes_as_unfiltered_augmentation(n):
+    assert {g.rows for g in enumerate_connected(n)} == unfiltered_classes(n)
+
+
+def _last_swapped(g: Graph, w: int) -> tuple[int, ...]:
+    """Rows of g relabeled by the transposition of w and the last vertex."""
+    last = g.n - 1
+    perm = list(range(g.n))
+    perm[w], perm[last] = last, w
+    rows = [0] * g.n
+    for v in range(g.n):
+        for u in range(g.n):
+            if g.rows[v] >> u & 1:
+                rows[perm[v]] |= 1 << perm[u]
+    return tuple(rows)
+
+
+def _connected_without(g: Graph, w: int) -> bool:
+    keep = [v for v in range(g.n) if v != w]
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if w not in (u, v)]
+    return is_connected(from_edge_list(g.n - 1, edges))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_class_has_a_chosen_removal(n):
+    """The rule's completeness invariant: some non-cut vertex of every class
+    passes the rule once relabeled last, so growing the class without it
+    back by that vertex yields a canonicalized candidate."""
+    for g in enumerate_connected(n):
+        assert any(
+            _last_is_chosen(n, _last_swapped(g, w)) and _connected_without(g, w)
+            for w in range(n)
+        ), graph6_encode(g)

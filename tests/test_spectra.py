@@ -136,6 +136,16 @@ def test_perron_stack_mixed_orders_match_oracles(orders, p, seed):
     assert_stack_matches_oracles([random_connected(rng, n, p) for n in orders])
 
 
+@settings(max_examples=25, deadline=None, database=None)
+@given(n=st.integers(1, 64), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_perron_matches_eigvalsh(n, p, seed):
+    dm = distance_matrix(random_connected(random.Random(seed), n, p))
+    pp = perron(dm)
+    dense = float(np.linalg.eigvalsh(dm.d.astype(float))[-1])
+    assert abs(pp.rho - dense) <= 1e-8 * max(1.0, dense)
+    assert (pp.x > 0).all() and pp.residual <= 1e-12 * n
+
+
 class TestQuadraticForm:
     def test_k3_uniform(self):
         dm = distance_matrix(complete_graph(3))

@@ -35,6 +35,7 @@ import dsr.verify
 from dsr.verify import (
     bridge_grid,
     random_connected_graph,
+    suite_bridge_grid,
     suite_cut_sides,
     suite_theorem,
 )
@@ -315,3 +316,18 @@ def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch)
     assert result.ok
     assert result.instances == sum(len(t.graphs) for t in tables) + grid
     assert len(cuts) == sum(eligible) + grid
+
+
+def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
+    grid = list(bridge_grid(0, (1, 2), placements=1))
+    worst = max(
+        max(check_hub_row_identity(p), check_form_shift_identity(p) if p.t == p.r else 0.0)
+        for p in grid
+    )
+    assert all(check_transformation(p).holds for p in grid)
+    solves = _count_calls(monkeypatch, dsr.verify, "perron")
+    result = suite_bridge_grid(placements=1, r_max=2)
+    assert result.ok and result.instances == len(grid)
+    assert result.notes == f"max identity residual {worst:.3e}"
+    # one for the bridge graph's radius, one for the flattened graph's pair
+    assert len(solves) == 2 * len(grid)
