@@ -32,9 +32,10 @@ from .spectra import ConvergenceError, perron
 from .verify import (
     CorpusError,
     VerificationError,
-    check_form_shift_identity,
-    check_hub_row_identity,
-    check_transformation,
+    _form_shift_identity,
+    _hub_row_identity,
+    _tilde_pattern,
+    _transformation,
     extremal_search,
     run_all_suites,
 )
@@ -242,7 +243,8 @@ def cmd_check(args) -> int:
         ]
     for cross in placements:
         params = BridgeFamilyParams(args.n1, args.n2, args.r, args.t, cross)
-        verdict = check_transformation(params)
+        pattern = _tilde_pattern(params)  # one Perron pair shared by all three checks
+        verdict = _transformation(params, pattern)
         records.append({
             "claim": verdict.lemma,
             "params": verdict.params,
@@ -254,13 +256,13 @@ def cmd_check(args) -> int:
         })
         failed |= not verdict.holds
         for claim, checker in (
-            ("hub_row_identity", check_hub_row_identity),
-            ("form_shift_identity", check_form_shift_identity),
+            ("hub_row_identity", _hub_row_identity),
+            ("form_shift_identity", _form_shift_identity),
         ):
             if claim == "form_shift_identity" and args.t != args.r:
                 continue
             try:
-                residual = checker(params)
+                residual = checker(params, pattern)
                 holds = residual < 1e-8
             except VerificationError:
                 residual, holds = None, False

@@ -1,15 +1,18 @@
 """Global edge connectivity with an explicit minimum-cut certificate.
 
-The production path is the minimum-cut phase contraction scheme on unit
-weights; ``brute_force_min_cut`` scans every bipartition and exists as an
-independent oracle for tests.
+The production path runs maximum-adjacency phases with Nagamochi-Ibaraki
+contraction; ``brute_force_min_cut`` scans every bipartition and exists as
+an independent oracle for tests.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 from .graphs import DisconnectedGraphError, Graph, _bits, is_connected
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -52,43 +55,48 @@ def _require_cuttable(g: Graph) -> None:
 
 
 def edge_connectivity(g: Graph) -> CutCertificate:
-    """Certified global minimum edge cut via repeated minimum-cut phases.
+    """Certified global minimum edge cut via maximum-adjacency (MA) phases
+    with Nagamochi-Ibaraki contraction.
 
-    Each phase grows a maximum-adjacency order (ties to the smallest index)
-    and yields the cut isolating the vertices merged into the last-added
-    node; the smallest phase cut, first found, is global.
+    U starts at the minimum degree (a star).  Each phase grows an MA order
+    of the supernodes, ties to the smallest name, lowers U to the cut of the
+    last one, and merges each consecutive pair whose attachment q at
+    addition is at least U: the order's prefix has no cut below q between
+    them (minimum-cut phase lemma).  The last pair's q is the phase cut.
     """
     _require_cuttable(g)
-    n = g.n
-    w = [[1 if g.rows[u] >> v & 1 else 0 for v in range(n)] for u in range(n)]
-    merged = [1 << v for v in range(n)]  # original-vertex masks per supernode
-    active = list(range(n))
-    best_size = None
-    best_mask = 0
-    while len(active) > 1:
-        start = active[0]
-        key = {v: w[start][v] for v in active if v != start}
-        added = [start]
+    degrees = [row.bit_count() for row in g.rows]
+    best_size = min(degrees)
+    best_mask = 1 << degrees.index(best_size)
+    merged = {v: 1 << v for v in range(g.n)}  # supernode name -> its vertex mask
+    name = list(range(g.n))  # vertex -> name of its supernode
+    phases = 0
+    while len(merged) > 1 and best_size > 1:  # a connected graph has no cut below 1
+        phases += 1
+        key = dict.fromkeys(merged, 0)  # names ascend, so max() ties to the smallest
+        outside = (1 << g.n) - 1  # vertices of the supernodes not yet added
+        order = []
         while key:
-            top = max(key.values())
-            z = min(v for v, k in key.items() if k == top)
-            added.append(z)
-            del key[z]
-            wz = w[z]
-            for v in key:
-                key[v] += wz[v]
-        t = added[-1]
-        s = added[-2]
-        phase_cut = sum(w[t][v] for v in active if v != t)
-        if best_size is None or phase_cut < best_size:
-            best_size = phase_cut
-            best_mask = merged[t]
-        for v in active:
-            if v != s and v != t:
-                w[s][v] += w[t][v]
-                w[v][s] = w[s][v]
-        merged[s] |= merged[t]
-        active.remove(t)
+            z = max(key, key=key.__getitem__)
+            order.append((z, key.pop(z)))
+            outside ^= merged[z]
+            for u in _bits(merged[z]):
+                for v in _bits(g.rows[u] & outside):
+                    key[name[v]] += 1
+        last, cut = order[-1]
+        if cut < best_size:
+            best_size, best_mask = cut, merged[last]
+        contracted = {}
+        for z, q in order:
+            if q < best_size:
+                h = z  # a run of merging pairs is named after its first supernode
+            contracted[h] = contracted.get(h, 0) | merged[z]
+        merged = dict(sorted(contracted.items()))
+        for h, mask in merged.items():
+            for v in _bits(mask):
+                name[v] = h
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("min cut order %d: %d phases, size %d", g.n, phases, best_size)
     return _certificate(g, best_mask)
 
 

@@ -142,17 +142,22 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
+def _reached_levels(g: Graph, source: int) -> list[int]:
+    """Hop counts from ``source``; raises unless every vertex is reached."""
+    dist, seen = _bfs_levels(g.rows, g.n, source)
+    if seen != (1 << g.n) - 1:
+        unreachable = (~seen & -(~seen)).bit_length() - 1
+        raise DisconnectedGraphError(
+            f"vertex {unreachable} unreachable from {source}; graph is disconnected"
+        )
+    return dist
+
+
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Exact unweighted shortest-path lengths from ``source`` to every vertex."""
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range for order {g.n}")
-    dist, seen = _bfs_levels(g.rows, g.n, source)
-    if seen != (1 << g.n) - 1:
-        unreachable = (~seen & ((1 << g.n) - 1) & -(~seen)).bit_length() - 1
-        raise DisconnectedGraphError(
-            f"vertex {unreachable} unreachable from {source}; graph is disconnected"
-        )
-    return np.array(dist, dtype=np.int64)
+    return np.array(_reached_levels(g, source), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,5 +173,5 @@ class DistanceMatrix:
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs shortest-path matrix; raises on disconnected input."""
-    rows = [bfs_distances(g, v) for v in range(g.n)]
-    return DistanceMatrix(g.n, np.vstack(rows))
+    rows = [_reached_levels(g, s) for s in range(g.n)]
+    return DistanceMatrix(g.n, np.array(rows, dtype=np.int64))

@@ -65,3 +65,16 @@ def unfiltered_classes(n: int) -> frozenset:
             ) + (sub,)
             classes.add(canonical_form(Graph(n, rows)).rows)
     return frozenset(classes)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper; returns the list of call args."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 import dsr.cli
+import dsr.verify
 from dsr import enumerate_connected, graph6_encode, kpq
 from dsr.cli import (
     CHECK_RECORD_SCHEMA,
@@ -12,6 +13,7 @@ from dsr.cli import (
     VERIFY_REPORT_SCHEMA,
     main,
 )
+from helpers import count_calls
 
 
 def run(capsys, *argv):
@@ -183,6 +185,15 @@ class TestCheck:
         records = json.loads(out)
         flattenings = [r for r in records if r["claim"].startswith("bridge_")]
         assert len(flattenings) == 5
+
+    @pytest.mark.parametrize("t, placements", [(2, 1), (1, 5)])
+    def test_solves_each_flattened_pair_once(self, monkeypatch, capsys, t, placements):
+        solves = count_calls(monkeypatch, dsr.verify, "perron")
+        code, _, _ = run(capsys, "check", "--n1", "5", "--n2", "4",
+                         "--r", "2", "--t", str(t))
+        assert code == 0
+        # one for the bridge graph's radius, one for the flattened graph's pair
+        assert len(solves) == 2 * placements
 
     def test_invalid_params_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from dsr import (
     min_degree,
     enumerate_connected,
 )
+from dsr.verify import bridge_grid
 from helpers import cycle_graph, path_graph, random_connected
 
 
@@ -120,3 +122,42 @@ def test_phase_contraction_matches_brute_force_random(n, p, seed):
     cert = edge_connectivity(g)
     assert cert.size == brute_force_min_cut(g).size
     assert_valid_certificate(g, cert)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_matches_networkx_on_larger_random_graphs(p):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(int(p * 10))
+    for _ in range(20):
+        g = random_connected(rng, rng.randint(13, 40), p)
+        cert = edge_connectivity(g)
+        ref = nx.Graph(g.edges())
+        assert cert.size == nx.edge_connectivity(ref)
+        assert_valid_certificate(g, cert)
+
+
+def test_bridge_graph_sides_are_the_two_cliques():
+    # every grid instance has all degrees above r, so the r bridge edges are
+    # the unique minimum cut and no star certifies it
+    for params in bridge_grid(0, (1, 2, 3, 4), placements=1):
+        g = bridge_graph(params)
+        assert min_degree(g) > params.r
+        cert = edge_connectivity(g)
+        assert cert.size == params.r
+        assert cert.side_a == tuple(range(params.n1))
+        assert cert.side_b == tuple(range(params.n1, params.order))
+        assert_valid_certificate(g, cert)
+
+
+def test_log_counts_phases(caplog):
+    # Triangles 012 and 345 joined by edge 2-3: U starts at the minimum degree 2.
+    # Phase 1 adds 0 1 2 3 4 5 with attachments 0 1 2 1 1 2; the last cut, 2,
+    #   is not below U, so the pairs (1, 2) and (4, 5) with attachment 2 merge.
+    # Phase 2 adds 0 {1,2} 3 {4,5} with attachments 0 2 1 2; cut 2 again, and
+    #   the pairs with attachment 2 merge into {0,1,2} and {3,4,5}.
+    # Phase 3 adds {0,1,2} {3,4,5} with attachments 0 1: U drops to 1.
+    g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    with caplog.at_level(logging.DEBUG, logger="dsr.cuts"):
+        cert = edge_connectivity(g)
+    assert caplog.messages == ["min cut order 6: 3 phases, size 1"]
+    assert cert.side_b == (3, 4, 5) and cert.cut_edges == ((2, 3),)

@@ -1,5 +1,9 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dsr import (
     DisconnectedGraphError,
@@ -12,7 +16,7 @@ from dsr import (
     is_connected,
     kpq,
 )
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, random_connected, random_graph
 
 
 class TestFromEdgeList:
@@ -94,7 +98,7 @@ class TestDistanceMatrix:
             assert d[v].tolist() == [base[(u - v) % 5] for u in range(5)]
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match="vertex 2 unreachable from 0"):
             distance_matrix(from_edge_list(4, [(0, 1), (2, 3)]))
 
     def test_rows_match_bfs(self):
@@ -131,3 +135,34 @@ def test_distance_invariants_over_stream(n):
             for v in range(n):
                 if u != v:
                     assert (d[u, v] == 1) == g.has_edge(u, v)
+
+
+def floyd_warshall(g: Graph) -> np.ndarray:
+    """All-pairs hop counts by min-plus relaxation through each vertex."""
+    d = np.full((g.n, g.n), np.inf)
+    np.fill_diagonal(d, 0)
+    for u, v in g.edges():
+        d[u, v] = d[v, u] = 1
+    for k in range(g.n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(1, 64), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_distance_matrix_matches_floyd_warshall(n, p, seed):
+    g = random_connected(random.Random(seed), n, p)
+    d = distance_matrix(g).d
+    assert d.dtype == np.int64
+    assert (d == floyd_warshall(g)).all()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(2, 64), p=st.floats(0.0, 0.2), seed=st.integers(0, 2**32))
+def test_distance_matrix_names_first_vertex_unreachable_from_0(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    assume(not is_connected(g))
+    far = floyd_warshall(g)[0]
+    first = int(np.flatnonzero(np.isinf(far))[0])
+    with pytest.raises(DisconnectedGraphError, match=f"vertex {first} unreachable from 0;"):
+        distance_matrix(g)

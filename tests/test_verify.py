@@ -39,7 +39,7 @@ from dsr.verify import (
     suite_cut_sides,
     suite_theorem,
 )
-from helpers import cycle_graph, path_graph
+from helpers import count_calls, cycle_graph, path_graph
 
 
 class TestEdgeMonotonicity:
@@ -255,24 +255,12 @@ class TestClassTable:
             table.x[0, 0] = 0.0
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestSuiteTheorem:
     def test_one_cut_and_one_stack_per_order_no_decodes(self, monkeypatch):
         class_table.cache_clear()
-        cuts = _count_calls(monkeypatch, dsr.verify, "edge_connectivity")
-        decodes = _count_calls(monkeypatch, dsr.verify, "graph6_decode")
-        stacks = _count_calls(monkeypatch, dsr.verify, "perron_stack")
+        cuts = count_calls(monkeypatch, dsr.verify, "edge_connectivity")
+        decodes = count_calls(monkeypatch, dsr.verify, "graph6_decode")
+        stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
         result = suite_theorem(6)
         assert result.ok and result.instances == 2 + 3 + 4
         assert len(cuts) == 6 + 21 + 112  # one per class of orders 4..6
@@ -310,7 +298,7 @@ def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch)
         sum(1 for g, lam in zip(t.graphs, t.lam) if min_degree(g) > lam) for t in tables
     ]
     assert eligible[-1] == 44  # of the 11,117 order-8 classes
-    cuts = _count_calls(monkeypatch, dsr.verify, "edge_connectivity")
+    cuts = count_calls(monkeypatch, dsr.verify, "edge_connectivity")
     result = suite_cut_sides(max_n=8, r_max=1)
     grid = len(list(bridge_grid(0, (1,))))  # one cut per grid instance
     assert result.ok
@@ -325,7 +313,7 @@ def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
         for p in grid
     )
     assert all(check_transformation(p).holds for p in grid)
-    solves = _count_calls(monkeypatch, dsr.verify, "perron")
+    solves = count_calls(monkeypatch, dsr.verify, "perron")
     result = suite_bridge_grid(placements=1, r_max=2)
     assert result.ok and result.instances == len(grid)
     assert result.notes == f"max identity residual {worst:.3e}"
