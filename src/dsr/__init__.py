@@ -24,7 +24,6 @@ from .graphs import (
     DisconnectedGraphError,
     DistanceMatrix,
     Graph,
-    bfs_distances,
     distance_matrix,
     from_edge_list,
     is_connected,
@@ -78,7 +77,6 @@ __all__ = [
     "PerronOrderVerdict",
     "PerronPair",
     "VerificationError",
-    "bfs_distances",
     "bridge_graph",
     "bridge_graph_tilde",
     "brute_force_min_cut",

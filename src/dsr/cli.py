@@ -26,19 +26,10 @@ from dataclasses import asdict
 from .cuts import edge_connectivity
 from .enumeration import MAX_BUILTIN_ORDER
 from .families import BridgeFamilyParams, random_cross_edges
-from .graph6 import Graph6Error, graph6_decode, graph6_encode
+from .graph6 import Graph6Error, graph6_encode, read_graph6_lines
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .spectra import ConvergenceError, perron
-from .verify import (
-    CorpusError,
-    VerificationError,
-    _form_shift_identity,
-    _hub_row_identity,
-    _tilde_pattern,
-    _transformation,
-    extremal_search,
-    run_all_suites,
-)
+from .verify import CorpusError, bridge_claims, extremal_search, run_all_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -177,19 +168,11 @@ def _load_graphs(args) -> list[tuple[str, Graph]]:
         return [(graph6_encode(g).decode(), g)]
     if not args.source:
         raise _InputError("give a graph6 file or --edges")
-    out = []
     with open(args.source, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                g = graph6_decode(line)
-            except Graph6Error as exc:
-                raise _InputError(f"{args.source}: line {lineno}: {exc}") from None
-            if not is_connected(g):
-                raise _InputError(f"{args.source}: line {lineno}: graph is disconnected")
-            out.append((line.decode("ascii"), g))
+        try:
+            out = [(line.decode("ascii"), g) for line, g in read_graph6_lines(fh)]
+        except Graph6Error as exc:
+            raise _InputError(f"{args.source}: {exc}") from None
     if not out:
         raise _InputError(f"{args.source}: no graphs found")
     return out
@@ -243,35 +226,17 @@ def cmd_check(args) -> int:
         ]
     for cross in placements:
         params = BridgeFamilyParams(args.n1, args.n2, args.r, args.t, cross)
-        pattern = _tilde_pattern(params)  # one Perron pair shared by all three checks
-        verdict = _transformation(params, pattern)
-        records.append({
-            "claim": verdict.lemma,
-            "params": verdict.params,
-            "lhs_rho": _round12(verdict.lhs_rho),
-            "rhs_rho": _round12(verdict.rhs_rho),
-            "margin": _round12(verdict.margin),
-            "residual": None,
-            "holds": verdict.holds,
-        })
-        failed |= not verdict.holds
-        for claim, checker in (
-            ("hub_row_identity", _hub_row_identity),
-            ("form_shift_identity", _form_shift_identity),
-        ):
-            if claim == "form_shift_identity" and args.t != args.r:
-                continue
-            try:
-                residual = checker(params, pattern)
-                holds = residual < 1e-8
-            except VerificationError:
-                residual, holds = None, False
+        verdict, identities = bridge_claims(params)
+        claims = [(verdict.lemma, verdict.lhs_rho, verdict.rhs_rho, verdict.margin, None,
+                   verdict.holds)]
+        claims += [(claim, None, None, None, residual, ok) for claim, residual, ok in identities]
+        for claim, lhs, rhs, margin, residual, holds in claims:
             records.append({
                 "claim": claim,
                 "params": verdict.params,
-                "lhs_rho": None,
-                "rhs_rho": None,
-                "margin": None,
+                "lhs_rho": _round12(lhs),
+                "rhs_rho": _round12(rhs),
+                "margin": _round12(margin),
                 "residual": _round12(residual),
                 "holds": holds,
             })

@@ -1,6 +1,7 @@
 """Global edge connectivity with an explicit minimum-cut certificate.
 
-The production path runs maximum-adjacency phases with Nagamochi-Ibaraki
+The production path returns a minimum-degree star when the diameter is at
+most 2 and otherwise runs maximum-adjacency phases with Nagamochi-Ibaraki
 contraction; ``brute_force_min_cut`` scans every bipartition and exists as
 an independent oracle for tests.
 """
@@ -54,6 +55,21 @@ def _require_cuttable(g: Graph) -> None:
         raise DisconnectedGraphError("graph is disconnected; no finite edge cut")
 
 
+def _diameter_at_most_2(rows: tuple[int, ...]) -> bool:
+    """True iff every closed 2-neighbourhood is the whole vertex set."""
+    full = (1 << len(rows)) - 1
+    for v, row in enumerate(rows):
+        reach = row | 1 << v
+        rest = row
+        while reach != full:
+            if not rest:
+                return False
+            low = rest & -rest
+            reach |= rows[low.bit_length() - 1]
+            rest ^= low
+    return True
+
+
 def edge_connectivity(g: Graph) -> CutCertificate:
     """Certified global minimum edge cut via maximum-adjacency (MA) phases
     with Nagamochi-Ibaraki contraction.
@@ -63,11 +79,17 @@ def edge_connectivity(g: Graph) -> CutCertificate:
     last one, and merges each consecutive pair whose attachment q at
     addition is at least U: the order's prefix has no cut below q between
     them (minimum-cut phase lemma).  The last pair's q is the phase cut.
+
+    A graph of diameter at most 2 has edge connectivity equal to its minimum
+    degree (Plesnik 1975), so there the star is returned without phases.
     """
-    _require_cuttable(g)
     degrees = [row.bit_count() for row in g.rows]
     best_size = min(degrees)
     best_mask = 1 << degrees.index(best_size)
+    if g.n > 1 and _diameter_at_most_2(g.rows):  # such a graph is connected
+        logger.debug("min cut order %d: diameter <= 2, 0 phases, size %d", g.n, best_size)
+        return _certificate(g, best_mask)
+    _require_cuttable(g)
     merged = {v: 1 << v for v in range(g.n)}  # supernode name -> its vertex mask
     name = list(range(g.n))  # vertex -> name of its supernode
     phases = 0
@@ -95,8 +117,7 @@ def edge_connectivity(g: Graph) -> CutCertificate:
         for h, mask in merged.items():
             for v in _bits(mask):
                 name[v] = h
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("min cut order %d: %d phases, size %d", g.n, phases, best_size)
+    logger.debug("min cut order %d: %d phases, size %d", g.n, phases, best_size)
     return _certificate(g, best_mask)
 
 

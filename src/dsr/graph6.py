@@ -9,12 +9,16 @@ never emitted.
 
 from __future__ import annotations
 
-from .graphs import Graph, upper_triangle_pairs
+from typing import Iterable, Iterator
+
+from .graphs import Graph, bit_transpose, is_connected, matrix_width
 
 HEADER = b">>graph6<<"
 
 _MIN_BYTE = 63   # '?'
 _MAX_BYTE = 126  # '~', also the long-form marker when used as length byte
+_DATA_BYTES = bytes(range(_MIN_BYTE, _MAX_BYTE + 1))
+_SIX_BITS = {byte: format(byte - _MIN_BYTE, "06b") for byte in _DATA_BYTES}
 
 
 class Graph6Error(ValueError):
@@ -24,19 +28,14 @@ class Graph6Error(ValueError):
 def graph6_encode(g: Graph) -> bytes:
     if g.n > 62:
         raise Graph6Error(f"short-form graph6 supports order <= 62, got {g.n}")
-    out = bytearray([g.n + 63])
-    acc = 0
-    nbits = 0
-    for i, j in upper_triangle_pairs(g.n):
-        acc = acc << 1 | (g.rows[i] >> j & 1)
-        nbits += 1
-        if nbits == 6:
-            out.append(acc + 63)
-            acc = 0
-            nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    # column j of the upper triangle is the part of row j below the diagonal;
+    # pair k goes to bit k, under a sentinel bit that keeps the leading zeros
+    bits = npairs = 0
+    for j, row in enumerate(g.rows):
+        bits |= (row & (1 << j) - 1) << npairs
+        npairs += j
+    text = format(bits | 1 << npairs, "b")[:0:-1] + "0" * (-npairs % 6)
+    return bytes([g.n + 63, *(int(text[i:i + 6], 2) + 63 for i in range(0, npairs, 6))])
 
 
 def graph6_decode(data: bytes | str) -> Graph:
@@ -64,21 +63,39 @@ def graph6_decode(data: bytes | str) -> Graph:
         raise Graph6Error(f"truncated: need {nbytes} data bytes for order {n}, got {len(body)}")
     if len(body) > nbytes:
         raise Graph6Error(f"trailing garbage after {nbytes} data bytes")
-    rows = [0] * n
-    pairs = upper_triangle_pairs(n)
-    idx = 0
-    for byte in body:
-        if not _MIN_BYTE <= byte <= _MAX_BYTE:
-            raise Graph6Error(f"data byte {byte!r} outside graph6 range")
-        value = byte - 63
-        for shift in range(5, -1, -1):
-            bit = value >> shift & 1
-            if idx < npairs:
-                if bit:
-                    i, j = pairs[idx]
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise Graph6Error("nonzero padding bits")
-            idx += 1
-    return Graph(n, tuple(rows))
+    if bad := body.translate(None, _DATA_BYTES):
+        raise Graph6Error(f"data byte {bad[0]!r} outside graph6 range")
+    # reversed, the body's bit string puts pair k of the upper triangle at bit k
+    bits = int("".join(map(_SIX_BITS.__getitem__, body))[::-1] or "0", 2)
+    if bits >> npairs:
+        raise Graph6Error("nonzero padding bits")
+    # column j of the upper triangle is row j of the lower one
+    w = matrix_width(n)
+    lower = 0
+    for j in range(1, n):
+        lower |= (bits & (1 << j) - 1) << j * w
+        bits >>= j
+    packed = lower | bit_transpose(lower, w)
+    full = (1 << n) - 1
+    return Graph(n, tuple(packed >> v * w & full for v in range(n)))
+
+
+def read_graph6_lines(
+    lines: Iterable[bytes | str], order: int | None = None
+) -> Iterator[tuple[bytes | str, Graph]]:
+    """(stripped line, graph) for each nonblank line.  A line that does not
+    decode, is not of the given order or is disconnected raises
+    Graph6Error("line N: reason"), N counting from 1."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            g = graph6_decode(line)
+        except Graph6Error as exc:
+            raise Graph6Error(f"line {lineno}: {exc}") from None
+        if order is not None and g.n != order:
+            raise Graph6Error(f"line {lineno}: order {g.n}, expected {order}")
+        if not is_connected(g):
+            raise Graph6Error(f"line {lineno}: graph is disconnected")
+        yield line, g

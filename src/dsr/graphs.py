@@ -8,6 +8,7 @@ every order this toolkit supports (n <= 64).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,14 +45,21 @@ class Graph:
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        w = matrix_width(self.n)
+        packed = 0
+        for row in reversed(self.rows):
+            packed = packed << w | (row & full)
+        asym = packed & ~bit_transpose(packed, w)
+        # (v, u) is the first asymmetric pair in row order; a range or
+        # self-loop fault in rows 0..v comes first, as in a row-by-row scan
+        v, u = divmod((asym & -asym).bit_length() - 1, w) if asym else (self.n, 0)
+        for k, row in enumerate(self.rows[: v + 1]):
             if row & ~full:
-                raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
-            if row >> v & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-            for u in _bits(row):
-                if not self.rows[u] >> v & 1:
-                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+                raise ValueError(f"row {k} has bits outside 0..{self.n - 1}")
+            if row >> k & 1:
+                raise ValueError(f"self-loop at vertex {k}")
+        if asym:
+            raise ValueError(f"adjacency not symmetric at ({u}, {v})")
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -93,6 +101,33 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+def matrix_width(n: int) -> int:
+    """Row stride of an order-n packed bit matrix: the least power of two >= max(n, 8)."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+@cache
+def _block_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per step of a w x w transpose; the mask selects the
+    top-right s x s block of every 2s x 2s block, for s = w/2, ..., 1."""
+    steps = []
+    s = w >> 1
+    while s:
+        cols = sum(1 << j for j in range(w) if j & s)
+        steps.append((s * (w - 1), sum(cols << i * w for i in range(w) if not i & s)))
+        s >>= 1
+    return tuple(steps)
+
+
+def bit_transpose(packed: int, w: int) -> int:
+    """Transpose of a w x w bit matrix whose row i is bits i*w..i*w+w-1 of
+    ``packed``, by log2(w) block swaps (Hacker's Delight, section 7-3)."""
+    for shift, mask in _block_swaps(w):
+        t = (packed ^ packed >> shift) & mask
+        packed ^= t | t << shift
+    return packed
+
+
 def _check_pair(n: int, u: int, v: int) -> None:
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex index out of range for order {n}: ({u}, {v})")
@@ -108,11 +143,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
-
-
-def upper_triangle_pairs(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs (i, j), i < j, in column-major order: (0,1),(0,2),(1,2),(0,3),..."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 def _bfs_levels(rows: tuple[int, ...], n: int, source: int) -> tuple[list[int], int]:
@@ -142,24 +172,6 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
-def _reached_levels(g: Graph, source: int) -> list[int]:
-    """Hop counts from ``source``; raises unless every vertex is reached."""
-    dist, seen = _bfs_levels(g.rows, g.n, source)
-    if seen != (1 << g.n) - 1:
-        unreachable = (~seen & -(~seen)).bit_length() - 1
-        raise DisconnectedGraphError(
-            f"vertex {unreachable} unreachable from {source}; graph is disconnected"
-        )
-    return dist
-
-
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Exact unweighted shortest-path lengths from ``source`` to every vertex."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range for order {g.n}")
-    return np.array(_reached_levels(g, source), dtype=np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric matrix of pairwise hop counts of a connected graph."""
@@ -173,5 +185,13 @@ class DistanceMatrix:
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs shortest-path matrix; raises on disconnected input."""
-    rows = [_reached_levels(g, s) for s in range(g.n)]
+    rows = []
+    for source in range(g.n):
+        dist, seen = _bfs_levels(g.rows, g.n, source)
+        if seen != (1 << g.n) - 1:
+            unreachable = (~seen & -(~seen)).bit_length() - 1
+            raise DisconnectedGraphError(
+                f"vertex {unreachable} unreachable from {source}; graph is disconnected"
+            )
+        rows.append(dist)
     return DistanceMatrix(g.n, np.array(rows, dtype=np.int64))

@@ -27,7 +27,7 @@ from .families import (
     random_cross_edges,
     tilde_level_groups,
 )
-from .graph6 import Graph6Error, graph6_decode, graph6_encode
+from .graph6 import Graph6Error, graph6_decode, graph6_encode, read_graph6_lines
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .isomorphism import canonical_form, isomorphic
 from .spectra import (
@@ -211,24 +211,15 @@ def extremal_search(
     return ExtremalReport(n, r, len(kept), min_rho, runner, gap, min_g6, matches)
 
 
-def _read_corpus(corpus: Iterable[bytes | str], n: int) -> Iterator[Graph]:
+def _read_corpus(corpus: Iterable[bytes | str], n: int) -> list[Graph]:
     """Connected order-n graphs from graph6 lines; blank lines are skipped and
     every error names its line."""
-    for lineno, line in enumerate(corpus, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("ascii", errors="replace")
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            g = graph6_decode(line)
-        except Graph6Error as exc:
-            raise CorpusError(f"corpus line {lineno}: {exc}") from None
-        if g.n != n:
-            raise CorpusError(f"corpus line {lineno}: order {g.n}, expected {n}")
-        if not is_connected(g):
-            raise CorpusError(f"corpus line {lineno}: graph is disconnected")
-        yield g
+    lines = (line.decode("ascii", errors="replace") if isinstance(line, bytes) else line
+             for line in corpus)
+    try:
+        return [g for _, g in read_graph6_lines(lines, order=n)]
+    except Graph6Error as exc:
+        raise CorpusError(f"corpus {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +404,27 @@ def _hub_row_identity(params: BridgeFamilyParams, pattern: _TildePattern) -> flo
             f"hub entry {m1!r} not below bound {bound!r} on {params}"
         )
     return residual
+
+
+def bridge_claims(
+    params: BridgeFamilyParams,
+) -> tuple[LemmaVerdict, list[tuple[str, float | None, bool]]]:
+    """The flattening verdict and each identity as (claim, residual, holds)
+    for one bridge instance, all on one Perron pair of the flattened graph.
+    The form-shift identity applies only when t == r.  A residual holds below
+    IDENTITY_TOL; it is None where a strict consequence of the hub row fails."""
+    pattern = _tilde_pattern(params)
+    checkers = [("hub_row_identity", _hub_row_identity)]
+    if params.t == params.r:
+        checkers.append(("form_shift_identity", _form_shift_identity))
+    identities = []
+    for claim, checker in checkers:
+        try:
+            residual = checker(params, pattern)
+        except VerificationError:
+            residual = None
+        identities.append((claim, residual, residual is not None and residual < IDENTITY_TOL))
+    return _transformation(params, pattern), identities
 
 
 def _induces_clique(g: Graph, vertices: Sequence[int]) -> bool:
@@ -637,15 +649,9 @@ def suite_bridge_grid(
     kpq, shows the three-level pattern, and satisfies both eigen identities."""
 
     def examine(params: BridgeFamilyParams) -> tuple[bool, float]:
-        pattern = _tilde_pattern(params)  # one Perron pair shared by all three checks
-        verdict = _transformation(params, pattern)
-        try:
-            worst = _hub_row_identity(params, pattern)
-            if params.t == params.r:
-                worst = max(worst, _form_shift_identity(params, pattern))
-        except VerificationError:
-            return False, float("inf")
-        return verdict.holds and worst < IDENTITY_TOL, worst
+        verdict, identities = bridge_claims(params)
+        worst = max(float("inf") if res is None else res for _, res, _ in identities)
+        return verdict.holds and all(ok for *_, ok in identities), worst
 
     grid = list(bridge_grid(seed, range(1, r_max + 1), placements=placements))
     results = [examine(params) for params in grid]

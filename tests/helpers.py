@@ -4,9 +4,13 @@ independent of the production code paths they check."""
 from functools import lru_cache
 from itertools import permutations
 
-from dsr import Graph, from_edge_list
-from dsr.graphs import upper_triangle_pairs
+from dsr import Graph, Graph6Error, from_edge_list
 from dsr.isomorphism import canonical_form
+
+
+def upper_triangle_pairs(n: int) -> list[tuple[int, int]]:
+    """Vertex pairs (i, j), i < j, in column-major order: (0,1),(0,2),(1,2),(0,3),..."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 def path_graph(n: int) -> Graph:
@@ -78,3 +82,82 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def reference_transpose(packed: int, w: int) -> int:
+    """w x w bit-matrix transpose, one bit at a time."""
+    out = 0
+    for i in range(w):
+        for j in range(w):
+            if packed >> (i * w + j) & 1:
+                out |= 1 << (j * w + i)
+    return out
+
+
+def reference_row_fault(n: int, rows: tuple) -> str | None:
+    """The message of the first fault a row-by-row, bit-by-bit scan finds in
+    rows of a valid order n, or None for a valid adjacency."""
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            return f"row {v} has bits outside 0..{n - 1}"
+        if row >> v & 1:
+            return f"self-loop at vertex {v}"
+        rest = row
+        while rest:  # set bits, lowest first
+            u = (rest & -rest).bit_length() - 1
+            if not rows[u] >> v & 1:
+                return f"adjacency not symmetric at ({u}, {v})"
+            rest &= rest - 1
+    return None
+
+
+def reference_graph6_encode(g: Graph) -> bytes:
+    """Short-form graph6, one upper-triangle pair at a time."""
+    out = bytearray([g.n + 63])
+    bits = [g.rows[i] >> j & 1 for i, j in upper_triangle_pairs(g.n)]
+    bits += [0] * (-len(bits) % 6)
+    for k in range(0, len(bits), 6):
+        out.append(int("".join(map(str, bits[k:k + 6])), 2) + 63)
+    return bytes(out)
+
+
+def reference_graph6_decode(data: bytes | str) -> Graph:
+    """Short-form graph6 decoder that reads one bit at a time, with the same
+    checks, messages and precedence as ``dsr.graph6_decode``."""
+    if isinstance(data, str):
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error(f"non-ASCII input: {exc}") from None
+    if data.startswith(b">>graph6<<"):
+        data = data[10:]
+    if not data:
+        raise Graph6Error("empty graph6 string")
+    first = data[0]
+    if first == 126:
+        raise Graph6Error("long-form graph6 (order > 62) not supported")
+    if not 63 <= first < 126:
+        raise Graph6Error(f"malformed length byte {first!r}")
+    n = first - 63
+    if n == 0:
+        raise Graph6Error("order-0 graph not representable")
+    pairs = upper_triangle_pairs(n)
+    nbytes = (len(pairs) + 5) // 6
+    body = data[1:]
+    if len(body) < nbytes:
+        raise Graph6Error(f"truncated: need {nbytes} data bytes for order {n}, got {len(body)}")
+    if len(body) > nbytes:
+        raise Graph6Error(f"trailing garbage after {nbytes} data bytes")
+    for byte in body:
+        if not 63 <= byte <= 126:
+            raise Graph6Error(f"data byte {byte!r} outside graph6 range")
+    bits = [(byte - 63) >> shift & 1 for byte in body for shift in range(5, -1, -1)]
+    if any(bits[len(pairs):]):
+        raise Graph6Error("nonzero padding bits")
+    rows = [0] * n
+    for (i, j), bit in zip(pairs, bits):
+        if bit:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph(n, tuple(rows))

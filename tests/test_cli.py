@@ -195,6 +195,17 @@ class TestCheck:
         # one for the bridge graph's radius, one for the flattened graph's pair
         assert len(solves) == 2 * placements
 
+    def test_identity_band_is_the_verify_tolerance(self, monkeypatch, capsys):
+        monkeypatch.setattr(dsr.verify, "IDENTITY_TOL", 0.0)
+        code, out, _ = run(capsys, "check", "--n1", "4", "--n2", "4",
+                           "--r", "2", "--t", "2")
+        assert code == 3
+        assert {rec["claim"]: rec["holds"] for rec in json.loads(out)} == {
+            "bridge_flattening_decreases_radius": True,
+            "hub_row_identity": False,
+            "form_shift_identity": False,
+        }
+
     def test_invalid_params_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--n1", "3", "--n2", "3", "--r", "2", "--t", "2"])
@@ -236,3 +247,23 @@ def test_threads_give_identical_bytes(tmp_path, capsys):
         assert code == 0
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("body, compute_err, search_err", [
+    # compute reads bytes and search reads text, so their messages differ here
+    (b"E~~?\nE\xc3\xa9~w\n", "line 2: trailing garbage after 3 data bytes",
+     "corpus line 2: non-ASCII input: 'ascii' codec can't encode characters in "
+     "position 1-2: ordinal not in range(128)"),
+    # \x1c is whitespace only to str.strip, so search skips the line
+    (b"E~~?\n\x1c\nE~~w\n", "line 2: malformed length byte 28", None),
+], ids=["non-ascii", "file-separator"])
+def test_graph6_readers_keep_their_error_text(tmp_path, capsys, body, compute_err, search_err):
+    src = tmp_path / "in.g6"
+    src.write_bytes(body)
+    code, _, err = run(capsys, "compute", str(src))
+    assert (code, err) == (2, f"error: {src}: {compute_err}\n")
+    code, _, err = run(capsys, "search", "--n", "6", "--r", "2", "--corpus", str(src))
+    if search_err is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"error: {search_err}\n")

@@ -16,9 +16,11 @@ from dsr import (
     from_edge_list,
     is_connected,
     kpq,
+    distance_matrix,
     min_degree,
     enumerate_connected,
 )
+from dsr.cuts import _diameter_at_most_2
 from dsr.verify import bridge_grid
 from helpers import cycle_graph, path_graph, random_connected
 
@@ -104,7 +106,7 @@ class TestMinDegree:
         assert min_degree(path_graph(3)) == 1
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_phase_contraction_matches_brute_force(n):
     for g in enumerate_connected(n):
         fast = edge_connectivity(g)
@@ -136,11 +138,47 @@ def test_matches_networkx_on_larger_random_graphs(p):
         assert_valid_certificate(g, cert)
 
 
+def two_blobs(rng, n: int) -> Graph:
+    """Two dense random blobs joined by one to three random edges."""
+    a = rng.randint(6, n - 6)
+    left, right = random_connected(rng, a, 0.8), random_connected(rng, n - a, 0.8)
+    joins = [(rng.randrange(a), a + rng.randrange(n - a)) for _ in range(rng.randint(1, 3))]
+    return from_edge_list(n, left.edges() + [(u + a, v + a) for u, v in right.edges()] + joins)
+
+
+@pytest.mark.parametrize("regime", ["diameter <= 2", "diameter >= 3"])
+def test_matches_networkx_in_both_diameter_regimes(regime):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13 if regime == "diameter <= 2" else 31)
+    checked = below_degree = 0
+    while checked < 30:
+        n = rng.randint(13, 40)
+        if rng.random() < 0.3:
+            g = two_blobs(rng, n)
+        else:
+            g = random_connected(rng, n, rng.choice([0.05, 0.15, 0.3, 0.6]))
+        short = int(distance_matrix(g).d.max()) <= 2
+        assert _diameter_at_most_2(g.rows) == short
+        if short != (regime == "diameter <= 2"):
+            continue
+        cert = edge_connectivity(g)
+        assert cert.size == nx.edge_connectivity(nx.Graph(g.edges()))
+        assert_valid_certificate(g, cert)
+        checked += 1
+        below_degree += cert.size < min_degree(g)
+    if regime == "diameter <= 2":
+        assert below_degree == 0  # Plesnik: lambda = delta
+    else:
+        assert below_degree > 0  # the phases, not the star, found these cuts
+
+
 def test_bridge_graph_sides_are_the_two_cliques():
-    # every grid instance has all degrees above r, so the r bridge edges are
-    # the unique minimum cut and no star certifies it
+    # every grid instance has diameter 3 and all degrees above r, so the r
+    # bridge edges are the unique minimum cut and no star certifies it: a
+    # minimum-degree shortcut taken at diameter 3 would get all of them wrong
     for params in bridge_grid(0, (1, 2, 3, 4), placements=1):
         g = bridge_graph(params)
+        assert distance_matrix(g).d.max() == 3
         assert min_degree(g) > params.r
         cert = edge_connectivity(g)
         assert cert.size == params.r
@@ -161,3 +199,10 @@ def test_log_counts_phases(caplog):
         cert = edge_connectivity(g)
     assert caplog.messages == ["min cut order 6: 3 phases, size 1"]
     assert cert.side_b == (3, 4, 5) and cert.cut_edges == ((2, 3),)
+
+
+def test_log_reports_diameter_shortcut(caplog):
+    with caplog.at_level(logging.DEBUG, logger="dsr.cuts"):
+        cert = edge_connectivity(kpq(4, 2))
+    assert caplog.messages == ["min cut order 5: diameter <= 2, 0 phases, size 2"]
+    assert cert.side_b == (4,)

@@ -13,13 +13,14 @@ from dsr import (
     kpq,
 )
 from dsr.enumeration import _last_is_chosen
-from dsr.graphs import Graph, upper_triangle_pairs
+from dsr.graphs import Graph
 from helpers import (
     cycle_graph,
     path_graph,
     perm_canonical,
     star_graph,
     unfiltered_classes,
+    upper_triangle_pairs,
 )
 
 # connected graphs per isomorphism class, a classic sequence

@@ -12,7 +12,13 @@ from dsr import (
     graph6_decode,
     graph6_encode,
 )
-from helpers import path_graph, random_graph
+from dsr.graph6 import read_graph6_lines
+from helpers import (
+    path_graph,
+    random_graph,
+    reference_graph6_decode,
+    reference_graph6_encode,
+)
 
 
 def test_decode_k4():
@@ -92,3 +98,60 @@ class TestDecodeErrors:
 def test_roundtrip_random(n, p, seed):
     g = random_graph(random.Random(seed), n, p)
     assert graph6_decode(graph6_encode(g)) == g
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(n=st.integers(1, 62), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_encode_matches_per_pair_reference(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    assert graph6_encode(g) == reference_graph6_encode(g)
+
+
+def _outcome(decode, data):
+    try:
+        return decode(data)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+CORRUPTIONS = ["none", "header", "truncate", "append", "byte", "padding", "length", "text"]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(1, 62),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+    how=st.sampled_from(CORRUPTIONS),
+    value=st.integers(0, 255),
+    data=st.data(),
+)
+def test_decode_matches_bitwise_reference(n, p, seed, how, value, data):
+    raw = bytearray(graph6_encode(random_graph(random.Random(seed), n, p)))
+    if how == "header":
+        raw[:0] = b">>graph6<<"
+    elif how == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)):]
+    elif how == "append":
+        raw.append(value)
+    elif how == "byte" and len(raw) > 1:
+        raw[data.draw(st.integers(1, len(raw) - 1))] = value
+    elif how == "padding":
+        raw[-1] = ((raw[-1] - 63) | data.draw(st.integers(1, 63))) + 63  # in the 6-bit value
+    elif how == "length":
+        raw[0] = value
+    # odd values also go in as text, where bytes above 127 are not ASCII
+    text = raw.decode("latin-1") if how == "text" or value & 1 else bytes(raw)
+    assert _outcome(graph6_decode, text) == _outcome(reference_graph6_decode, text)
+
+
+def test_line_reader_names_each_fault():
+    lines = [b"C~", b"  ", b"Bg", b"C~~", b"CA", b"Dh{"]
+    got = read_graph6_lines(lines[:3], order=None)
+    assert [(line, g.n) for line, g in got] == [(b"C~", 4), (b"Bg", 3)]
+    with pytest.raises(Graph6Error, match="^line 4: trailing garbage after 1 data bytes$"):
+        list(read_graph6_lines(lines))
+    with pytest.raises(Graph6Error, match="^line 4: graph is disconnected$"):
+        list(read_graph6_lines(lines[:3] + lines[4:]))
+    with pytest.raises(Graph6Error, match="^line 3: order 3, expected 4$"):
+        list(read_graph6_lines(lines[:3], order=4))

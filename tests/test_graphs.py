@@ -2,13 +2,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dsr import (
     DisconnectedGraphError,
     Graph,
-    bfs_distances,
     complete_graph,
     distance_matrix,
     enumerate_connected,
@@ -16,7 +15,15 @@ from dsr import (
     is_connected,
     kpq,
 )
-from helpers import cycle_graph, path_graph, random_connected, random_graph
+from dsr.graphs import bit_transpose, matrix_width
+from helpers import (
+    cycle_graph,
+    path_graph,
+    random_connected,
+    random_graph,
+    reference_row_fault,
+    reference_transpose,
+)
 
 
 class TestFromEdgeList:
@@ -57,25 +64,78 @@ class TestFromEdgeList:
             Graph(2, (0b01, 0b00))
 
 
+@pytest.mark.parametrize("n, w", [(1, 8), (8, 8), (9, 16), (16, 16), (17, 32), (32, 32),
+                                  (33, 64), (64, 64)])
+def test_matrix_width(n, w):
+    assert matrix_width(n) == w
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32))
+@example(n=1, seed=0)
+@example(n=16, seed=1)
+@example(n=32, seed=2)
+@example(n=64, seed=3)
+def test_bit_transpose_matches_per_bit_reference(n, seed):
+    w = matrix_width(n)
+    packed = random.Random(seed).getrandbits(w * w)
+    assert bit_transpose(packed, w) == reference_transpose(packed, w)
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(n=st.integers(2, 64), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_every_single_bit_flip_names_the_reference_pair(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                rows = list(g.rows)
+                rows[i] ^= 1 << j
+                expected = reference_row_fault(n, rows)
+                assert expected.startswith("adjacency not symmetric")
+                with pytest.raises(ValueError) as exc:
+                    Graph(n, tuple(rows))
+                assert str(exc.value) == expected
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_first_fault_matches_row_by_row_scan(n, data):
+    # a few random edits of a random graph: asymmetric pairs, self-loops and
+    # out-of-range bits in any mix, so which fault comes first is exercised
+    rows = list(random_graph(random.Random(data.draw(st.integers(0, 2**32))), n, 0.5).rows)
+    for _ in range(data.draw(st.integers(0, 3))):
+        v = data.draw(st.integers(0, n - 1))
+        rows[v] ^= 1 << data.draw(st.integers(0, n + 1))
+    expected = reference_row_fault(n, rows)
+    if expected is None:
+        assert Graph(n, tuple(rows)).rows == tuple(rows)
+    else:
+        with pytest.raises(ValueError) as exc:
+            Graph(n, tuple(rows))
+        assert str(exc.value) == expected
+
+
 class TestBfsDistances:
+    """Single rows of the distance matrix: hop counts from one source."""
+
     def test_p3_middle(self):
-        assert bfs_distances(path_graph(3), 1).tolist() == [1, 0, 1]
+        assert distance_matrix(path_graph(3)).d[1].tolist() == [1, 0, 1]
 
     def test_k4_any_vertex(self):
-        g = complete_graph(4)
+        d = distance_matrix(complete_graph(4)).d
         for v in range(4):
-            row = bfs_distances(g, v)
-            assert row[v] == 0
-            assert all(row[u] == 1 for u in range(4) if u != v)
+            assert d[v, v] == 0
+            assert all(d[v, u] == 1 for u in range(4) if u != v)
 
     def test_kpq_pendant(self):
         # pendant is the added vertex, index 3; the two far clique vertices sit at 2
-        assert bfs_distances(kpq(3, 1), 3).tolist() == [1, 2, 2, 0]
+        assert distance_matrix(kpq(3, 1)).d[3].tolist() == [1, 2, 2, 0]
 
     def test_disconnected_names_vertex(self):
-        g = from_edge_list(4, [(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedGraphError, match="vertex 2"):
-            bfs_distances(g, 0)
+        g = from_edge_list(4, [(0, 1), (1, 2)])
+        with pytest.raises(DisconnectedGraphError, match="vertex 3 unreachable from 0"):
+            distance_matrix(g)
 
 
 class TestDistanceMatrix:
@@ -100,12 +160,6 @@ class TestDistanceMatrix:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError, match="vertex 2 unreachable from 0"):
             distance_matrix(from_edge_list(4, [(0, 1), (2, 3)]))
-
-    def test_rows_match_bfs(self):
-        g = kpq(4, 2)
-        d = distance_matrix(g).d
-        for v in range(g.n):
-            assert (d[v] == bfs_distances(g, v)).all()
 
     def test_readonly(self):
         dm = distance_matrix(path_graph(3))

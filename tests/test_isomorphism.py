@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsr import complete_graph, enumerate_connected, from_edge_list, isomorphic, kpq
-from dsr.graphs import upper_triangle_pairs
 from dsr.isomorphism import canonical_form
-from helpers import cycle_graph, path_graph, perm_canonical, random_graph, star_graph
+from helpers import (
+    cycle_graph,
+    path_graph,
+    perm_canonical,
+    random_graph,
+    star_graph,
+    upper_triangle_pairs,
+)
 
 
 def relabel(g, perm):
