@@ -36,7 +36,6 @@ from .spectra import (
     perron_group_pattern,
     perron_stack,
     quadratic_form,
-    rayleigh_bound_check,
 )
 from .verify import (
     ClassTable,
@@ -106,7 +105,6 @@ __all__ = [
     "perron_stack",
     "quadratic_form",
     "random_cross_edges",
-    "rayleigh_bound_check",
     "run_all_suites",
     "tilde_level_groups",
 ]

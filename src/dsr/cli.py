@@ -29,7 +29,7 @@ from .families import BridgeFamilyParams, random_cross_edges
 from .graph6 import Graph6Error, graph6_encode, read_graph6_lines
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .spectra import ConvergenceError, perron
-from .verify import CorpusError, bridge_claims, extremal_search, run_all_suites
+from .verify import CorpusError, SuiteResult, bridge_claims, extremal_search, run_all_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -108,25 +108,27 @@ def _round12(x):
     return float(f"{x:.12g}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
+def _write(args, columns: list[str], records: list[dict], line, payload) -> None:
+    """Render ``--format`` and write it to ``--out`` or stdout: ``payload`` as
+    JSON, ``records`` as CSV rows over ``columns`` with list fields joined by
+    ";", or ``line(record)`` per record as text lines."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
+        for rec in records:
+            writer.writerow({key: ";".join(map(str, value)) if isinstance(value, list)
+                             else value for key, value in rec.items()})
+        text = buf.getvalue()
+    else:
+        text = "\n".join(line(rec) for rec in records) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_text(columns: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 class _InputError(Exception):
@@ -194,65 +196,44 @@ def cmd_compute(args) -> int:
             "edge_connectivity": conn,
             "perron": [_round12(v) for v in pp.x],
         })
-    if args.format == "json":
-        _emit(_json_text(records), args.out)
-    elif args.format == "csv":
-        columns = ["index", "graph6", "n", "rho", "residual", "iterations",
-                   "edge_connectivity", "perron"]
-        rows = [dict(rec, perron=";".join(str(v) for v in rec["perron"]))
-                for rec in records]
-        _emit(_csv_text(columns, rows), args.out)
-    else:
-        lines = []
-        for rec in records:
-            lines.append(
-                f"[{rec['index']}] {rec['graph6']}  n={rec['n']}  "
-                f"rho={rec['rho']:.10f}  connectivity={rec['edge_connectivity']}  "
-                f"residual={rec['residual']:.3e}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    columns = ["index", "graph6", "n", "rho", "residual", "iterations",
+               "edge_connectivity", "perron"]
+    _write(args, columns, records, lambda rec: (
+        f"[{rec['index']}] {rec['graph6']}  n={rec['n']}  "
+        f"rho={rec['rho']:.10f}  connectivity={rec['edge_connectivity']}  "
+        f"residual={rec['residual']:.3e}"
+    ), records)
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    records = []
-    failed = False
+def _bridge_params(args) -> list[BridgeFamilyParams]:
+    """The hub-only instance, or with t < r five cross-edge placements seeded
+    --seed .. --seed+4."""
     if args.t == args.r:
-        placements = [()]
-    else:
-        placements = [
-            random_cross_edges(args.n1, args.n2, args.r, args.t, args.seed + k)
-            for k in range(5)
-        ]
-    for cross in placements:
-        params = BridgeFamilyParams(args.n1, args.n2, args.r, args.t, cross)
+        return [BridgeFamilyParams(args.n1, args.n2, args.r, args.t)]
+    return [
+        BridgeFamilyParams(args.n1, args.n2, args.r, args.t,
+                           random_cross_edges(args.n1, args.n2, args.r, args.t, seed))
+        for seed in range(args.seed, args.seed + 5)
+    ]
+
+
+def cmd_check(args) -> int:
+    columns = ["claim", "params", "lhs_rho", "rhs_rho", "margin", "residual", "holds"]
+    records = []
+    for params in _bridge_params(args):
         verdict, identities = bridge_claims(params)
         claims = [(verdict.lemma, verdict.lhs_rho, verdict.rhs_rho, verdict.margin, None,
                    verdict.holds)]
         claims += [(claim, None, None, None, residual, ok) for claim, residual, ok in identities]
-        for claim, lhs, rhs, margin, residual, holds in claims:
-            records.append({
-                "claim": claim,
-                "params": verdict.params,
-                "lhs_rho": _round12(lhs),
-                "rhs_rho": _round12(rhs),
-                "margin": _round12(margin),
-                "residual": _round12(residual),
-                "holds": holds,
-            })
-            failed |= not holds
-    if args.format == "csv":
-        columns = ["claim", "params", "lhs_rho", "rhs_rho", "margin", "residual", "holds"]
-        _emit(_csv_text(columns, records), args.out)
-    elif args.format == "text":
-        lines = [
-            f"{'ok' if rec['holds'] else 'FAIL':4s} {rec['claim']:36s} {rec['params']}"
-            for rec in records
+        records += [
+            dict(zip(columns, (claim, verdict.params, *map(_round12, values), holds)))
+            for claim, *values, holds in claims
         ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(records), args.out)
-    return EXIT_VERIFY if failed else EXIT_OK
+    _write(args, columns, records, lambda rec: (
+        f"{'ok' if rec['holds'] else 'FAIL':4s} {rec['claim']:36s} {rec['params']}"
+    ), records)
+    return EXIT_OK if all(rec["holds"] for rec in records) else EXIT_VERIFY
 
 
 def cmd_search(args) -> int:
@@ -261,29 +242,13 @@ def cmd_search(args) -> int:
         with open(args.corpus, "rb") as fh:
             corpus = fh.read().splitlines()
     report = extremal_search(args.n, args.r, corpus=corpus)
-    payload = {
-        "n": report.n,
-        "r": report.r,
-        "class_size": report.class_size,
-        "min_rho": _round12(report.min_rho),
-        "runner_up_rho": _round12(report.runner_up_rho),
-        "uniqueness_gap": _round12(report.uniqueness_gap),
-        "minimizer_graph6": report.minimizer_graph6,
-        "matches_kpq": report.matches_kpq,
-    }
-    if args.format == "csv":
-        columns = list(payload)
-        _emit(_csv_text(columns, [payload]), args.out)
-    elif args.format == "text":
-        _emit(
-            f"n={payload['n']} r={payload['r']} classes={payload['class_size']} "
-            f"min_rho={payload['min_rho']} gap={payload['uniqueness_gap']} "
-            f"minimizer={payload['minimizer_graph6']} "
-            f"matches_kpq={payload['matches_kpq']}\n",
-            args.out,
-        )
-    else:
-        _emit(_json_text(payload), args.out)
+    payload = {key: _round12(value) if isinstance(value, float) else value
+               for key, value in asdict(report).items()}
+    _write(args, list(payload), [payload], lambda rec: (
+        f"n={rec['n']} r={rec['r']} classes={rec['class_size']} "
+        f"min_rho={rec['min_rho']} gap={rec['uniqueness_gap']} "
+        f"minimizer={rec['minimizer_graph6']} matches_kpq={rec['matches_kpq']}"
+    ), payload)
     if report.matches_kpq and report.unique():
         return EXIT_OK
     print(
@@ -298,8 +263,6 @@ def cmd_search(args) -> int:
 def cmd_verify_all(args) -> int:
     results = run_all_suites(seed=args.seed, max_n=args.max_n)
     if args.inject_fault:
-        from .verify import SuiteResult
-
         results.append(SuiteResult("injected_fault", 1, 1, "self-test fault"))
     ok = all(r.ok for r in results)
     width = max(len(r.name) for r in results)
@@ -316,7 +279,7 @@ def cmd_verify_all(args) -> int:
     }
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(_json_text(payload))
+            fh.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -340,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="with t < r, seeds the five "
+                   "cross-edge placements SEED..SEED+4; n1 + n2 must be at most 64")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
@@ -387,16 +351,12 @@ def main(argv=None) -> int:
         parser.error(f"--max-n must be in 1..{MAX_BUILTIN_ORDER}, got {args.max_n}")
     if args.command == "check":
         try:
-            BridgeFamilyParams(
-                args.n1, args.n2, args.r, args.t,
-                random_cross_edges(args.n1, args.n2, args.r, args.t, args.seed)
-                if args.t != args.r else (),
-            )
+            _bridge_params(args)
         except ValueError as exc:
             parser.error(str(exc))
     try:
         return args.func(args)
-    except (_InputError, Graph6Error, CorpusError, FileNotFoundError) as exc:
+    except (_InputError, Graph6Error, CorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

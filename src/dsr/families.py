@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 
 def complete_graph(n: int) -> Graph:
@@ -64,6 +64,8 @@ class BridgeFamilyParams:
             raise ValueError(
                 f"need min(n1, n2) >= r+2, got n1={self.n1}, n2={self.n2}, r={self.r}"
             )
+        if self.order > MAX_VERTICES:
+            raise ValueError(f"need n1 + n2 <= {MAX_VERTICES}, got {self.order}")
         if len(self.cross_edges) != self.r - self.t:
             raise ValueError(
                 f"need exactly r-t={self.r - self.t} cross edges, got {len(self.cross_edges)}"
@@ -86,11 +88,12 @@ class BridgeFamilyParams:
 def random_cross_edges(
     n1: int, n2: int, r: int, t: int, rng: random.Random | int
 ) -> tuple[tuple[int, int], ...]:
-    """Seeded sample of r-t distinct non-hub bridge edges."""
+    """Seeded sample of r-t distinct non-hub bridge edges.  It draws indices
+    into the pairs (i, j) in row order, so no order builds the pair list."""
     if isinstance(rng, int):
         rng = random.Random(rng)
-    space = [(i, j) for i in range(2, n1 + 1) for j in range(1, n2 + 1)]
-    return tuple(sorted(rng.sample(space, r - t)))
+    picks = rng.sample(range(max(n1 - 1, 0) * max(n2, 0)), r - t)
+    return tuple(sorted((2 + k // n2, 1 + k % n2) for k in picks))
 
 
 def _clique_rows(offset: int, size: int, total: int) -> list[int]:

@@ -127,23 +127,6 @@ def quadratic_form(dm: DistanceMatrix, x: Sequence[float] | np.ndarray) -> float
     return float(x @ (dm.d @ x))
 
 
-def rayleigh_bound_check(
-    dm: DistanceMatrix, x: Sequence[float] | np.ndarray
-) -> tuple[float, float]:
-    """Quadratic form of a unit vector and its slack below the spectral radius.
-
-    The slack is nonnegative for every unit vector and zero exactly at the
-    Perron vector.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"vector must be unit norm, got |x| = {norm!r}")
-    value = quadratic_form(dm, x)
-    slack = perron(dm).rho - value
-    return value, slack
-
-
 def perron_group_pattern(
     pp: PerronPair, groups: Sequence[Iterable[int]]
 ) -> list[tuple[float, float]]:

@@ -12,11 +12,12 @@ import logging
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cuts import CutCertificate, brute_force_min_cut, edge_connectivity, min_degree
+from .cuts import brute_force_min_cut, edge_connectivity, min_degree
 from .enumeration import enumerate_connected
 from .families import (
     BridgeFamilyParams,
@@ -50,6 +51,10 @@ GROUP_DEV_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 # two Perron entries this close count as equal
 ENTRY_EQ_TOL = 1e-10
+# clique orders of the bridge grid, as offsets above r
+GRID_OFFSETS = (2, 3, 4, 5, 6)
+# random graphs drawn by the edge-monotonicity suite
+MONOTONICITY_CASES = 200
 
 
 class VerificationError(RuntimeError):
@@ -438,10 +443,7 @@ def check_cut_order_bound(g: Graph) -> CutOrderVerdict:
     """When the certified minimum cut splits the graph into two cliques and
     every degree exceeds the cut size, both sides must have at least cut
     size + 2 vertices."""
-    return _cut_order(g, edge_connectivity(g))
-
-
-def _cut_order(g: Graph, cert: CutCertificate) -> CutOrderVerdict:
+    cert = edge_connectivity(g)
     sides = (len(cert.side_a), len(cert.side_b))
     md = min_degree(g)
     applicable = (
@@ -449,9 +451,7 @@ def _cut_order(g: Graph, cert: CutCertificate) -> CutOrderVerdict:
         and _induces_clique(g, cert.side_a)
         and _induces_clique(g, cert.side_b)
     )
-    holds = True
-    if applicable:
-        holds = min(sides) >= cert.size + 2
+    holds = not applicable or min(sides) >= cert.size + 2
     return CutOrderVerdict(applicable, cert.size, sides, md, holds)
 
 
@@ -476,7 +476,6 @@ def random_connected_graph(rng: random.Random, n_min: int = 4, n_max: int = 20) 
 def bridge_grid(
     seed: int = 0,
     r_values: Sequence[int] = (1, 2, 3, 4),
-    offsets: Sequence[int] = (2, 3, 4, 5, 6),
     placements: int = 5,
 ) -> Iterator[BridgeFamilyParams]:
     """Deterministic parameter grid over the bridge family; hub-only cases get
@@ -484,8 +483,8 @@ def bridge_grid(
     rng = random.Random(seed)
     for r in r_values:
         for t in range(1, r + 1):
-            for n1 in (r + o for o in offsets):
-                for n2 in (r + o for o in offsets):
+            for n1 in (r + o for o in GRID_OFFSETS):
+                for n2 in (r + o for o in GRID_OFFSETS):
                     if t == r:
                         yield BridgeFamilyParams(n1, n2, r, t)
                     else:
@@ -511,36 +510,34 @@ class SuiteResult:
         return self.failures == 0
 
 
+def _tally(name: str, outcomes: Iterable[bool], notes: str = "") -> SuiteResult:
+    """A suite's result from one pass/fail outcome per instance."""
+    instances = failures = 0
+    for ok in outcomes:
+        instances += 1
+        failures += not ok
+    return SuiteResult(name, instances, failures, notes)
+
+
 def suite_closed_forms() -> SuiteResult:
     """Spot values: complete graphs hit order-1 exactly; the two small paths
     and the pendant-triangle hit their polynomial roots."""
-    failures = 0
-    instances = 0
-    for n in range(2, 13):
-        instances += 1
-        if abs(graph_rho(complete_graph(n)) - (n - 1)) > 1e-10:
-            failures += 1
-    targets = [
-        (from_edge_list(3, [(0, 1), (1, 2)]), 1.0 + np.sqrt(3.0)),
-        (from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 2.0 + np.sqrt(10.0)),
-        (kpq(3, 1), float(max(np.roots([1.0, -1.0, -11.0, -7.0]).real))),
+    targets = [(complete_graph(n), n - 1.0, 1e-10) for n in range(2, 13)]
+    targets += [
+        (from_edge_list(3, [(0, 1), (1, 2)]), 1.0 + np.sqrt(3.0), 1e-9),
+        (from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 2.0 + np.sqrt(10.0), 1e-9),
+        (kpq(3, 1), float(max(np.roots([1.0, -1.0, -11.0, -7.0]).real)), 1e-9),
     ]
-    for g, expected in targets:
-        instances += 1
-        if abs(graph_rho(g) - expected) > 1e-9:
-            failures += 1
-    return SuiteResult("closed_forms", instances, failures)
+    return _tally("closed_forms", (
+        abs(graph_rho(g) - expected) <= tol for g, expected, tol in targets
+    ))
 
 
 def suite_graph6_roundtrip(max_n: int = 7) -> SuiteResult:
-    failures = 0
-    instances = 0
-    for n in range(1, max_n + 1):
-        for g in enumerate_connected(n):
-            instances += 1
-            if graph6_decode(graph6_encode(g)) != g:
-                failures += 1
-    return SuiteResult("graph6_roundtrip", instances, failures)
+    return _tally("graph6_roundtrip", (
+        graph6_decode(graph6_encode(g)) == g
+        for n in range(1, max_n + 1) for g in enumerate_connected(n)
+    ))
 
 
 def suite_spectra_oracle(max_n: int = 7) -> SuiteResult:
@@ -553,91 +550,66 @@ def suite_spectra_oracle(max_n: int = 7) -> SuiteResult:
         power = perron(dm).rho
         dense = float(np.linalg.eigvalsh(dm.d.astype(float))[-1])
         scale = max(1.0, abs(dense))
-        if abs(rho - power) > 1e-8 * scale or abs(power - dense) > 1e-8 * scale:
-            return False
-        if g.n >= 2 and lam != brute_force_min_cut(g).size:
-            return False
-        return True
+        close = abs(rho - power) <= 1e-8 * scale and abs(power - dense) <= 1e-8 * scale
+        return close and (g.n < 2 or lam == brute_force_min_cut(g).size)
 
-    failures = 0
-    instances = 0
-    for n in range(1, max_n + 1):
-        table = class_table(n)
-        results = [examine(*row) for row in zip(table.graphs, table.rho, table.lam)]
-        instances += len(results)
-        failures += sum(1 for ok in results if not ok)
-    return SuiteResult("spectra_and_cut_oracle", instances, failures)
+    tables = map(class_table, range(1, max_n + 1))
+    return _tally("spectra_and_cut_oracle", (
+        examine(*row) for table in tables for row in zip(table.graphs, table.rho, table.lam)
+    ))
 
 
 def suite_theorem(max_n: int = 8) -> SuiteResult:
     """For every n and every feasible r, the minimum-radius class must be
     kpq(n-1, r), unique with a clear gap.  The notes lead with the smallest
     uniqueness gap and where it occurs."""
-    failures = 0
-    instances = 0
-    notes = []
-    closest = None  # (gap, n, r) of the smallest uniqueness gap
-    for n in range(4, max_n + 1):
-        for r in range(1, n - 1):
-            instances += 1
-            report = extremal_search(n, r)
-            gap = report.uniqueness_gap
-            if gap is not None and (closest is None or gap < closest[0]):
-                closest = (gap, n, r)
-            if not (report.matches_kpq and report.unique()):
-                failures += 1
-                notes.append(f"n={n} r={r}: minimizer {report.minimizer_graph6}")
-    if closest is not None:
-        notes.insert(0, "min uniqueness gap {:.6e} at n={} r={}".format(*closest))
-    return SuiteResult("extremal_theorem", instances, failures, "; ".join(notes))
+    reports = [extremal_search(n, r) for n in range(4, max_n + 1) for r in range(1, n - 1)]
+    outcomes = [rep.matches_kpq and rep.unique() for rep in reports]
+    notes = [
+        f"n={rep.n} r={rep.r}: minimizer {rep.minimizer_graph6}"
+        for rep, ok in zip(reports, outcomes) if not ok
+    ]
+    # (gap, n, r) in scan order, so min() keeps the first of equal gaps
+    gaps = [(rep.uniqueness_gap, rep.n, rep.r) for rep in reports
+            if rep.uniqueness_gap is not None]
+    if gaps:
+        notes.insert(0, "min uniqueness gap {:.6e} at n={} r={}".format(*min(gaps)))
+    return _tally("extremal_theorem", outcomes, "; ".join(notes))
 
 
 def suite_edge_monotonicity(
-    cases: int = 200, seed: int = 0, n_max: int = 20
+    cases: int = MONOTONICITY_CASES, seed: int = 0, n_max: int = 20
 ) -> SuiteResult:
     """Random connected graphs; one random edge addition and one random
     non-bridge deletion each must move the radius strictly the right way."""
-    rng = random.Random(seed)
-    failures = 0
-    instances = 0
-    for _ in range(cases):
-        g = random_connected_graph(rng, 4, n_max)
-        non_edges = [
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if not g.has_edge(u, v)
-        ]
-        if non_edges:
-            u, v = rng.choice(non_edges)
-            instances += 1
-            if not check_edge_monotonicity(g, u, v).holds:
-                failures += 1
-        deletable = [
-            (u, v) for u, v in g.edges() if is_connected(g.without_edge(u, v))
-        ]
-        if deletable:
-            u, v = rng.choice(deletable)
-            instances += 1
-            if not check_edge_monotonicity(g, u, v).holds:
-                failures += 1
-    return SuiteResult("edge_monotonicity", instances, failures)
+
+    def outcomes() -> Iterator[bool]:
+        rng = random.Random(seed)
+        for _ in range(cases):
+            g = random_connected_graph(rng, 4, n_max)
+            non_edges = [
+                (u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)
+            ]
+            deletable = [
+                (u, v) for u, v in g.edges() if is_connected(g.without_edge(u, v))
+            ]
+            for pairs in (non_edges, deletable):
+                if pairs:
+                    yield check_edge_monotonicity(g, *rng.choice(pairs)).holds
+
+    return _tally("edge_monotonicity", outcomes())
 
 
 def suite_perron_order(max_n: int = 7) -> SuiteResult:
     """Exhaustive neighborhood-inclusion ordering check over all vertex pairs
     of all classes."""
-    failures = 0
-    instances = 0
-    for n in range(2, max_n + 1):
-        table = class_table(n)
-        for g, x in zip(table.graphs, table.x):
-            for u in range(n):
-                for v in range(u + 1, n):
-                    instances += 1
-                    if not _order_claim(g, x, u, v).holds:
-                        failures += 1
-    return SuiteResult("perron_entry_order", instances, failures)
+    tables = map(class_table, range(2, max_n + 1))
+    return _tally("perron_entry_order", (
+        _order_claim(g, x, u, v).holds
+        for table in tables
+        for g, x in zip(table.graphs, table.x)
+        for u, v in combinations(range(g.n), 2)
+    ))
 
 
 def suite_bridge_grid(
@@ -653,16 +625,11 @@ def suite_bridge_grid(
         worst = max(float("inf") if res is None else res for _, res, _ in identities)
         return verdict.holds and all(ok for *_, ok in identities), worst
 
-    grid = list(bridge_grid(seed, range(1, r_max + 1), placements=placements))
+    grid = bridge_grid(seed, range(1, r_max + 1), placements=placements)
     results = [examine(params) for params in grid]
-    failures = sum(1 for ok, _ in results if not ok)
     worst = max((res for _, res in results), default=0.0)
-    return SuiteResult(
-        "bridge_grid_and_identities",
-        len(grid),
-        failures,
-        f"max identity residual {worst:.3e}",
-    )
+    notes = f"max identity residual {worst:.3e}"
+    return _tally("bridge_grid_and_identities", (ok for ok, _ in results), notes)
 
 
 def suite_cut_sides(
@@ -673,31 +640,20 @@ def suite_cut_sides(
     on every grid instance (where the check must also apply).  A class whose
     minimum degree equals its edge connectivity cannot meet the hypothesis,
     so only the others get a cut certificate."""
-    failures = 0
-    instances = 0
-    for n in range(2, max_n + 1):
-        table = class_table(n)
-        for g, lam in zip(table.graphs, table.lam):
-            instances += 1
-            if min_degree(g) > lam and not _cut_order(g, edge_connectivity(g)).holds:
-                failures += 1
-
-    def grid_case(params: BridgeFamilyParams) -> bool:
-        verdict = check_cut_order_bound(bridge_graph(params))
-        return verdict.applicable and verdict.holds
-
-    grid = list(bridge_grid(seed, range(1, r_max + 1)))
-    results = [grid_case(params) for params in grid]
-    instances += len(results)
-    failures += sum(1 for ok in results if not ok)
-    return SuiteResult("cut_side_orders", instances, failures)
+    tables = map(class_table, range(2, max_n + 1))
+    classes = (
+        min_degree(g) <= lam or check_cut_order_bound(g).holds
+        for table in tables for g, lam in zip(table.graphs, table.lam)
+    )
+    verdicts = (
+        check_cut_order_bound(bridge_graph(params))
+        for params in bridge_grid(seed, range(1, r_max + 1))
+    )
+    grid = (verdict.applicable and verdict.holds for verdict in verdicts)
+    return _tally("cut_side_orders", chain(classes, grid))
 
 
-def run_all_suites(
-    seed: int = 0,
-    max_n: int = 8,
-    monotonicity_cases: int = 200,
-) -> list[SuiteResult]:
+def run_all_suites(seed: int = 0, max_n: int = 8) -> list[SuiteResult]:
     """Every verification suite at the given caps, in a fixed order."""
     small = min(7, max_n)
     grid_r = min(4, max(1, max_n - 4))
@@ -708,7 +664,7 @@ def run_all_suites(
     ]
     if max_n >= 4:
         results.append(suite_theorem(max_n))
-    results.append(suite_edge_monotonicity(monotonicity_cases, seed))
+    results.append(suite_edge_monotonicity(seed=seed))
     results.append(suite_perron_order(small))
     results.append(suite_bridge_grid(seed, r_max=grid_r))
     results.append(suite_cut_sides(max_n, seed, grid_r))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -211,6 +213,15 @@ class TestCheck:
             main(["check", "--n1", "3", "--n2", "3", "--r", "2", "--t", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n1, n2, r, t", [
+        ("40", "40", "1", "1"), ("33", "33", "2", "1"),
+    ], ids=["hub-only", "mixed"])
+    def test_order_above_64_exit_2(self, capsys, n1, n2, r, t):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--n1", n1, "--n2", n2, "--r", r, "--t", t])
+        assert exc.value.code == 2
+        assert f"n1 + n2 <= 64, got {int(n1) + int(n2)}" in capsys.readouterr().err
+
 
 class TestVerifyAll:
     def test_small_caps_pass(self, tmp_path, capsys):
@@ -267,3 +278,39 @@ def test_graph6_readers_keep_their_error_text(tmp_path, capsys, body, compute_er
         assert (code, err) == (0, "")
     else:
         assert (code, err) == (2, f"error: {search_err}\n")
+
+
+@pytest.mark.parametrize("argv, key, token", [
+    (["compute", "GRAPHS"], "graph6", "{}"),
+    (["check", "--n1", "5", "--n2", "4", "--r", "2", "--t", "1"], "claim", "{}"),
+    (["search", "--n", "5", "--r", "2"], "minimizer_graph6", "minimizer={}"),
+], ids=["compute", "check", "search"])
+def test_every_format_carries_the_json_records(tmp_path, capsys, argv, key, token):
+    src = tmp_path / "in.g6"
+    src.write_text("C~\nBg\nDhC\n")
+    argv = [str(src) if a == "GRAPHS" else a for a in argv]
+    outputs = {}
+    for fmt in ("json", "csv", "text"):
+        code, outputs[fmt], _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+    payload = json.loads(outputs["json"])
+    records = payload if isinstance(payload, list) else [payload]
+    values = [rec[key] for rec in records]
+    assert len(values) > 1 or argv[0] == "search"
+    rows = list(csv.DictReader(io.StringIO(outputs["csv"])))
+    assert [row[key] for row in rows] == values
+    lines = outputs["text"].splitlines()
+    assert len(lines) == len(records)
+    for line, value in zip(lines, values):
+        assert token.format(value) in line.split()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "DIR"],
+    ["search", "--n", "5", "--r", "2", "--corpus", "DIR"],
+    ["search", "--n", "5", "--r", "2", "--out", "DIR"],
+], ids=["compute-source", "search-corpus", "out"])
+def test_unreadable_path_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *[str(tmp_path) if a == "DIR" else a for a in argv])
+    assert code == 2 and not out
+    assert err.startswith("error: ") and str(tmp_path) in err

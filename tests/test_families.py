@@ -18,6 +18,7 @@ from dsr import (
     random_cross_edges,
     tilde_level_groups,
 )
+from dsr.graphs import MAX_VERTICES
 
 
 class TestCompleteGraph:
@@ -102,6 +103,13 @@ class TestBridgeFamilyParams:
     def test_duplicate_cross_edges_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             BridgeFamilyParams(5, 5, 3, 1, ((2, 1), (2, 1)))
+
+    def test_order_bounded_by_max_vertices(self):
+        assert bridge_graph(BridgeFamilyParams(32, 32, 1, 1)).n == MAX_VERTICES
+        with pytest.raises(ValueError, match="n1 \\+ n2 <= 64, got 65"):
+            BridgeFamilyParams(33, 32, 1, 1)
+        with pytest.raises(ValueError, match="n1 \\+ n2 <= 64, got 80"):
+            BridgeFamilyParams(40, 40, 2, 1, ((2, 1),))
 
 
 class TestBridgeGraph:
@@ -202,3 +210,13 @@ def test_random_cross_edges_seeded():
     assert a == b
     assert len(a) == 2
     assert all(2 <= i <= 6 and 1 <= j <= 5 for i, j in a)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_cross_edges_match_a_sample_of_the_pair_list(seed):
+    # same draws as sampling the explicit list of pairs, which the bridge
+    # grid and `dsr check` placements were pinned with
+    for n1, n2, r, t in [(3, 3, 1, 1), (4, 4, 2, 1), (6, 5, 3, 1), (10, 8, 6, 1), (30, 34, 9, 2)]:
+        pairs = [(i, j) for i in range(2, n1 + 1) for j in range(1, n2 + 1)]
+        expected = tuple(sorted(random.Random(seed).sample(pairs, r - t)))
+        assert random_cross_edges(n1, n2, r, t, seed) == expected

@@ -18,7 +18,6 @@ from dsr import (
     perron_group_pattern,
     perron_stack,
     quadratic_form,
-    rayleigh_bound_check,
     tilde_level_groups,
 )
 from helpers import cycle_graph, path_graph, random_connected
@@ -176,31 +175,33 @@ class TestQuadraticForm:
             val = quadratic_form(dm, y) / float(y @ y)
             assert abs(val - base) <= 1e-12 * abs(base)
 
-
-class TestRayleighBound:
-    def test_perron_vector_slack_zero(self):
+    # Rayleigh bound: x^T D x <= rho for every unit x, with equality at the
+    # Perron vector
+    def test_rayleigh_bound_tight_at_perron_vector(self):
         dm = distance_matrix(kpq(4, 2))
         pp = perron(dm)
-        value, slack = rayleigh_bound_check(dm, pp.x)
-        assert abs(value - pp.rho) <= 1e-9
-        assert abs(slack) <= 1e-9
+        assert abs(quadratic_form(dm, pp.x) - pp.rho) <= 1e-9
 
-    def test_basis_vector_on_k4(self):
+    def test_rayleigh_bound_basis_vector_on_k4(self):
+        # a unit basis vector sees only the zero diagonal: slack rho = 3
         dm = distance_matrix(complete_graph(4))
-        e0 = np.array([1.0, 0.0, 0.0, 0.0])
-        value, slack = rayleigh_bound_check(dm, e0)
-        assert value == 0.0
-        assert abs(slack - 3.0) <= 1e-10
+        assert quadratic_form(dm, [1.0, 0.0, 0.0, 0.0]) == 0.0
+        assert abs(perron(dm).rho - 3.0) <= 1e-10
 
-    def test_foreign_perron_vector_has_positive_slack(self):
+    def test_rayleigh_bound_foreign_perron_vector_has_slack(self):
         x = perron(distance_matrix(path_graph(4))).x
-        _, slack = rayleigh_bound_check(distance_matrix(cycle_graph(4)), x)
-        assert slack > 1e-3
+        dm = distance_matrix(cycle_graph(4))
+        assert perron(dm).rho - quadratic_form(dm, x) > 1e-3
 
-    def test_requires_unit_vector(self):
-        dm = distance_matrix(path_graph(3))
-        with pytest.raises(ValueError, match="unit"):
-            rayleigh_bound_check(dm, np.ones(3))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rayleigh_bound_on_random_unit_vectors(self, seed):
+        rng = random.Random(seed)
+        dm = distance_matrix(random_connected(rng, rng.randint(2, 12), 0.3))
+        rho = perron(dm).rho
+        for _ in range(20):
+            x = np.array([rng.gauss(0.0, 1.0) for _ in range(dm.n)])
+            x /= np.linalg.norm(x)
+            assert quadratic_form(dm, x) <= rho * (1 + 1e-12)
 
 
 class TestGroupPattern:

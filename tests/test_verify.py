@@ -35,6 +35,7 @@ import dsr.verify
 from dsr.verify import (
     bridge_grid,
     random_connected_graph,
+    run_all_suites,
     suite_bridge_grid,
     suite_cut_sides,
     suite_theorem,
@@ -319,3 +320,48 @@ def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
     assert result.notes == f"max identity residual {worst:.3e}"
     # one for the bridge graph's radius, one for the flattened graph's pair
     assert len(solves) == 2 * len(grid)
+
+
+# published counts of connected graphs on 1..6 vertices (OEIS A001349)
+CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+
+
+def expected_tally_at_6() -> list[tuple[str, int, int]]:
+    """(name, instances, failures) of run_all_suites(seed=0, max_n=6)."""
+    # grid rule at max_n 6: r in 1..2, 5 x 5 clique orders, 5 placements when t < r
+    grid = sum(25 * (1 if t == r else 5) for r in (1, 2) for t in range(1, r + 1))
+    classes = sum(CLASS_COUNTS.values())
+    return [
+        ("closed_forms", 11 + 3, 0),  # K2..K12 plus three polynomial roots
+        ("graph6_roundtrip", classes, 0),
+        ("spectra_and_cut_oracle", classes, 0),
+        ("extremal_theorem", sum(n - 2 for n in range(4, 7)), 0),
+        ("edge_monotonicity", 386, 0),
+        ("perron_entry_order", sum(c * math.comb(n, 2) for n, c in CLASS_COUNTS.items()), 0),
+        ("bridge_grid_and_identities", grid, 0),
+        ("cut_side_orders", classes - CLASS_COUNTS[1] + grid, 0),
+    ]
+
+
+def tally(results) -> list[tuple[str, int, int]]:
+    return [(r.name, r.instances, r.failures) for r in results]
+
+
+def test_suite_tally_at_max_n_6():
+    assert tally(run_all_suites(seed=0, max_n=6)) == expected_tally_at_6()
+
+
+def test_suite_tally_counts_one_failing_claim(monkeypatch):
+    check = dsr.verify.check_edge_monotonicity
+    calls = []
+
+    def first_fails(g, u, v):
+        calls.append((u, v))
+        return dataclasses.replace(check(g, u, v), holds=len(calls) > 1)
+
+    monkeypatch.setattr(dsr.verify, "check_edge_monotonicity", first_fails)
+    expected = [
+        (name, instances, int(name == "edge_monotonicity"))
+        for name, instances, _ in expected_tally_at_6()
+    ]
+    assert tally(run_all_suites(seed=0, max_n=6)) == expected
