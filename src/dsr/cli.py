@@ -165,11 +165,9 @@ def _parse_edges(text: str, n_override: int | None) -> Graph:
 
 def _load_graphs(args) -> list[tuple[str, Graph]]:
     """(label, graph) pairs from --edges or a graph6 file, one per line."""
-    if args.edges:
+    if args.edges is not None:
         g = _parse_edges(args.edges, args.n)
         return [(graph6_encode(g).decode(), g)]
-    if not args.source:
-        raise _InputError("give a graph6 file or --edges")
     with open(args.source, "rb") as fh:
         try:
             out = [(line.decode("ascii"), g) for line, g in read_graph6_lines(fh)]
@@ -207,10 +205,12 @@ def cmd_compute(args) -> int:
 
 
 def _bridge_params(args) -> list[BridgeFamilyParams]:
-    """The hub-only instance, or with t < r five cross-edge placements seeded
-    --seed .. --seed+4."""
-    if args.t == args.r:
+    """The hub-only instance, or with 1 <= t < r five cross-edge placements
+    seeded --seed .. --seed+4.  Bad parameters raise BridgeFamilyParams's
+    ValueError before any placement is drawn."""
+    if not 1 <= args.t < args.r:
         return [BridgeFamilyParams(args.n1, args.n2, args.r, args.t)]
+    BridgeFamilyParams(args.n1, args.n2, args.r, args.r)  # validates n1, n2 and r
     return [
         BridgeFamilyParams(args.n1, args.n2, args.r, args.t,
                            random_cross_edges(args.n1, args.n2, args.r, args.t, seed))
@@ -347,6 +347,10 @@ def main(argv=None) -> int:
             parser.error(f"need 1 <= r <= n-2, got n={args.n}, r={args.r}")
         if args.n > MAX_BUILTIN_ORDER and not args.corpus:
             parser.error(f"--n above {MAX_BUILTIN_ORDER} needs --corpus, got n={args.n}")
+    if args.command == "compute" and (args.source is None) == (args.edges is None):
+        parser.error("give exactly one of a graph6 file and --edges")
+    if args.command == "compute" and args.n is not None and args.edges is None:
+        parser.error("--n needs --edges")
     if args.command == "verify-all" and not 1 <= args.max_n <= MAX_BUILTIN_ORDER:
         parser.error(f"--max-n must be in 1..{MAX_BUILTIN_ORDER}, got {args.max_n}")
     if args.command == "check":

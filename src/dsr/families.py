@@ -130,22 +130,11 @@ def bridge_graph_tilde(params: BridgeFamilyParams) -> Graph:
     joined.  The result is isomorphic to kpq(n1+n2-1, r) for every valid
     parameter set, independent of t and cross_edges.
     """
-    n1, n2 = params.n1, params.n2
-    r, t = params.r, params.t
     n = params.order
-    big = ((1 << n) - 1) ^ 1  # everything except the hub
-    rows = [0] * n
-    for v in range(1, n):
-        rows[v] = big ^ (1 << v)
-    hub_mask = 0
-    for j in range(1, t + 1):
-        hub_mask |= 1 << (n1 + j - 1)
-    for i in range(n1 - (r - t) + 1, n1 + 1):
-        hub_mask |= 1 << (i - 1)
-    rows[0] = hub_mask
-    for v in range(1, n):
-        if hub_mask >> v & 1:
-            rows[v] |= 1
+    rows = _clique_rows(1, n - 1, n)  # everything except the hub
+    for v in tilde_level_groups(params)[2]:
+        rows[0] |= 1 << v
+        rows[v] |= 1
     return Graph(n, tuple(rows))
 
 

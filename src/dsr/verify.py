@@ -32,7 +32,6 @@ from .graph6 import Graph6Error, graph6_decode, graph6_encode, read_graph6_lines
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .isomorphism import canonical_form, isomorphic
 from .spectra import (
-    PerronPair,
     perron,
     perron_group_pattern,
     perron_stack,
@@ -323,47 +322,10 @@ def check_degree_r_reduction(g: Graph, v: int) -> LemmaVerdict:
     )
 
 
-_TildePattern = tuple[Graph, PerronPair, list[tuple[float, float]]]
-
-
-def _tilde_pattern(params: BridgeFamilyParams) -> _TildePattern:
-    """Perron pair of the flattened graph plus its three-level group stats."""
-    tilde = bridge_graph_tilde(params)
-    pp = perron(distance_matrix(tilde))
-    stats = perron_group_pattern(pp, tilde_level_groups(params))
-    return tilde, pp, stats
-
-
 def check_transformation(params: BridgeFamilyParams) -> LemmaVerdict:
     """Flattening a two-clique bridge graph strictly lowers the radius, lands
     on kpq(n1+n2-1, r), and produces the three-level Perron pattern."""
-    return _transformation(params, _tilde_pattern(params))
-
-
-def _transformation(params: BridgeFamilyParams, pattern: _TildePattern) -> LemmaVerdict:
-    tilde, pp, stats = pattern
-    g = bridge_graph(params)
-    lhs = graph_rho(g)
-    rhs = pp.rho
-    margin = lhs - rhs
-    (m1, _), (m2, d2), (m3, d3) = stats
-    pattern_ok = max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
-    iso_ok = isomorphic(tilde, kpq(params.order - 1, params.r))
-    problems = []
-    if not pattern_ok:
-        problems.append("three-level Perron pattern violated")
-    if not iso_ok:
-        problems.append("flattened graph not isomorphic to kpq")
-    return LemmaVerdict(
-        lemma="bridge_flattening_decreases_radius",
-        params=f"n1={params.n1} n2={params.n2} r={params.r} t={params.t} "
-        f"cross={list(params.cross_edges)}",
-        lhs_rho=lhs,
-        rhs_rho=rhs,
-        margin=margin,
-        holds=margin > STRICT_MARGIN * max(lhs, rhs) and pattern_ok and iso_ok,
-        detail="; ".join(problems),
-    )
+    return bridge_claims(params)[0]
 
 
 def check_form_shift_identity(params: BridgeFamilyParams) -> float:
@@ -372,42 +334,16 @@ def check_form_shift_identity(params: BridgeFamilyParams) -> float:
     graph: the change equals 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2)."""
     if params.t != params.r:
         raise ValueError(f"identity requires t == r, got t={params.t}, r={params.r}")
-    return _form_shift_identity(params, _tilde_pattern(params))
-
-
-def _form_shift_identity(params: BridgeFamilyParams, pattern: _TildePattern) -> float:
-    tilde, pp, stats = pattern
-    g = bridge_graph(params)
-    (m1, _), (m2, _), (m3, _) = stats
-    x = pp.x
-    direct = quadratic_form(distance_matrix(g), x) - quadratic_form(distance_matrix(tilde), x)
-    n1, n2, r = params.n1, params.n2, params.r
-    closed = 2.0 * (n1 - 1) * m2 * (-m1 + r * m3 + 2.0 * (n2 - r) * m2)
-    return abs(direct - closed)
+    return bridge_claims(params)[1][1][1]
 
 
 def check_hub_row_identity(params: BridgeFamilyParams) -> float:
     """Residual of the eigen-equation row at the hub of the flattened graph,
     rho*x1 = r*x3 + 2(n1+n2-r-1)*x2, plus the strict consequences: the radius
     exceeds order-1 and x1 < r*x3 + 2(n2-r)*x2."""
-    return _hub_row_identity(params, _tilde_pattern(params))
-
-
-def _hub_row_identity(params: BridgeFamilyParams, pattern: _TildePattern) -> float:
-    _, pp, stats = pattern
-    (m1, _), (m2, _), (m3, _) = stats
-    n = params.order
-    r = params.r
-    if not pp.rho > n - 1:
-        raise VerificationError(
-            f"radius {pp.rho!r} not above {n - 1} on {params}"
-        )
-    residual = abs(pp.rho * m1 - (r * m3 + 2.0 * (n - r - 1) * m2))
-    bound = r * m3 + 2.0 * (params.n2 - r) * m2
-    if not m1 < bound:
-        raise VerificationError(
-            f"hub entry {m1!r} not below bound {bound!r} on {params}"
-        )
+    residual = bridge_claims(params)[1][0][1]
+    if residual is None:
+        raise VerificationError(f"a strict consequence of the hub row fails on {params}")
     return residual
 
 
@@ -418,18 +354,42 @@ def bridge_claims(
     for one bridge instance, all on one Perron pair of the flattened graph.
     The form-shift identity applies only when t == r.  A residual holds below
     IDENTITY_TOL; it is None where a strict consequence of the hub row fails."""
-    pattern = _tilde_pattern(params)
-    checkers = [("hub_row_identity", _hub_row_identity)]
-    if params.t == params.r:
-        checkers.append(("form_shift_identity", _form_shift_identity))
-    identities = []
-    for claim, checker in checkers:
-        try:
-            residual = checker(params, pattern)
-        except VerificationError:
-            residual = None
-        identities.append((claim, residual, residual is not None and residual < IDENTITY_TOL))
-    return _transformation(params, pattern), identities
+    n1, n2, r, n = params.n1, params.n2, params.r, params.order
+    g = bridge_graph(params)
+    tilde = bridge_graph_tilde(params)
+    pp = perron(distance_matrix(tilde))
+    (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(pp, tilde_level_groups(params))
+    lhs = graph_rho(g)
+    rhs = pp.rho
+    margin = lhs - rhs
+    pattern_ok = max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
+    iso_ok = isomorphic(tilde, kpq(n - 1, r))
+    problems = []
+    if not pattern_ok:
+        problems.append("three-level Perron pattern violated")
+    if not iso_ok:
+        problems.append("flattened graph not isomorphic to kpq")
+    verdict = LemmaVerdict(
+        lemma="bridge_flattening_decreases_radius",
+        params=f"n1={n1} n2={n2} r={r} t={params.t} "
+        f"cross={list(params.cross_edges)}",
+        lhs_rho=lhs,
+        rhs_rho=rhs,
+        margin=margin,
+        holds=margin > STRICT_MARGIN * max(lhs, rhs) and pattern_ok and iso_ok,
+        detail="; ".join(problems),
+    )
+    # the hub row's strict consequences: rho > n-1 and x1 < r*x3 + 2(n2-r)*x2
+    strict = rhs > n - 1 and m1 < r * m3 + 2.0 * (n2 - r) * m2
+    residuals = [("hub_row_identity",
+                  abs(rhs * m1 - (r * m3 + 2.0 * (n - r - 1) * m2)) if strict else None)]
+    if params.t == r:
+        x = pp.x
+        direct = quadratic_form(distance_matrix(g), x) - quadratic_form(distance_matrix(tilde), x)
+        closed = 2.0 * (n1 - 1) * m2 * (-m1 + r * m3 + 2.0 * (n2 - r) * m2)
+        residuals.append(("form_shift_identity", abs(direct - closed)))
+    return verdict, [(claim, res, res is not None and res < IDENTITY_TOL)
+                     for claim, res in residuals]
 
 
 def _induces_clique(g: Graph, vertices: Sequence[int]) -> bool:

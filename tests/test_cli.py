@@ -77,6 +77,19 @@ class TestCompute:
         assert code == 2
         assert "disconnected" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["GRAPHS", "--edges", "0-1"], "give exactly one of a graph6 file and --edges"),
+        (["GRAPHS", "--n", "9"], "--n needs --edges"),
+    ], ids=["source-and-edges", "n-without-edges"])
+    def test_ignored_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        src = tmp_path / "in.g6"
+        src.write_text("C~\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", *[str(src) if a == "GRAPHS" else a for a in argv]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert not out and f"error: {message}" in err
+
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
         def broken(dm):
             raise ValueError("internal fault")
@@ -212,6 +225,16 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--n1", "3", "--n2", "3", "--r", "2", "--t", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n1, n2, r, t, message", [
+        ("5", "5", "1", "2", "need 1 <= t <= r, got t=2, r=1"),
+        ("1", "5", "2", "1", "need min(n1, n2) >= r+2, got n1=1, n2=5, r=2"),
+    ], ids=["t-above-r", "clique-too-small"])
+    def test_invalid_params_are_named_before_placements(self, capsys, n1, n2, r, t, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--n1", n1, "--n2", n2, "--r", r, "--t", t])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     @pytest.mark.parametrize("n1, n2, r, t", [
         ("40", "40", "1", "1"), ("33", "33", "2", "1"),

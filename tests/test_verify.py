@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from itertools import permutations
@@ -32,7 +33,10 @@ from dsr import (
     random_cross_edges,
 )
 import dsr.verify
+from dsr.cli import main
 from dsr.verify import (
+    VerificationError,
+    bridge_claims,
     bridge_grid,
     random_connected_graph,
     run_all_suites,
@@ -320,6 +324,29 @@ def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
     assert result.notes == f"max identity residual {worst:.3e}"
     # one for the bridge graph's radius, one for the flattened graph's pair
     assert len(solves) == 2 * len(grid)
+
+
+def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
+    pattern = dsr.verify.perron_group_pattern
+
+    def hub_above_bound(pp, groups):
+        (m1, d1), *rest = pattern(pp, groups)
+        return [(m1 + 10.0, d1), *rest]  # x1 now exceeds r*x3 + 2(n2-r)*x2
+
+    monkeypatch.setattr(dsr.verify, "perron_group_pattern", hub_above_bound)
+    p = BridgeFamilyParams(4, 4, 2, 2)
+    assert bridge_claims(p)[1][0] == ("hub_row_identity", None, False)
+    with pytest.raises(VerificationError, match="n1=4, n2=4, r=2, t=2"):
+        check_hub_row_identity(p)
+    assert main(["check", "--n1", "4", "--n2", "4", "--r", "2", "--t", "2"]) == 3
+    out = capsys.readouterr().out
+    assert '"residual": null' in out
+    hub = [rec for rec in json.loads(out) if rec["claim"] == "hub_row_identity"]
+    assert [(rec["residual"], rec["holds"]) for rec in hub] == [(None, False)]
+    result = suite_bridge_grid(placements=1, r_max=2)
+    assert result.instances == len(list(bridge_grid(0, (1, 2), placements=1)))
+    assert result.failures == result.instances
+    assert result.notes == "max identity residual inf"
 
 
 # published counts of connected graphs on 1..6 vertices (OEIS A001349)
