@@ -29,7 +29,7 @@ from .families import BridgeFamilyParams, random_cross_edges
 from .graph6 import Graph6Error, graph6_encode, read_graph6_lines
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .spectra import ConvergenceError, perron
-from .verify import CorpusError, SuiteResult, bridge_claims, extremal_search, run_all_suites
+from .verify import CorpusError, bridge_claims, extremal_search, run_all_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -262,8 +262,6 @@ def cmd_search(args) -> int:
 
 def cmd_verify_all(args) -> int:
     results = run_all_suites(seed=args.seed, max_n=args.max_n)
-    if args.inject_fault:
-        results.append(SuiteResult("injected_fault", 1, 1, "self-test fault"))
     ok = all(r.ok for r in results)
     width = max(len(r.name) for r in results)
     print(f"{'suite':{width}s}  {'cases':>7s}  {'failed':>6s}  status")
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap for the exhaustive scans, 1..8 (scales the grid too)")
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_all)
     return parser
 

@@ -19,25 +19,12 @@ import logging
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _reach
 from .isomorphism import _canonical_rows
 
 logger = logging.getLogger(__name__)
 
 MAX_BUILTIN_ORDER = 8
-
-
-def _connected_without(n: int, rows: tuple[int, ...], w: int) -> bool:
-    """True iff deleting vertex w leaves the graph on ``rows`` connected."""
-    alive = ((1 << n) - 1) ^ (1 << w)
-    seen = frontier = alive & -alive
-    while frontier:
-        reach = 0
-        for u in _bits(frontier):
-            reach |= rows[u]
-        frontier = reach & alive & ~seen
-        seen |= frontier
-    return seen == alive
 
 
 def _last_is_chosen(n: int, rows: tuple[int, ...]) -> bool:
@@ -56,7 +43,8 @@ def _last_is_chosen(n: int, rows: tuple[int, ...]) -> bool:
                 v_nbr_degs = sorted([deg[u] for u in _bits(rows[v])])
             if sorted([deg[u] for u in _bits(rows[w])]) <= v_nbr_degs:
                 continue
-        if _connected_without(n, rows, w):
+        alive = ((1 << n) - 1) ^ (1 << w)
+        if _reach(rows, alive & -alive, alive) == alive:
             return False
     return True
 

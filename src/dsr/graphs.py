@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,31 +145,24 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _bfs_levels(rows: tuple[int, ...], n: int, source: int) -> tuple[list[int], int]:
-    """Hop counts from ``source`` (-1 where unreachable) and the reached-set mask."""
-    dist = [-1] * n
-    frontier = 1 << source
-    seen = frontier
-    d = 0
+def _reach(rows: Sequence[int], seed: int, alive: int) -> int:
+    """Mask of the vertices that paths inside the ``alive`` mask join to the
+    ``seed`` mask, a subset of ``alive``."""
+    seen = frontier = seed
     while frontier:
-        m = frontier
         nxt = 0
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            dist[v] = d
-            nxt |= rows[v]
-            m ^= low
-        frontier = nxt & ~seen
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & alive & ~seen
         seen |= frontier
-        d += 1
-    return dist, seen
+    return seen
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a single BFS from vertex 0 reaches every vertex."""
-    _, seen = _bfs_levels(g.rows, g.n, 0)
-    return seen == (1 << g.n) - 1
+    """True iff vertex 0 reaches every vertex."""
+    return _reach(g.rows, 1, (1 << g.n) - 1) == (1 << g.n) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,15 +176,30 @@ class DistanceMatrix:
         self.d.setflags(write=False)
 
 
+def distance_stack(n: int, graphs: Iterable[Graph]) -> np.ndarray:
+    """(k, n, n) int8 hop counts of k connected order-n graphs, from all their
+    breadth-first searches at once: each level grows every reached set by
+    its neighbours with one boolean matmul, and each entry counts the levels
+    at which its vertex was not yet reached.  Raises on disconnected input."""
+    rows = np.array([g.rows for g in graphs], dtype=f"<u{matrix_width(n) // 8}")
+    adj = np.unpackbits(rows.reshape(-1, n, 1).view(np.uint8), axis=2, count=n,
+                        bitorder="little").view(bool)
+    dist = np.zeros(adj.shape, dtype=np.int8)  # hop counts stay below n <= 64
+    reach = np.broadcast_to(np.eye(n, dtype=bool), adj.shape)
+    for _ in range(n - 1):  # no hop count exceeds n - 1
+        if reach.all():
+            break
+        dist += ~reach
+        reach = reach | reach @ adj
+    # a disconnected graph leaves some vertex unreached from source 0
+    unreached = np.argwhere(~reach[:, 0])
+    if len(unreached):
+        raise DisconnectedGraphError(
+            f"vertex {unreached[0, 1]} unreachable from 0; graph is disconnected"
+        )
+    return dist
+
+
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs shortest-path matrix; raises on disconnected input."""
-    rows = []
-    for source in range(g.n):
-        dist, seen = _bfs_levels(g.rows, g.n, source)
-        if seen != (1 << g.n) - 1:
-            unreachable = (~seen & -(~seen)).bit_length() - 1
-            raise DisconnectedGraphError(
-                f"vertex {unreachable} unreachable from {source}; graph is disconnected"
-            )
-        rows.append(dist)
-    return DistanceMatrix(g.n, np.array(rows, dtype=np.int64))
+    return DistanceMatrix(g.n, distance_stack(g.n, [g])[0].astype(np.int64))

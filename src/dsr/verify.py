@@ -29,7 +29,7 @@ from .families import (
     tilde_level_groups,
 )
 from .graph6 import Graph6Error, graph6_decode, graph6_encode, read_graph6_lines
-from .graphs import Graph, distance_matrix, from_edge_list, is_connected
+from .graphs import Graph, distance_matrix, distance_stack, from_edge_list, is_connected
 from .isomorphism import canonical_form, isomorphic
 from .spectra import (
     perron,
@@ -161,11 +161,7 @@ def _build_table(n: int, graphs: Iterable[Graph]) -> ClassTable:
     lam = np.array(
         [edge_connectivity(g).size if n >= 2 else 0 for g in graphs], dtype=np.int64
     )
-    # every distance is below n <= 64, so int8 holds the stack compactly
-    dist = np.empty((len(graphs), n, n), dtype=np.int8)
-    for i, g in enumerate(graphs):
-        dist[i] = distance_matrix(g).d
-    return ClassTable(graphs, lam, *perron_stack(dist))
+    return ClassTable(graphs, lam, *perron_stack(distance_stack(n, graphs)))
 
 
 @lru_cache(maxsize=None)
@@ -233,6 +229,8 @@ def _read_corpus(corpus: Iterable[bytes | str], n: int) -> list[Graph]:
 def check_edge_monotonicity(g: Graph, u: int, v: int) -> LemmaVerdict:
     """Adding an edge strictly lowers the radius; deleting a non-bridge edge
     strictly raises it.  Bridge deletions are reported inapplicable."""
+    if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"need two distinct vertices in 0..{g.n - 1}, got ({u}, {v})")
     where = f"g6={graph6_encode(g).decode()} u={u} v={v}"
     if not g.has_edge(u, v):
         lhs = graph_rho(g)
@@ -292,6 +290,8 @@ def check_degree_r_reduction(g: Graph, v: int) -> LemmaVerdict:
     """Completing the graph on everything except a vertex of minimum-cut
     degree yields kpq(n-1, r) and can only lower the radius; equality happens
     exactly when nothing was added."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"need a vertex in 0..{g.n - 1}, got {v}")
     r = edge_connectivity(g).size
     if g.degree(v) != r:
         raise ValueError(f"vertex {v} has degree {g.degree(v)}, edge connectivity is {r}")
@@ -357,9 +357,10 @@ def bridge_claims(
     n1, n2, r, n = params.n1, params.n2, params.r, params.order
     g = bridge_graph(params)
     tilde = bridge_graph_tilde(params)
-    pp = perron(distance_matrix(tilde))
+    dg, dt = distance_matrix(g), distance_matrix(tilde)
+    pp = perron(dt)
     (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(pp, tilde_level_groups(params))
-    lhs = graph_rho(g)
+    lhs = perron(dg).rho
     rhs = pp.rho
     margin = lhs - rhs
     pattern_ok = max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
@@ -384,8 +385,7 @@ def bridge_claims(
     residuals = [("hub_row_identity",
                   abs(rhs * m1 - (r * m3 + 2.0 * (n - r - 1) * m2)) if strict else None)]
     if params.t == r:
-        x = pp.x
-        direct = quadratic_form(distance_matrix(g), x) - quadratic_form(distance_matrix(tilde), x)
+        direct = quadratic_form(dg, pp.x) - quadratic_form(dt, pp.x)
         closed = 2.0 * (n1 - 1) * m2 * (-m1 + r * m3 + 2.0 * (n2 - r) * m2)
         residuals.append(("form_shift_identity", abs(direct - closed)))
     return verdict, [(claim, res, res is not None and res < IDENTITY_TOL)

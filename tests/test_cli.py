@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,8 +14,10 @@ from dsr.cli import (
     CHECK_RECORD_SCHEMA,
     SEARCH_REPORT_SCHEMA,
     VERIFY_REPORT_SCHEMA,
+    build_parser,
     main,
 )
+from dsr.verify import SuiteResult
 from helpers import count_calls
 
 
@@ -265,11 +268,28 @@ class TestVerifyAll:
         assert exc.value.code == 2
         assert "--max-n must be in 1..8" in capsys.readouterr().err
 
-    def test_injected_fault_exit_3(self, capsys):
-        code, out, _ = run(capsys, "verify-all", "--max-n", "4",
-                           "--seed", "3", "--inject-fault")
+    def test_injected_fault_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(dsr.cli, "run_all_suites", lambda seed, max_n: [
+            SuiteResult("injected_fault", 1, 1, "self-test fault")
+        ])
+        code, out, _ = run(capsys, "verify-all", "--max-n", "4", "--seed", "3")
         assert code == 3
-        assert "FAIL" in out
+        assert "injected_fault        1       1  FAIL" in out
+        assert out.endswith("overall: FAIL\n")
+
+
+def test_help_lists_every_option():
+    # no option may hide behind argparse.SUPPRESS, so no test hook can ride
+    # along in the production CLI
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {"compute", "check", "search", "verify-all"}
+    for name, sub in [("dsr", parser), *subparsers.choices.items()]:
+        text = sub.format_help()
+        for action in sub._actions:
+            for option in action.option_strings:
+                assert option in text, f"{name}: {option} missing from --help"
 
 
 def test_threads_give_identical_bytes(tmp_path, capsys):

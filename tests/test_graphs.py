@@ -15,7 +15,7 @@ from dsr import (
     is_connected,
     kpq,
 )
-from dsr.graphs import bit_transpose, matrix_width
+from dsr.graphs import _reach, bit_transpose, distance_stack, matrix_width
 from helpers import (
     cycle_graph,
     path_graph,
@@ -220,3 +220,54 @@ def test_distance_matrix_names_first_vertex_unreachable_from_0(n, p, seed):
     first = int(np.flatnonzero(np.isinf(far))[0])
     with pytest.raises(DisconnectedGraphError, match=f"vertex {first} unreachable from 0;"):
         distance_matrix(g)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(1, 64), k=st.integers(2, 6), seed=st.integers(0, 2**32))
+@example(n=1, k=3, seed=0)
+@example(n=8, k=6, seed=1)
+@example(n=64, k=2, seed=2)
+def test_distance_stack_matches_floyd_warshall_row_by_row(n, k, seed):
+    # each graph of the stack gets its own edge density, so rows mixed up
+    # across the batch would show
+    rng = random.Random(seed)
+    graphs = [random_connected(rng, n, rng.random()) for _ in range(k)]
+    d = distance_stack(n, graphs)
+    assert d.dtype == np.int8 and d.shape == (k, n, n)
+    for g, di in zip(graphs, d):
+        assert (di == floyd_warshall(g)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 64])
+def test_distance_stack_of_no_graphs(n):
+    d = distance_stack(n, [])
+    assert d.shape == (0, n, n) and d.dtype == np.int8
+
+
+def test_distance_stack_of_one_vertex():
+    assert distance_stack(1, [Graph(1, (0,))]).tolist() == [[[0]]]
+
+
+def test_distance_stack_names_the_disconnected_graph_vertex():
+    graphs = [path_graph(4), from_edge_list(4, [(0, 1), (1, 2)]), complete_graph(4)]
+    with pytest.raises(DisconnectedGraphError,
+                       match="^vertex 3 unreachable from 0; graph is disconnected$"):
+        distance_stack(4, graphs)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 64), p=st.floats(0.0, 0.3), seed=st.integers(0, 2**32))
+def test_reach_matches_networkx_components(n, p, seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    alive = rng.getrandbits(n)
+    assume(alive)
+    members = [v for v in range(n) if alive >> v & 1]
+    seeds = rng.sample(members, rng.randint(1, min(3, len(members))))
+    sub = nx.Graph()
+    sub.add_nodes_from(members)
+    sub.add_edges_from((u, v) for u, v in g.edges() if alive >> u & 1 and alive >> v & 1)
+    expected = set().union(*(nx.node_connected_component(sub, s) for s in seeds))
+    reached = _reach(g.rows, sum(1 << s for s in seeds), alive)
+    assert reached == sum(1 << v for v in expected)

@@ -65,6 +65,10 @@ class TestEdgeMonotonicity:
         assert not v.applicable
         assert v.margin is None
 
+    def test_rejects_vertex_out_of_range(self):
+        with pytest.raises(ValueError, match=r"need two distinct vertices in 0..4, got \(5, 0\)"):
+            check_edge_monotonicity(kpq(4, 2), 5, 0)
+
 
 class TestPerronOrder:
     def test_pendant_strictly_larger(self):
@@ -109,6 +113,15 @@ class TestDegreeReduction:
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             check_degree_r_reduction(kpq(4, 2), 0)  # clique vertex, degree 4 != 2
+
+    def test_rejects_vertex_past_the_order(self):
+        with pytest.raises(ValueError, match="need a vertex in 0..4, got 5"):
+            check_degree_r_reduction(kpq(4, 2), 5)
+
+    def test_rejects_negative_vertex(self):
+        # a negative index would read vertex 4's degree from the end of the rows
+        with pytest.raises(ValueError, match="need a vertex in 0..4, got -1"):
+            check_degree_r_reduction(kpq(4, 2), -1)
 
 
 class TestTransformation:
@@ -266,11 +279,15 @@ class TestSuiteTheorem:
         cuts = count_calls(monkeypatch, dsr.verify, "edge_connectivity")
         decodes = count_calls(monkeypatch, dsr.verify, "graph6_decode")
         stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
+        distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
+        singles = count_calls(monkeypatch, dsr.verify, "distance_matrix")
         result = suite_theorem(6)
         assert result.ok and result.instances == 2 + 3 + 4
         assert len(cuts) == 6 + 21 + 112  # one per class of orders 4..6
         assert not decodes
         assert len(stacks) == 3
+        assert [n for n, _ in distances] == [4, 5, 6]
+        assert not singles
 
     def test_notes_lead_with_smallest_gap(self):
         result = suite_theorem(8)
@@ -324,6 +341,16 @@ def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
     assert result.notes == f"max identity residual {worst:.3e}"
     # one for the bridge graph's radius, one for the flattened graph's pair
     assert len(solves) == 2 * len(grid)
+
+
+@pytest.mark.parametrize("t", [1, 2], ids=["mixed", "hub-only"])
+def test_bridge_claims_builds_each_distance_matrix_once(monkeypatch, t):
+    grid = [p for p in bridge_grid(0, (2,), placements=2) if p.t == t]
+    matrices = count_calls(monkeypatch, dsr.verify, "distance_matrix")
+    for p in grid:
+        bridge_claims(p)
+    # one for the bridge graph, one for the flattened graph
+    assert len(matrices) == 2 * len(grid)
 
 
 def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
