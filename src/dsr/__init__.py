@@ -15,6 +15,7 @@ from .families import (
     bridge_graph,
     bridge_graph_tilde,
     complete_graph,
+    is_kpq,
     kpq,
     random_cross_edges,
     tilde_level_groups,
@@ -97,6 +98,7 @@ __all__ = [
     "graph6_encode",
     "graph_rho",
     "is_connected",
+    "is_kpq",
     "isomorphic",
     "kpq",
     "min_degree",

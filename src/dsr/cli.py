@@ -221,8 +221,7 @@ def _bridge_params(args) -> list[BridgeFamilyParams]:
 def cmd_check(args) -> int:
     columns = ["claim", "params", "lhs_rho", "rhs_rho", "margin", "residual", "holds"]
     records = []
-    for params in _bridge_params(args):
-        verdict, identities = bridge_claims(params)
+    for verdict, identities in bridge_claims(_bridge_params(args)):
         claims = [(verdict.lemma, verdict.lhs_rho, verdict.rhs_rho, verdict.margin, None,
                    verdict.holds)]
         claims += [(claim, None, None, None, residual, ok) for claim, residual, ok in identities]
@@ -261,7 +260,18 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    results = run_all_suites(seed=args.seed, max_n=args.max_n)
+    created = False
+    if args.out:
+        # a bad --out path fails here, before any suite runs; an existing
+        # report is left as it is until the new one is written
+        created = not os.path.exists(args.out)
+        open(args.out, "a").close()
+    try:
+        results = run_all_suites(seed=args.seed, max_n=args.max_n)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     ok = all(r.ok for r in results)
     width = max(len(r.name) for r in results)
     print(f"{'suite':{width}s}  {'cases':>7s}  {'failed':>6s}  status")

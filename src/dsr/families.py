@@ -1,6 +1,6 @@
 """Builders for the named graph families: complete graphs, a clique with an
-attached vertex, and the two-clique bridge family with its flattening
-transform.
+attached vertex with its direct recognizer, and the two-clique bridge
+family with its flattening transform.
 
 Vertex numbering is fixed so spectral block patterns can be asserted
 positionally: the first clique occupies 0..n1-1 with the hub at index 0,
@@ -36,6 +36,21 @@ def kpq(p: int, q: int) -> Graph:
         rows[v] |= 1 << p
     rows.append(attach)
     return Graph(p + 1, tuple(rows))
+
+
+def is_kpq(g: Graph, q: int) -> bool:
+    """True iff g is isomorphic to kpq(g.n - 1, q); False unless 1 <= q <= n-1.
+
+    Exact in O(n): a graph with C(n-1, 2) + q edges and a vertex of degree q
+    leaves C(n-1, 2) edges on the other n-1 vertices, so they form a clique
+    and the vertex joins q of them.
+    """
+    n = g.n
+    return (
+        1 <= q <= n - 1
+        and g.num_edges() == (n - 1) * (n - 2) // 2 + q
+        and any(row.bit_count() == q for row in g.rows)
+    )
 
 
 @dataclass(frozen=True)

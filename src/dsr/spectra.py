@@ -128,14 +128,14 @@ def quadratic_form(dm: DistanceMatrix, x: Sequence[float] | np.ndarray) -> float
 
 
 def perron_group_pattern(
-    pp: PerronPair, groups: Sequence[Iterable[int]]
+    x: np.ndarray, groups: Sequence[Iterable[int]]
 ) -> list[tuple[float, float]]:
-    """Per-group (mean entry, max within-group deviation) of the Perron vector.
+    """Per-group (mean entry, max within-group deviation) of a Perron vector.
 
-    ``groups`` must partition 0..n-1; used to assert block-constant eigenvector
-    structure on symmetric constructions.
+    ``groups`` must partition 0..n-1 for n = len(x); used to assert
+    block-constant eigenvector structure on symmetric constructions.
     """
-    n = len(pp.x)
+    n = len(x)
     seen: set[int] = set()
     out = []
     for group in groups:
@@ -146,7 +146,7 @@ def perron_group_pattern(
             if not 0 <= v < n or v in seen:
                 raise ValueError(f"groups do not partition 0..{n - 1}: bad index {v}")
             seen.add(v)
-        entries = pp.x[idx]
+        entries = x[idx]
         mean = float(entries.mean())
         out.append((mean, float(np.max(np.abs(entries - mean)))))
     if len(seen) != n:

@@ -24,19 +24,22 @@ from .families import (
     bridge_graph,
     bridge_graph_tilde,
     complete_graph,
+    is_kpq,
     kpq,
     random_cross_edges,
     tilde_level_groups,
 )
 from .graph6 import Graph6Error, graph6_decode, graph6_encode, read_graph6_lines
-from .graphs import Graph, distance_matrix, distance_stack, from_edge_list, is_connected
-from .isomorphism import canonical_form, isomorphic
-from .spectra import (
-    perron,
-    perron_group_pattern,
-    perron_stack,
-    quadratic_form,
+from .graphs import (
+    Graph,
+    _reach,
+    distance_matrix,
+    distance_stack,
+    from_edge_list,
+    is_connected,
 )
+from .isomorphism import canonical_form
+from .spectra import perron, perron_group_pattern, perron_stack
 
 logger = logging.getLogger(__name__)
 
@@ -65,9 +68,30 @@ class CorpusError(ValueError):
     with the requested edge connectivity."""
 
 
+def _stacked_solve(
+    graphs: Sequence[Graph],
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Distance matrices and certified Perron pairs of connected graphs of
+    any mix of orders: one ``distance_stack`` call per order and one
+    ``perron_stack`` call for the whole list.  Returns ``(mats, rho, x,
+    residual)``, row i for ``graphs[i]``; ``x`` rows are zero past the order
+    of their graph."""
+    mats = [None] * len(graphs)
+    for n in sorted({g.n for g in graphs}):
+        rows = [i for i, g in enumerate(graphs) if g.n == n]
+        for i, d in zip(rows, distance_stack(n, [graphs[i] for i in rows])):
+            mats[i] = d
+    return (mats, *perron_stack(mats))
+
+
 def graph_rho(g: Graph) -> float:
     """Distance spectral radius of a connected graph."""
-    return perron(distance_matrix(g)).rho
+    return float(_stacked_solve([g])[1][0])
+
+
+def _strictly_above(lhs: float, rhs: float) -> bool:
+    """True when lhs exceeds rhs by more than the relative noise band."""
+    return lhs - rhs > STRICT_MARGIN * max(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -203,7 +227,7 @@ def extremal_search(
     best = canonical_form(min_g)
     runner = next((rho for rho, _, g in kept[1:] if canonical_form(g) != best), None)
     gap = None if runner is None else runner - min_rho
-    matches = best == canonical_form(kpq(n - 1, r))
+    matches = is_kpq(min_g, r)
     logger.info(
         "search n=%d r=%d: %d classes, min %.6f at %s, gap %s",
         n, r, len(kept), min_rho, min_g6, gap,
@@ -233,8 +257,7 @@ def check_edge_monotonicity(g: Graph, u: int, v: int) -> LemmaVerdict:
         raise ValueError(f"need two distinct vertices in 0..{g.n - 1}, got ({u}, {v})")
     where = f"g6={graph6_encode(g).decode()} u={u} v={v}"
     if not g.has_edge(u, v):
-        lhs = graph_rho(g)
-        rhs = graph_rho(g.with_edge(u, v))
+        pair = (g, g.with_edge(u, v))
         lemma = "edge_addition_decreases_radius"
     else:
         smaller = g.without_edge(u, v)
@@ -249,17 +272,16 @@ def check_edge_monotonicity(g: Graph, u: int, v: int) -> LemmaVerdict:
                 applicable=False,
                 detail="deleting this edge disconnects the graph",
             )
-        lhs = graph_rho(smaller)
-        rhs = graph_rho(g)
+        pair = (smaller, g)
         lemma = "edge_deletion_increases_radius"
-    margin = lhs - rhs
+    lhs, rhs = _stacked_solve(pair)[1].tolist()
     return LemmaVerdict(
         lemma=lemma,
         params=where,
         lhs_rho=lhs,
         rhs_rho=rhs,
-        margin=margin,
-        holds=margin > STRICT_MARGIN * max(lhs, rhs),
+        margin=lhs - rhs,
+        holds=_strictly_above(lhs, rhs),
     )
 
 
@@ -282,8 +304,7 @@ def check_perron_order(g: Graph, u: int, v: int) -> PerronOrderVerdict:
     strictly smaller neighborhood gives a strictly larger entry."""
     if u == v or not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"need two distinct vertices in 0..{g.n - 1}, got ({u}, {v})")
-    pp = perron(distance_matrix(g))
-    return _order_claim(g, pp.x, u, v)
+    return _order_claim(g, _stacked_solve([g])[2][0], u, v)
 
 
 def check_degree_r_reduction(g: Graph, v: int) -> LemmaVerdict:
@@ -303,14 +324,11 @@ def check_degree_r_reduction(g: Graph, v: int) -> LemmaVerdict:
             rows[u] = (rest ^ (1 << u)) | (g.rows[u] & (1 << v))
     completed = Graph(n, tuple(rows))
     same = completed.rows == g.rows
-    lhs = graph_rho(g)
-    rhs = graph_rho(completed)
+    rho = _stacked_solve([g] if same else [g, completed])[1]
+    lhs, rhs = float(rho[0]), float(rho[-1])
     margin = lhs - rhs
-    iso_ok = isomorphic(completed, kpq(n - 1, r))
-    holds = iso_ok and (
-        (same and abs(margin) <= STRICT_MARGIN * lhs)
-        or (not same and margin > STRICT_MARGIN * lhs)
-    )
+    iso_ok = is_kpq(completed, r)
+    holds = iso_ok and (same or _strictly_above(lhs, rhs))
     return LemmaVerdict(
         lemma="degree_r_completion_minimizes",
         params=f"g6={graph6_encode(g).decode()} v={v} r={r}",
@@ -325,7 +343,7 @@ def check_degree_r_reduction(g: Graph, v: int) -> LemmaVerdict:
 def check_transformation(params: BridgeFamilyParams) -> LemmaVerdict:
     """Flattening a two-clique bridge graph strictly lowers the radius, lands
     on kpq(n1+n2-1, r), and produces the three-level Perron pattern."""
-    return bridge_claims(params)[0]
+    return bridge_claims([params])[0][0]
 
 
 def check_form_shift_identity(params: BridgeFamilyParams) -> float:
@@ -334,62 +352,67 @@ def check_form_shift_identity(params: BridgeFamilyParams) -> float:
     graph: the change equals 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2)."""
     if params.t != params.r:
         raise ValueError(f"identity requires t == r, got t={params.t}, r={params.r}")
-    return bridge_claims(params)[1][1][1]
+    return bridge_claims([params])[0][1][1][1]
 
 
 def check_hub_row_identity(params: BridgeFamilyParams) -> float:
     """Residual of the eigen-equation row at the hub of the flattened graph,
     rho*x1 = r*x3 + 2(n1+n2-r-1)*x2, plus the strict consequences: the radius
     exceeds order-1 and x1 < r*x3 + 2(n2-r)*x2."""
-    residual = bridge_claims(params)[1][0][1]
+    residual = bridge_claims([params])[0][1][0][1]
     if residual is None:
         raise VerificationError(f"a strict consequence of the hub row fails on {params}")
     return residual
 
 
 def bridge_claims(
-    params: BridgeFamilyParams,
-) -> tuple[LemmaVerdict, list[tuple[str, float | None, bool]]]:
-    """The flattening verdict and each identity as (claim, residual, holds)
-    for one bridge instance, all on one Perron pair of the flattened graph.
-    The form-shift identity applies only when t == r.  A residual holds below
-    IDENTITY_TOL; it is None where a strict consequence of the hub row fails."""
-    n1, n2, r, n = params.n1, params.n2, params.r, params.order
-    g = bridge_graph(params)
-    tilde = bridge_graph_tilde(params)
-    dg, dt = distance_matrix(g), distance_matrix(tilde)
-    pp = perron(dt)
-    (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(pp, tilde_level_groups(params))
-    lhs = perron(dg).rho
-    rhs = pp.rho
-    margin = lhs - rhs
-    pattern_ok = max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
-    iso_ok = isomorphic(tilde, kpq(n - 1, r))
-    problems = []
-    if not pattern_ok:
-        problems.append("three-level Perron pattern violated")
-    if not iso_ok:
-        problems.append("flattened graph not isomorphic to kpq")
-    verdict = LemmaVerdict(
-        lemma="bridge_flattening_decreases_radius",
-        params=f"n1={n1} n2={n2} r={r} t={params.t} "
-        f"cross={list(params.cross_edges)}",
-        lhs_rho=lhs,
-        rhs_rho=rhs,
-        margin=margin,
-        holds=margin > STRICT_MARGIN * max(lhs, rhs) and pattern_ok and iso_ok,
-        detail="; ".join(problems),
-    )
-    # the hub row's strict consequences: rho > n-1 and x1 < r*x3 + 2(n2-r)*x2
-    strict = rhs > n - 1 and m1 < r * m3 + 2.0 * (n2 - r) * m2
-    residuals = [("hub_row_identity",
-                  abs(rhs * m1 - (r * m3 + 2.0 * (n - r - 1) * m2)) if strict else None)]
-    if params.t == r:
-        direct = quadratic_form(dg, pp.x) - quadratic_form(dt, pp.x)
-        closed = 2.0 * (n1 - 1) * m2 * (-m1 + r * m3 + 2.0 * (n2 - r) * m2)
-        residuals.append(("form_shift_identity", abs(direct - closed)))
-    return verdict, [(claim, res, res is not None and res < IDENTITY_TOL)
-                     for claim, res in residuals]
+    grid: Sequence[BridgeFamilyParams],
+) -> list[tuple[LemmaVerdict, list[tuple[str, float | None, bool]]]]:
+    """Per bridge instance, the flattening verdict and each identity as
+    (claim, residual, holds), all on one Perron pair of the flattened graph.
+    Every bridge and flattened graph of the grid is solved in one stacked
+    call.  The form-shift identity applies only when t == r.  A residual
+    holds below IDENTITY_TOL; it is None where a strict consequence of the
+    hub row fails."""
+    graphs = []
+    for params in grid:
+        graphs += [bridge_graph(params), bridge_graph_tilde(params)]
+    mats, rho, x, _ = _stacked_solve(graphs)
+    out = []
+    for k, params in enumerate(grid):
+        n1, n2, r, n = params.n1, params.n2, params.r, params.order
+        dg, dt = mats[2 * k], mats[2 * k + 1]
+        lhs, rhs = float(rho[2 * k]), float(rho[2 * k + 1])
+        xt = x[2 * k + 1, :n]
+        (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(xt, tilde_level_groups(params))
+        pattern_ok = max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
+        iso_ok = is_kpq(graphs[2 * k + 1], r)
+        problems = []
+        if not pattern_ok:
+            problems.append("three-level Perron pattern violated")
+        if not iso_ok:
+            problems.append("flattened graph not isomorphic to kpq")
+        verdict = LemmaVerdict(
+            lemma="bridge_flattening_decreases_radius",
+            params=f"n1={n1} n2={n2} r={r} t={params.t} "
+            f"cross={list(params.cross_edges)}",
+            lhs_rho=lhs,
+            rhs_rho=rhs,
+            margin=lhs - rhs,
+            holds=_strictly_above(lhs, rhs) and pattern_ok and iso_ok,
+            detail="; ".join(problems),
+        )
+        # the hub row's strict consequences: rho > n-1 and x1 < r*x3 + 2(n2-r)*x2
+        strict = rhs > n - 1 and m1 < r * m3 + 2.0 * (n2 - r) * m2
+        residuals = [("hub_row_identity",
+                      abs(rhs * m1 - (r * m3 + 2.0 * (n - r - 1) * m2)) if strict else None)]
+        if params.t == r:
+            direct = float(xt @ ((dg - dt) @ xt))
+            closed = 2.0 * (n1 - 1) * m2 * (-m1 + r * m3 + 2.0 * (n2 - r) * m2)
+            residuals.append(("form_shift_identity", abs(direct - closed)))
+        out.append((verdict, [(claim, res, res is not None and res < IDENTITY_TOL)
+                              for claim, res in residuals]))
+    return out
 
 
 def _induces_clique(g: Graph, vertices: Sequence[int]) -> bool:
@@ -488,8 +511,9 @@ def suite_closed_forms() -> SuiteResult:
         (from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 2.0 + np.sqrt(10.0), 1e-9),
         (kpq(3, 1), float(max(np.roots([1.0, -1.0, -11.0, -7.0]).real)), 1e-9),
     ]
+    rho = _stacked_solve([g for g, _, _ in targets])[1]
     return _tally("closed_forms", (
-        abs(graph_rho(g) - expected) <= tol for g, expected, tol in targets
+        abs(value - expected) <= tol for value, (_, expected, tol) in zip(rho, targets)
     ))
 
 
@@ -541,23 +565,28 @@ def suite_edge_monotonicity(
     cases: int = MONOTONICITY_CASES, seed: int = 0, n_max: int = 20
 ) -> SuiteResult:
     """Random connected graphs; one random edge addition and one random
-    non-bridge deletion each must move the radius strictly the right way."""
-
-    def outcomes() -> Iterator[bool]:
-        rng = random.Random(seed)
-        for _ in range(cases):
-            g = random_connected_graph(rng, 4, n_max)
-            non_edges = [
-                (u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)
-            ]
-            deletable = [
-                (u, v) for u, v in g.edges() if is_connected(g.without_edge(u, v))
-            ]
-            for pairs in (non_edges, deletable):
-                if pairs:
-                    yield check_edge_monotonicity(g, *rng.choice(pairs)).holds
-
-    return _tally("edge_monotonicity", outcomes())
+    non-bridge deletion each must move the radius strictly the right way.
+    Every (larger, smaller) radius pair is drawn first, then all are solved
+    in one stacked call."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(cases):
+        g = random_connected_graph(rng, 4, n_max)
+        non_edges = [
+            (u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)
+        ]
+        # uv is no bridge iff another neighbour of u reaches v in g - u
+        full = (1 << g.n) - 1
+        deletable = [
+            (u, v) for u, v in g.edges()
+            if _reach(g.rows, g.rows[u] ^ 1 << v, full ^ 1 << u) >> v & 1
+        ]
+        if non_edges:
+            graphs += [g, g.with_edge(*rng.choice(non_edges))]
+        if deletable:
+            graphs += [g.without_edge(*rng.choice(deletable)), g]
+    rho = _stacked_solve(graphs)[1].tolist()
+    return _tally("edge_monotonicity", map(_strictly_above, rho[::2], rho[1::2]))
 
 
 def suite_perron_order(max_n: int = 7) -> SuiteResult:
@@ -580,13 +609,12 @@ def suite_bridge_grid(
     """Bridge-family grid: flattening strictly lowers the radius, lands on
     kpq, shows the three-level pattern, and satisfies both eigen identities."""
 
-    def examine(params: BridgeFamilyParams) -> tuple[bool, float]:
-        verdict, identities = bridge_claims(params)
+    def examine(verdict: LemmaVerdict, identities) -> tuple[bool, float]:
         worst = max(float("inf") if res is None else res for _, res, _ in identities)
         return verdict.holds and all(ok for *_, ok in identities), worst
 
-    grid = bridge_grid(seed, range(1, r_max + 1), placements=placements)
-    results = [examine(params) for params in grid]
+    grid = list(bridge_grid(seed, range(1, r_max + 1), placements=placements))
+    results = [examine(*claims) for claims in bridge_claims(grid)]
     worst = max((res for _, res in results), default=0.0)
     notes = f"max identity residual {worst:.3e}"
     return _tally("bridge_grid_and_identities", (ok for ok, _ in results), notes)

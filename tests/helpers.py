@@ -84,6 +84,20 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_slow_paths(monkeypatch) -> list[list]:
+    """Count, one list each, the per-graph paths that the stacked solver
+    replaces in dsr.verify: power iteration, one-graph distance matrices,
+    and isomorphism or canonical-form tests."""
+    import dsr.isomorphism
+    import dsr.verify
+
+    return [count_calls(monkeypatch, module, name) for module, name in [
+        (dsr.verify, "perron"), (dsr.verify, "distance_matrix"),
+        (dsr.verify, "canonical_form"), (dsr.isomorphism, "isomorphic"),
+        (dsr.isomorphism, "canonical_form"),
+    ]]
+
+
 def reference_transpose(packed: int, w: int) -> int:
     """w x w bit-matrix transpose, one bit at a time."""
     out = 0

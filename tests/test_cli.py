@@ -18,7 +18,7 @@ from dsr.cli import (
     main,
 )
 from dsr.verify import SuiteResult
-from helpers import count_calls
+from helpers import count_calls, count_slow_paths
 
 
 def run(capsys, *argv):
@@ -206,12 +206,17 @@ class TestCheck:
 
     @pytest.mark.parametrize("t, placements", [(2, 1), (1, 5)])
     def test_solves_each_flattened_pair_once(self, monkeypatch, capsys, t, placements):
-        solves = count_calls(monkeypatch, dsr.verify, "perron")
+        stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
+        distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
+        slow = count_slow_paths(monkeypatch)
         code, _, _ = run(capsys, "check", "--n1", "5", "--n2", "4",
                          "--r", "2", "--t", str(t))
         assert code == 0
-        # one for the bridge graph's radius, one for the flattened graph's pair
-        assert len(solves) == 2 * placements
+        # the bridge and flattened graph of every placement, in one stacked
+        # solve and one order-9 distance stack
+        assert [len(mats) for mats, in stacks] == [2 * placements]
+        assert [(n, len(graphs)) for n, graphs in distances] == [(9, 2 * placements)]
+        assert not any(slow)
 
     def test_identity_band_is_the_verify_tolerance(self, monkeypatch, capsys):
         monkeypatch.setattr(dsr.verify, "IDENTITY_TOL", 0.0)
@@ -267,6 +272,32 @@ class TestVerifyAll:
             main(["verify-all", "--max-n", max_n])
         assert exc.value.code == 2
         assert "--max-n must be in 1..8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["DIR", "DIR/missing/report.json"],
+                             ids=["directory", "missing-parent"])
+    def test_unwritable_out_exits_2_before_any_suite(self, monkeypatch, tmp_path, capsys, out):
+        def unreachable(seed, max_n):
+            raise AssertionError("a suite ran before --out was opened")
+
+        monkeypatch.setattr(dsr.cli, "run_all_suites", unreachable)
+        path = out.replace("DIR", str(tmp_path))
+        code, text, err = run(capsys, "verify-all", "--max-n", "4", "--out", path)
+        assert code == 2 and not text
+        assert err.startswith("error: ") and path in err
+
+    @pytest.mark.parametrize("existing", [None, "old report\n"], ids=["new", "existing"])
+    def test_failed_suite_leaves_no_truncated_report(self, monkeypatch, tmp_path, existing):
+        report = tmp_path / "report.json"
+        if existing is not None:
+            report.write_text(existing)
+
+        def crash(seed, max_n):
+            raise RuntimeError("suite crashed")
+
+        monkeypatch.setattr(dsr.cli, "run_all_suites", crash)
+        with pytest.raises(RuntimeError, match="suite crashed"):
+            main(["verify-all", "--max-n", "4", "--out", str(report)])
+        assert (report.read_text() if report.exists() else None) == existing
 
     def test_injected_fault_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(dsr.cli, "run_all_suites", lambda seed, max_n: [

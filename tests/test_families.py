@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsr import (
     BridgeFamilyParams,
@@ -11,14 +13,17 @@ from dsr import (
     complete_graph,
     distance_matrix,
     edge_connectivity,
+    enumerate_connected,
     from_edge_list,
     is_connected,
+    is_kpq,
     isomorphic,
     kpq,
     random_cross_edges,
     tilde_level_groups,
 )
 from dsr.graphs import MAX_VERTICES
+from dsr.isomorphism import canonical_form
 
 
 class TestCompleteGraph:
@@ -61,6 +66,41 @@ class TestKpq:
     def test_edge_connectivity_sweep(self, n):
         for r in range(1, n - 1):
             assert edge_connectivity(kpq(n - 1, r)).size == r
+
+
+class TestIsKpq:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exactly_one_class_per_q_agrees_with_canonical_form(self, n):
+        classes = list(enumerate_connected(n))
+        for q in range(1, n):
+            passing = [g for g in classes if is_kpq(g, q)]
+            assert len(passing) == 1
+            assert canonical_form(passing[0]) == canonical_form(kpq(n - 1, q))
+        assert not any(is_kpq(g, q) for g in classes for q in (0, n))
+
+    def test_q_zero_is_false_even_when_the_counts_fit(self):
+        # K4 plus an isolated vertex: C(4, 2) + 0 edges and a vertex of degree 0
+        g = from_edge_list(5, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        assert not is_kpq(g, 0)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(p=st.integers(1, MAX_VERTICES - 1), data=st.data())
+def test_is_kpq_on_relabelings_and_one_edge_perturbations(p, data):
+    n = p + 1
+    q = data.draw(st.integers(1, p))
+    perm = data.draw(st.permutations(range(n)))
+    g = from_edge_list(n, [(perm[u], perm[v]) for u, v in kpq(p, q).edges()])
+    assert [k for k in range(-1, n + 2) if is_kpq(g, k)] == [q]
+    u, v = data.draw(st.lists(st.integers(0, p), min_size=2, max_size=2, unique=True))
+    flipped = g.without_edge(u, v) if g.has_edge(u, v) else g.with_edge(u, v)
+    assert not is_kpq(flipped, q)
+    # moving one edge keeps the counts; canonical forms decide the answer
+    non_edges = [(a, b) for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b)]
+    if non_edges:
+        moved = g.without_edge(*data.draw(st.sampled_from(g.edges())))
+        moved = moved.with_edge(*data.draw(st.sampled_from(non_edges)))
+        assert is_kpq(moved, q) == isomorphic(moved, kpq(p, q))
 
 
 class TestBridgeFamilyParams:

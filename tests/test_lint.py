@@ -1,6 +1,8 @@
-"""Dead-code lint over the package sources, using only the standard library:
-no module may import a name it never uses, and no module-level private
-function, class or alias may go unreferenced across ``src/dsr``."""
+"""Lint over the package sources, using only the standard library: no
+module may import a name it never uses, no module-level private function,
+class or alias may go unreferenced across ``src/dsr``, and the slow
+per-graph paths (power iteration, isomorphism, canonical forms) are called
+only where they are needed."""
 
 import ast
 from pathlib import Path
@@ -75,3 +77,41 @@ def test_every_private_definition_is_referenced(module):
         if not any(name in references(tree, inside) for tree in TREES.values()):
             unreferenced.append(f"{name} (line {node.lineno})")
     assert not unreferenced, f"{module}: unreferenced {unreferenced}"
+
+
+# where each slow path may be called: a module, or a (module, top-level
+# function) pair.  Power iteration stays for ``dsr compute``'s iterations
+# column and as the spectra suite's oracle; ``isomorphic`` stays public but
+# is called nowhere in the package, since ``families.is_kpq`` recognizes
+# kpq and canonical forms key enumeration and the search's runner-up.
+SLOW_CALLERS = {
+    "perron": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
+    "isomorphic": set(),
+    "canonical_form": {"isomorphism.py", "enumeration.py", ("verify.py", "extremal_search")},
+}
+
+
+def calls_by_owner(module: str) -> list[tuple[str, str | None, int]]:
+    """(called name, enclosing top-level function or None, line) of every
+    call by bare or attribute name in a module."""
+    out = []
+    for top in TREES[module].body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                out.append((name, owner, node.lineno))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_CALLERS))
+def test_slow_paths_only_where_allowed(name):
+    allowed = SLOW_CALLERS[name]
+    stray = [
+        f"{module}:{line} in {owner}"
+        for module in MODULES
+        for called, owner, line in calls_by_owner(module)
+        if called == name and module not in allowed and (module, owner) not in allowed
+    ]
+    assert not stray, f"{name}( called outside {sorted(map(str, allowed))}: {stray}"

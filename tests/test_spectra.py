@@ -207,7 +207,7 @@ class TestQuadraticForm:
 class TestGroupPattern:
     def test_complete_graph_single_group(self):
         pp = perron(distance_matrix(complete_graph(5)))
-        [(mean, dev)] = perron_group_pattern(pp, [range(5)])
+        [(mean, dev)] = perron_group_pattern(pp.x, [range(5)])
         assert dev <= 1e-15  # exact symmetry up to one rounding ulp in the mean
         assert abs(mean - pp.x[0]) <= 1e-15
 
@@ -216,7 +216,7 @@ class TestGroupPattern:
         tilde = bridge_graph_tilde(p)
         pp = perron(distance_matrix(tilde))
         (m1, d1), (m2, d2), (m3, d3) = perron_group_pattern(
-            pp, tilde_level_groups(p)
+            pp.x, tilde_level_groups(p)
         )
         assert max(d1, d2, d3) < 1e-9
         assert m3 < m2 < m1
@@ -224,15 +224,15 @@ class TestGroupPattern:
     def test_three_levels_mixed(self):
         p = BridgeFamilyParams(5, 5, 2, 1, ((4, 3),))
         pp = perron(distance_matrix(bridge_graph_tilde(p)))
-        (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(pp, tilde_level_groups(p))
+        (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(pp.x, tilde_level_groups(p))
         assert max(d2, d3) < 1e-9
         assert m3 < m2 < m1
 
     def test_rejects_non_partition(self):
         pp = perron(distance_matrix(complete_graph(4)))
         with pytest.raises(ValueError):
-            perron_group_pattern(pp, [(0, 1), (1, 2, 3)])  # overlap
+            perron_group_pattern(pp.x, [(0, 1), (1, 2, 3)])  # overlap
         with pytest.raises(ValueError):
-            perron_group_pattern(pp, [(0, 1)])  # missing vertices
+            perron_group_pattern(pp.x, [(0, 1)])  # missing vertices
         with pytest.raises(ValueError):
-            perron_group_pattern(pp, [(0, 1, 2, 3), ()])  # empty group
+            perron_group_pattern(pp.x, [(0, 1, 2, 3), ()])  # empty group

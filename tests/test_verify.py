@@ -2,7 +2,7 @@ import dataclasses
 import json
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,8 +17,10 @@ from dsr import (
     check_perron_order,
     check_transformation,
     bridge_graph,
+    bridge_graph_tilde,
     class_table,
     complete_graph,
+    distance_matrix,
     edge_connectivity,
     enumerate_connected,
     extremal_search,
@@ -30,11 +32,17 @@ from dsr import (
     isomorphic,
     kpq,
     min_degree,
+    perron,
+    perron_group_pattern,
     random_cross_edges,
+    tilde_level_groups,
 )
 import dsr.verify
 from dsr.cli import main
 from dsr.verify import (
+    GROUP_DEV_TOL,
+    IDENTITY_TOL,
+    STRICT_MARGIN,
     VerificationError,
     bridge_claims,
     bridge_grid,
@@ -42,9 +50,10 @@ from dsr.verify import (
     run_all_suites,
     suite_bridge_grid,
     suite_cut_sides,
+    suite_edge_monotonicity,
     suite_theorem,
 )
-from helpers import count_calls, cycle_graph, path_graph
+from helpers import count_calls, count_slow_paths, cycle_graph, path_graph
 
 
 class TestEdgeMonotonicity:
@@ -335,34 +344,89 @@ def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
         for p in grid
     )
     assert all(check_transformation(p).holds for p in grid)
-    solves = count_calls(monkeypatch, dsr.verify, "perron")
+    stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
+    distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
+    slow = count_slow_paths(monkeypatch)
     result = suite_bridge_grid(placements=1, r_max=2)
     assert result.ok and result.instances == len(grid)
     assert result.notes == f"max identity residual {worst:.3e}"
-    # one for the bridge graph's radius, one for the flattened graph's pair
-    assert len(solves) == 2 * len(grid)
+    # the bridge and flattened graph of every instance in one stacked solve
+    assert [len(mats) for mats, in stacks] == [2 * len(grid)]
+    assert [n for n, _ in distances] == sorted({p.order for p in grid})
+    assert not any(slow)
 
 
 @pytest.mark.parametrize("t", [1, 2], ids=["mixed", "hub-only"])
 def test_bridge_claims_builds_each_distance_matrix_once(monkeypatch, t):
     grid = [p for p in bridge_grid(0, (2,), placements=2) if p.t == t]
-    matrices = count_calls(monkeypatch, dsr.verify, "distance_matrix")
-    for p in grid:
-        bridge_claims(p)
-    # one for the bridge graph, one for the flattened graph
-    assert len(matrices) == 2 * len(grid)
+    distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
+    slow = count_slow_paths(monkeypatch)
+    bridge_claims(grid)
+    # one stack per order, holding the bridge graph and the flattened graph
+    # of each instance of that order
+    assert [(n, len(graphs)) for n, graphs in distances] == [
+        (n, 2 * sum(p.order == n for p in grid)) for n in sorted({p.order for p in grid})
+    ]
+    assert not any(slow)
+
+
+def test_bridge_claims_match_power_iteration():
+    # oracle: each graph alone by power iteration, kpq by canonical forms
+    grid = list(bridge_grid(0, (1, 2), placements=1))
+    for p, (verdict, identities) in zip(grid, bridge_claims(grid)):
+        lhs = perron(distance_matrix(bridge_graph(p))).rho
+        pp = perron(distance_matrix(bridge_graph_tilde(p)))
+        assert verdict.lhs_rho == pytest.approx(lhs, rel=1e-10, abs=0)
+        assert verdict.rhs_rho == pytest.approx(pp.rho, rel=1e-10, abs=0)
+        (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(pp.x, tilde_level_groups(p))
+        assert verdict.holds == (
+            lhs - pp.rho > STRICT_MARGIN * max(lhs, pp.rho)
+            and max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
+            and isomorphic(bridge_graph_tilde(p), kpq(p.order - 1, p.r))
+        )
+        hub = abs(pp.rho * m1 - (p.r * m3 + 2.0 * (p.order - p.r - 1) * m2))
+        assert identities[0][2] == (hub < IDENTITY_TOL)
+
+
+def test_edge_monotonicity_matches_power_iteration(monkeypatch):
+    strictly_above = dsr.verify._strictly_above
+    seen = []
+
+    def recorded(lhs, rhs):
+        seen.append((lhs, rhs, strictly_above(lhs, rhs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(dsr.verify, "_strictly_above", recorded)
+    result = suite_edge_monotonicity(cases=50, seed=0)
+    # oracle: the suite's random stream replayed with per-graph paths
+    rng = random.Random(0)
+    pairs = []
+    for _ in range(50):
+        g = random_connected_graph(rng, 4, 20)
+        non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+        deletable = [(u, v) for u, v in g.edges() if is_connected(g.without_edge(u, v))]
+        if non_edges:
+            pairs.append((g, g.with_edge(*rng.choice(non_edges))))
+        if deletable:
+            pairs.append((g.without_edge(*rng.choice(deletable)), g))
+    assert result.instances == len(pairs) == len(seen)
+    for (lhs, rhs, holds), pair in zip(seen, pairs):
+        big, small = (perron(distance_matrix(h)).rho for h in pair)
+        assert lhs == pytest.approx(big, rel=1e-10, abs=0)
+        assert rhs == pytest.approx(small, rel=1e-10, abs=0)
+        assert holds == (big - small > STRICT_MARGIN * max(big, small))
 
 
 def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
     pattern = dsr.verify.perron_group_pattern
 
-    def hub_above_bound(pp, groups):
-        (m1, d1), *rest = pattern(pp, groups)
+    def hub_above_bound(x, groups):
+        (m1, d1), *rest = pattern(x, groups)
         return [(m1 + 10.0, d1), *rest]  # x1 now exceeds r*x3 + 2(n2-r)*x2
 
     monkeypatch.setattr(dsr.verify, "perron_group_pattern", hub_above_bound)
     p = BridgeFamilyParams(4, 4, 2, 2)
-    assert bridge_claims(p)[1][0] == ("hub_row_identity", None, False)
+    assert bridge_claims([p])[0][1][0] == ("hub_row_identity", None, False)
     with pytest.raises(VerificationError, match="n1=4, n2=4, r=2, t=2"):
         check_hub_row_identity(p)
     assert main(["check", "--n1", "4", "--n2", "4", "--r", "2", "--t", "2"]) == 3
@@ -406,14 +470,15 @@ def test_suite_tally_at_max_n_6():
 
 
 def test_suite_tally_counts_one_failing_claim(monkeypatch):
-    check = dsr.verify.check_edge_monotonicity
+    # the strict-margin verdict is first read by the edge-monotonicity suite
+    strictly_above = dsr.verify._strictly_above
     calls = []
 
-    def first_fails(g, u, v):
-        calls.append((u, v))
-        return dataclasses.replace(check(g, u, v), holds=len(calls) > 1)
+    def first_fails(lhs, rhs):
+        calls.append((lhs, rhs))
+        return len(calls) > 1 and strictly_above(lhs, rhs)
 
-    monkeypatch.setattr(dsr.verify, "check_edge_monotonicity", first_fails)
+    monkeypatch.setattr(dsr.verify, "_strictly_above", first_fails)
     expected = [
         (name, instances, int(name == "edge_monotonicity"))
         for name, instances, _ in expected_tally_at_6()
