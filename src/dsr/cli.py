@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 2 usage or parse error, 3 verification failure,
 4 internal (non-convergence).  Output files are byte-stable for a fixed
 seed and configuration.  All work runs in one thread; --threads is still
-accepted and ignored.  Set DSR_LOG=debug|info for progress logging.
+accepted, must be at least 1, and is otherwise ignored.  Set
+DSR_LOG=debug|info for progress logging.
 """
 
 from __future__ import annotations
@@ -358,6 +359,8 @@ def main(argv=None) -> int:
         parser.error("give exactly one of a graph6 file and --edges")
     if args.command == "compute" and args.n is not None and args.edges is None:
         parser.error("--n needs --edges")
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     if args.command == "verify-all" and not 1 <= args.max_n <= MAX_BUILTIN_ORDER:
         parser.error(f"--max-n must be in 1..{MAX_BUILTIN_ORDER}, got {args.max_n}")
     if args.command == "check":

@@ -208,31 +208,35 @@ def extremal_search(
     report the minimum-radius class with its uniqueness gap and the
     isomorphism verdict against kpq(n-1, r).
 
-    The minimizer is the least (rho, graph6) pair.  The runner-up is the
-    next graph in that order that is not isomorphic to it, so a corpus that
+    The minimizer is the least (rho, graph6) pair, so only the graphs whose
+    rho equals the minimum exactly are encoded.  The runner-up rho is the
+    least rho of a graph not isomorphic to the minimizer, so a corpus that
     lists one class twice cannot fake a tie, and a true tie between two
     classes shows as a zero gap.
     """
     if not 1 <= r <= n - 2:
         raise ValueError(f"need 1 <= r <= n-2, got n={n}, r={r}")
     table = class_table(n) if corpus is None else _build_table(n, _read_corpus(corpus, n))
-    kept = []
-    for i in np.flatnonzero(table.lam == r):
-        g = table.graphs[i]
-        kept.append((float(table.rho[i]), graph6_encode(g).decode("ascii"), g))
-    if not kept:
+    kept = np.flatnonzero(table.lam == r)
+    if not kept.size:
         raise CorpusError(f"no connected graphs of order {n} with edge connectivity {r}")
-    kept.sort(key=lambda item: item[:2])
-    min_rho, min_g6, min_g = kept[0]
-    best = canonical_form(min_g)
-    runner = next((rho for rho, _, g in kept[1:] if canonical_form(g) != best), None)
+    rho = table.rho[kept]
+    min_rho = float(rho.min())
+    min_g6, min_i = min(
+        (graph6_encode(table.graphs[i]).decode("ascii"), i) for i in kept[rho == min_rho]
+    )
+    best = canonical_form(table.graphs[min_i])
+    runner = next((
+        float(table.rho[i]) for i in kept[np.argsort(rho)]
+        if i != min_i and canonical_form(table.graphs[i]) != best
+    ), None)
     gap = None if runner is None else runner - min_rho
-    matches = is_kpq(min_g, r)
+    matches = is_kpq(table.graphs[min_i], r)
     logger.info(
         "search n=%d r=%d: %d classes, min %.6f at %s, gap %s",
-        n, r, len(kept), min_rho, min_g6, gap,
+        n, r, kept.size, min_rho, min_g6, gap,
     )
-    return ExtremalReport(n, r, len(kept), min_rho, runner, gap, min_g6, matches)
+    return ExtremalReport(n, r, kept.size, min_rho, runner, gap, min_g6, matches)
 
 
 def _read_corpus(corpus: Iterable[bytes | str], n: int) -> list[Graph]:

@@ -122,6 +122,15 @@ class TestSearch:
         assert exc.value.code == 2
         assert "needs --corpus" in capsys.readouterr().err
 
+    def test_encodes_only_the_classes_tied_at_the_minimum(self, monkeypatch, capsys):
+        table = dsr.verify.class_table(8)
+        rho = table.rho[table.lam == 3]
+        tied = int((rho == rho.min()).sum())
+        encodes = count_calls(monkeypatch, dsr.verify, "graph6_encode")
+        code, out, _ = run(capsys, "search", "--n", "8", "--r", "3")
+        assert code == 0 and json.loads(out)["matches_kpq"] is True
+        assert 1 <= len(encodes) <= tied + 1
+
     def test_no_graph_with_connectivity_r_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "paths.g6"
         corpus.write_bytes(b"DhC\n")  # the path on five vertices, connectivity 1
@@ -321,6 +330,18 @@ def test_help_lists_every_option():
         for action in sub._actions:
             for option in action.option_strings:
                 assert option in text, f"{name}: {option} missing from --help"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "5", "--r", "2"],
+    ["verify-all", "--max-n", "4"],
+], ids=["search", "verify-all"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(capsys, argv, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", threads])
+    assert exc.value.code == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
 
 
 def test_threads_give_identical_bytes(tmp_path, capsys):

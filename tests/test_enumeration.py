@@ -1,4 +1,6 @@
 import logging
+import re
+from itertools import permutations
 
 import pytest
 
@@ -6,15 +8,15 @@ import dsr.enumeration
 from dsr import (
     complete_graph,
     enumerate_connected,
-    from_edge_list,
     graph6_encode,
     is_connected,
     isomorphic,
     kpq,
 )
-from dsr.enumeration import _last_is_chosen
+from dsr.enumeration import _chosen_removal_test, _classes, _orbit_representatives
 from dsr.graphs import Graph
 from helpers import (
+    count_calls,
     cycle_graph,
     path_graph,
     perm_canonical,
@@ -98,9 +100,10 @@ def test_all_emitted_connected():
 
 
 def test_each_candidate_validated_once(monkeypatch):
-    """Order 5 grows each of the 6 order-4 classes by 15 attachment sets; the
-    34 of those 90 candidates whose new vertex is a chosen removal each build
-    exactly one Graph, its canonical form, and the others build none."""
+    """Order 5 grows each of the 6 order-4 classes by 15 attachment sets; of
+    those 90, the 44 least members of their parent's automorphism orbits are
+    tried, and the 21 whose new vertex is a chosen removal are canonicalized.
+    Only the 21 classes build a Graph, and the others build none."""
     expected = tuple(enumerate_connected(5))  # fills the cache up to order 5
     built = []
 
@@ -110,18 +113,23 @@ def test_each_candidate_validated_once(monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(dsr.enumeration, "Graph", CountingGraph)
-    classes = dsr.enumeration._classes.__wrapped__(5)  # order 4 comes from the cache
-    assert len(built) == 34
+    canonicalized = count_calls(monkeypatch, dsr.enumeration, "_canonical_search")
+    classes, _ = _classes.__wrapped__(5)  # order 4 comes from the cache
+    assert len(canonicalized) == 21
+    assert len(built) == 21
     assert [g.rows for g in classes] == [g.rows for g in expected]
 
 
 def test_log_counts_candidates_and_canonical_forms(caplog):
     tuple(enumerate_connected(4))  # order 4 comes from the cache
     with caplog.at_level(logging.INFO, logger="dsr.enumeration"):
-        dsr.enumeration._classes.__wrapped__(5)
-    assert caplog.messages == [
-        "enumerated 21 connected classes of order 5 (90 candidates, 34 canonicalized)"
-    ]
+        _classes.__wrapped__(5)
+    [message] = caplog.messages
+    assert re.fullmatch(
+        r"enumerated 21 connected classes of order 5 \(90 candidates, "
+        r"44 orbit representatives, 21 canonicalized\) in \d+\.\d{3} s",
+        message,
+    ), message
 
 
 def test_emitted_sorted_by_canonical_rows():
@@ -134,33 +142,84 @@ def test_same_classes_as_unfiltered_augmentation(n):
     assert {g.rows for g in enumerate_connected(n)} == unfiltered_classes(n)
 
 
-def _last_swapped(g: Graph, w: int) -> tuple[int, ...]:
-    """Rows of g relabeled by the transposition of w and the last vertex."""
-    last = g.n - 1
-    perm = list(range(g.n))
-    perm[w], perm[last] = last, w
-    rows = [0] * g.n
-    for v in range(g.n):
-        for u in range(g.n):
-            if g.rows[v] >> u & 1:
-                rows[perm[v]] |= 1 << perm[u]
-    return tuple(rows)
-
-
-def _connected_without(g: Graph, w: int) -> bool:
-    keep = [v for v in range(g.n) if v != w]
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in g.edges() if w not in (u, v)]
-    return is_connected(from_edge_list(g.n - 1, edges))
+def _without(g: Graph, w: int) -> tuple[tuple[int, ...], int]:
+    """Rows of g - w, the vertices after w shifted down by one, and w's
+    neighbours as a mask on the same labels."""
+    def drop(mask: int) -> int:
+        return mask & ((1 << w) - 1) | mask >> (w + 1) << w
+    return tuple(drop(row) for v, row in enumerate(g.rows) if v != w), drop(g.rows[w])
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_class_has_a_chosen_removal(n):
-    """The rule's completeness invariant: some non-cut vertex of every class
-    passes the rule once relabeled last, so growing the class without it
-    back by that vertex yields a canonicalized candidate."""
+    """The rule's completeness invariant: every class has a non-cut vertex w
+    that passes the rule as the new vertex of (g - w) + w, so growing the
+    class without w back by w's neighbours yields a canonicalized candidate."""
     for g in enumerate_connected(n):
         assert any(
-            _last_is_chosen(n, _last_swapped(g, w)) and _connected_without(g, w)
-            for w in range(n)
+            is_connected(Graph(n - 1, prow)) and _chosen_removal_test(prow)(sub)
+            for prow, sub in (_without(g, w) for w in range(n))
         ), graph6_encode(g)
+
+
+def _chosen_removal_oracle(n: int, rows: tuple[int, ...]) -> bool:
+    """The rule on a whole candidate, with one connectivity test per rival."""
+    def key(v):
+        degs = [rows[u].bit_count() for u in range(n) if rows[v] >> u & 1]
+        return rows[v].bit_count(), sorted(degs)
+    return not any(
+        key(w) > key(n - 1) and is_connected(Graph(n - 1, _without(Graph(n, rows), w)[0]))
+        for w in range(n - 1)
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_chosen_removal_test_matches_whole_graph_rule(n):
+    """The per-parent test agrees with the rule applied to each candidate."""
+    new_bit = 1 << (n - 1)
+    for parent in enumerate_connected(n - 1):
+        chosen = _chosen_removal_test(parent.rows)
+        for sub in range(1, new_bit):
+            rows = tuple(
+                row | new_bit if sub >> i & 1 else row for i, row in enumerate(parent.rows)
+            ) + (sub,)
+            assert chosen(sub) == _chosen_removal_oracle(n, rows), (parent.rows, sub)
+
+
+def _relabeled(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        out[perm[v]] = sum(1 << perm[u] for u in range(len(rows)) if row >> u & 1)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_representatives_match_full_automorphism_group(n):
+    """For every class, the orbits the kept generators give equal the orbits
+    of attachment sets under every automorphism found by brute force."""
+    for g, generators in zip(*_classes(n)):
+        group = [p for p in permutations(range(n)) if _relabeled(g.rows, p) == g.rows]
+        brute = [
+            s for s in range(1, 1 << n)
+            if all(sum(1 << p[i] for i in range(n) if s >> i & 1) >= s for p in group)
+        ]
+        assert list(_orbit_representatives(g.rows, generators)) == brute, g.rows
+
+
+def test_bogus_generator_raises(monkeypatch):
+    """A permutation passed in as a generator that is no automorphism of its
+    class is refused before it prunes anything."""
+    graphs, generators = _classes(4)
+    path = next(i for i, g in enumerate(graphs) if g.num_edges() == 3 and max(
+        row.bit_count() for row in g.rows) == 2)  # P4, automorphism group of order 2
+    assert generators[path]
+    bogus = [*generators]
+    bogus[path] = ((1, 0, 2, 3),)  # swaps an end with a middle vertex
+    assert _relabeled(graphs[path].rows, (1, 0, 2, 3)) != graphs[path].rows
+    real = dsr.enumeration._classes
+    monkeypatch.setattr(
+        dsr.enumeration, "_classes",
+        lambda n: (graphs, tuple(bogus)) if n == 4 else real(n),
+    )
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        real.__wrapped__(5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsr import complete_graph, enumerate_connected, from_edge_list, isomorphic, kpq
-from dsr.isomorphism import canonical_form
+from dsr.isomorphism import _canonical_search, canonical_form
 from helpers import (
     cycle_graph,
     path_graph,
@@ -114,6 +114,27 @@ def test_canonical_form_invariant_under_relabeling(n, p, seed):
     rng = random.Random(seed)
     g = random_graph(rng, n, p)
     assert canonical_form(shuffled(g, rng)) == canonical_form(g)
+
+
+def is_automorphism(rows, gamma):
+    return all(
+        rows[gamma[v]] == sum(1 << gamma[u] for u in range(len(rows)) if row >> u & 1)
+        for v, row in enumerate(rows)
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_search_generators_are_automorphisms_of_the_canonical_rows(n):
+    """Searched from a relabeled copy of every class, each generator the
+    canonical search returns is a non-identity permutation that maps the
+    canonical rows onto themselves."""
+    rng = random.Random(n)
+    for g in enumerate_connected(n):
+        code, generators = _canonical_search(n, shuffled(g, rng).rows)
+        assert code == g.rows
+        for gamma in generators:
+            assert sorted(gamma) == list(range(n)) and gamma != tuple(range(n))
+            assert is_automorphism(code, gamma), (code, gamma)
 
 
 @pytest.mark.parametrize("g", [
