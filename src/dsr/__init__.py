@@ -23,7 +23,6 @@ from .families import (
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import (
     DisconnectedGraphError,
-    DistanceMatrix,
     Graph,
     distance_matrix,
     from_edge_list,
@@ -36,7 +35,6 @@ from .spectra import (
     perron,
     perron_group_pattern,
     perron_stack,
-    quadratic_form,
 )
 from .verify import (
     ClassTable,
@@ -45,17 +43,12 @@ from .verify import (
     ExtremalReport,
     LemmaVerdict,
     PerronOrderVerdict,
-    VerificationError,
     check_cut_order_bound,
     check_degree_r_reduction,
     check_edge_monotonicity,
-    check_form_shift_identity,
-    check_hub_row_identity,
     check_perron_order,
-    check_transformation,
     class_table,
     extremal_search,
-    graph_rho,
     run_all_suites,
 )
 
@@ -69,24 +62,19 @@ __all__ = [
     "CutCertificate",
     "CutOrderVerdict",
     "DisconnectedGraphError",
-    "DistanceMatrix",
     "ExtremalReport",
     "Graph",
     "Graph6Error",
     "LemmaVerdict",
     "PerronOrderVerdict",
     "PerronPair",
-    "VerificationError",
     "bridge_graph",
     "bridge_graph_tilde",
     "brute_force_min_cut",
     "check_cut_order_bound",
     "check_degree_r_reduction",
     "check_edge_monotonicity",
-    "check_form_shift_identity",
-    "check_hub_row_identity",
     "check_perron_order",
-    "check_transformation",
     "class_table",
     "complete_graph",
     "distance_matrix",
@@ -96,7 +84,6 @@ __all__ = [
     "from_edge_list",
     "graph6_decode",
     "graph6_encode",
-    "graph_rho",
     "is_connected",
     "is_kpq",
     "isomorphic",
@@ -105,7 +92,6 @@ __all__ = [
     "perron",
     "perron_group_pattern",
     "perron_stack",
-    "quadratic_form",
     "random_cross_edges",
     "run_all_suites",
     "tilde_level_groups",

@@ -165,17 +165,6 @@ def is_connected(g: Graph) -> bool:
     return _reach(g.rows, 1, (1 << g.n) - 1) == (1 << g.n) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Symmetric matrix of pairwise hop counts of a connected graph."""
-
-    n: int
-    d: np.ndarray
-
-    def __post_init__(self):
-        self.d.setflags(write=False)
-
-
 def distance_stack(n: int, graphs: Iterable[Graph]) -> np.ndarray:
     """(k, n, n) int8 hop counts of k connected order-n graphs, from all their
     breadth-first searches at once: each level grows every reached set by
@@ -200,6 +189,9 @@ def distance_stack(n: int, graphs: Iterable[Graph]) -> np.ndarray:
     return dist
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """All-pairs shortest-path matrix; raises on disconnected input."""
-    return DistanceMatrix(g.n, distance_stack(g.n, [g])[0].astype(np.int64))
+def distance_matrix(g: Graph) -> np.ndarray:
+    """Read-only (n, n) int64 all-pairs shortest-path matrix; raises on
+    disconnected input."""
+    d = distance_stack(g.n, [g])[0].astype(np.int64)
+    d.setflags(write=False)
+    return d

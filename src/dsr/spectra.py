@@ -17,8 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import DistanceMatrix
-
 
 # matrix entries per np.linalg.eigh call in perron_stack: 256 graphs of
 # order 8, fewer of larger orders; larger chunks raise peak memory and gain
@@ -49,17 +47,17 @@ class PerronPair:
         self.x.setflags(write=False)
 
 
-def perron(dm: DistanceMatrix) -> PerronPair:
-    """Dominant eigenpair of a distance matrix by power iteration.
+def perron(d: np.ndarray) -> PerronPair:
+    """Dominant eigenpair of an (n, n) distance matrix by power iteration.
 
     Starts from the uniform vector, estimates the eigenvalue by Rayleigh
     quotient each step, and stops once the infinity-norm residual drops to
     1e-12 * n.  Non-convergence raises instead of returning a bad pair.
     """
-    n = dm.n
+    n = len(d)
     if n == 1:
         return PerronPair(0.0, np.ones(1), 0.0, 0)
-    a = dm.d.astype(np.float64)
+    a = d.astype(np.float64)
     tol = 1e-12 * n
     max_iter = int(100 * n * math.log(1.0 / tol))
     x = np.full(n, 1.0 / math.sqrt(n))
@@ -75,56 +73,41 @@ def perron(dm: DistanceMatrix) -> PerronPair:
     )
 
 
-def perron_stack(
-    mats: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Perron pairs of distance matrices of connected graphs, any mix of orders.
+def perron_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Perron pairs of a (k, n, n) stack of distance matrices of connected
+    order-n graphs.
 
-    Matrices of one order are stacked and solved by ``np.linalg.eigh`` in
-    chunks of at most ``STACK_ENTRIES`` entries.  Each top eigenvector is
-    taken in absolute value and normalized, its Rayleigh quotient is
-    recomputed, and every row must have an infinity-norm residual at most
-    1e-12 * n and strictly positive entries, or ``ConvergenceError`` is
-    raised.  Returns ``(rho, x, residual)``: ``rho`` and ``residual`` of
-    shape (k,), ``x`` of shape (k, max order) with row i zero past the order
-    of matrix i.
+    The stack is solved by ``np.linalg.eigh`` in chunks of at most
+    ``STACK_ENTRIES`` entries.  Each top eigenvector is taken in absolute
+    value and normalized, its Rayleigh quotient is recomputed, and every row
+    must have an infinity-norm residual at most 1e-12 * n and strictly
+    positive entries, or ``ConvergenceError`` is raised.  Returns ``(rho, x,
+    residual)`` of shapes (k,), (k, n) and (k,).
     """
-    orders = np.array([len(m) for m in mats], dtype=np.int64)
-    k = len(orders)
+    k, n, _ = mats.shape
     rho = np.empty(k)
-    x = np.zeros((k, int(orders.max(initial=0))))
+    x = np.empty((k, n))
     residual = np.empty(k)
-    for n in np.unique(orders).tolist():
-        rows = np.flatnonzero(orders == n)
-        chunk = max(1, STACK_ENTRIES // (n * n))
-        for start in range(0, len(rows), chunk):
-            idx = rows[start:start + chunk]
-            a = np.stack([mats[i] for i in idx]).astype(np.float64)
-            vecs = np.abs(np.linalg.eigh(a)[1][:, :, -1])
-            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-            y = np.matmul(a, vecs[:, :, None])[:, :, 0]
-            values = np.einsum("ki,ki->k", vecs, y)
-            res = np.max(np.abs(y - values[:, None] * vecs), axis=1)
-            bad = (res > 1e-12 * n) | ~(vecs > 0).all(axis=1)
-            if bad.any():
-                first = int(np.flatnonzero(bad)[0])
-                raise ConvergenceError(
-                    f"stacked solve of matrix {int(idx[first])} (order {n}) not "
-                    f"certified: residual {res[first]:.3e}, min entry "
-                    f"{vecs[first].min():.3e}"
-                )
-            rho[idx] = values
-            x[idx, :n] = vecs
-            residual[idx] = res
+    chunk = max(1, STACK_ENTRIES // (n * n))
+    for start in range(0, k, chunk):
+        a = mats[start:start + chunk].astype(np.float64)
+        vecs = np.abs(np.linalg.eigh(a)[1][:, :, -1])
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        y = np.matmul(a, vecs[:, :, None])[:, :, 0]
+        values = np.einsum("ki,ki->k", vecs, y)
+        res = np.max(np.abs(y - values[:, None] * vecs), axis=1)
+        bad = (res > 1e-12 * n) | ~(vecs > 0).all(axis=1)
+        if bad.any():
+            first = int(np.flatnonzero(bad)[0])
+            raise ConvergenceError(
+                f"stacked solve of matrix {start + first} (order {n}) not "
+                f"certified: residual {res[first]:.3e}, min entry "
+                f"{vecs[first].min():.3e}"
+            )
+        rho[start:start + chunk] = values
+        x[start:start + chunk] = vecs
+        residual[start:start + chunk] = res
     return rho, x, residual
-
-
-def quadratic_form(dm: DistanceMatrix, x: Sequence[float] | np.ndarray) -> float:
-    """sum_{u,v} d_uv x_u x_v."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dm.n,):
-        raise ValueError(f"vector length {x.shape} does not match order {dm.n}")
-    return float(x @ (dm.d @ x))
 
 
 def perron_group_pattern(

@@ -59,10 +59,6 @@ GRID_OFFSETS = (2, 3, 4, 5, 6)
 MONOTONICITY_CASES = 200
 
 
-class VerificationError(RuntimeError):
-    """A property that must hold mathematically failed numerically."""
-
-
 class CorpusError(ValueError):
     """A search input that cannot be scanned: a bad corpus line, or no graph
     with the requested edge connectivity."""
@@ -72,21 +68,20 @@ def _stacked_solve(
     graphs: Sequence[Graph],
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Distance matrices and certified Perron pairs of connected graphs of
-    any mix of orders: one ``distance_stack`` call per order and one
-    ``perron_stack`` call for the whole list.  Returns ``(mats, rho, x,
-    residual)``, row i for ``graphs[i]``; ``x`` rows are zero past the order
-    of their graph."""
-    mats = [None] * len(graphs)
+    any mix of orders: one ``distance_stack`` and one ``perron_stack`` call
+    per order.  Returns ``(mats, rho, x, residual)``, row i for
+    ``graphs[i]``; ``x`` rows are zero past the order of their graph."""
+    k = len(graphs)
+    mats = [None] * k
+    rho, residual = np.empty(k), np.empty(k)
+    x = np.zeros((k, max((g.n for g in graphs), default=0)))
     for n in sorted({g.n for g in graphs}):
         rows = [i for i, g in enumerate(graphs) if g.n == n]
-        for i, d in zip(rows, distance_stack(n, [graphs[i] for i in rows])):
+        stack = distance_stack(n, [graphs[i] for i in rows])
+        rho[rows], x[rows, :n], residual[rows] = perron_stack(stack)
+        for i, d in zip(rows, stack):
             mats[i] = d
-    return (mats, *perron_stack(mats))
-
-
-def graph_rho(g: Graph) -> float:
-    """Distance spectral radius of a connected graph."""
-    return float(_stacked_solve([g])[1][0])
+    return mats, rho, x, residual
 
 
 def _strictly_above(lhs: float, rhs: float) -> bool:
@@ -242,10 +237,8 @@ def extremal_search(
 def _read_corpus(corpus: Iterable[bytes | str], n: int) -> list[Graph]:
     """Connected order-n graphs from graph6 lines; blank lines are skipped and
     every error names its line."""
-    lines = (line.decode("ascii", errors="replace") if isinstance(line, bytes) else line
-             for line in corpus)
     try:
-        return [g for _, g in read_graph6_lines(lines, order=n)]
+        return [g for _, g in read_graph6_lines(corpus, order=n)]
     except Graph6Error as exc:
         raise CorpusError(f"corpus {exc}") from None
 
@@ -344,40 +337,18 @@ def check_degree_r_reduction(g: Graph, v: int) -> LemmaVerdict:
     )
 
 
-def check_transformation(params: BridgeFamilyParams) -> LemmaVerdict:
-    """Flattening a two-clique bridge graph strictly lowers the radius, lands
-    on kpq(n1+n2-1, r), and produces the three-level Perron pattern."""
-    return bridge_claims([params])[0][0]
-
-
-def check_form_shift_identity(params: BridgeFamilyParams) -> float:
-    """Residual of the closed form for the quadratic-form change under the
-    hub-only flattening, evaluated at the Perron vector of the flattened
-    graph: the change equals 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2)."""
-    if params.t != params.r:
-        raise ValueError(f"identity requires t == r, got t={params.t}, r={params.r}")
-    return bridge_claims([params])[0][1][1][1]
-
-
-def check_hub_row_identity(params: BridgeFamilyParams) -> float:
-    """Residual of the eigen-equation row at the hub of the flattened graph,
-    rho*x1 = r*x3 + 2(n1+n2-r-1)*x2, plus the strict consequences: the radius
-    exceeds order-1 and x1 < r*x3 + 2(n2-r)*x2."""
-    residual = bridge_claims([params])[0][1][0][1]
-    if residual is None:
-        raise VerificationError(f"a strict consequence of the hub row fails on {params}")
-    return residual
-
-
 def bridge_claims(
     grid: Sequence[BridgeFamilyParams],
 ) -> list[tuple[LemmaVerdict, list[tuple[str, float | None, bool]]]]:
     """Per bridge instance, the flattening verdict and each identity as
     (claim, residual, holds), all on one Perron pair of the flattened graph.
     Every bridge and flattened graph of the grid is solved in one stacked
-    call.  The form-shift identity applies only when t == r.  A residual
-    holds below IDENTITY_TOL; it is None where a strict consequence of the
-    hub row fails."""
+    solve.  Flattening must strictly lower the radius, land on
+    kpq(n1+n2-1, r) and give the three-level Perron pattern.  The hub row is
+    rho*x1 = r*x3 + 2(n1+n2-r-1)*x2 on the flattened graph; the form shift,
+    only when t == r, is x(D - D~)x = 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2).
+    A residual holds below IDENTITY_TOL; it is None where a strict
+    consequence of the hub row fails."""
     graphs = []
     for params in grid:
         graphs += [bridge_graph(params), bridge_graph_tilde(params)]
@@ -534,9 +505,9 @@ def suite_spectra_oracle(max_n: int = 7) -> SuiteResult:
     table's phase-contraction cut size vs. the bipartition scan."""
 
     def examine(g: Graph, rho: float, lam: int) -> bool:
-        dm = distance_matrix(g)
-        power = perron(dm).rho
-        dense = float(np.linalg.eigvalsh(dm.d.astype(float))[-1])
+        d = distance_matrix(g)
+        power = perron(d).rho
+        dense = float(np.linalg.eigvalsh(d.astype(float))[-1])
         scale = max(1.0, abs(dense))
         close = abs(rho - power) <= 1e-8 * scale and abs(power - dense) <= 1e-8 * scale
         return close and (g.n < 2 or lam == brute_force_min_cut(g).size)

@@ -52,6 +52,35 @@ def perm_canonical(g: Graph) -> tuple:
     return best
 
 
+def automorphism_count(g: Graph) -> int:
+    """|Aut g| by backtracking, independent of the production isomorphism
+    code: vertices 0, 1, ... are mapped in turn to each unused vertex of the
+    same degree whose adjacency to the images of the earlier vertices
+    matches, and every completed map is counted."""
+    image = [0] * g.n
+
+    def extend(v: int, used: int) -> int:
+        if v == g.n:
+            return 1
+        want = 0  # images of v's earlier neighbours
+        for u in range(v):
+            if g.has_edge(u, v):
+                want |= 1 << image[u]
+        total = 0
+        for w in range(g.n):
+            if not used >> w & 1 and g.degree(w) == g.degree(v) and g.rows[w] & used == want:
+                image[v] = w
+                total += extend(v + 1, used | 1 << w)
+        return total
+
+    return extend(0, 0)
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """The graph with vertex v renamed perm[v]."""
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 @lru_cache(maxsize=None)
 def unfiltered_classes(n: int) -> frozenset:
     """Canonical rows of the connected order-n classes, grown from the

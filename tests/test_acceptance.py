@@ -13,22 +13,19 @@ import pytest
 
 from dsr import (
     brute_force_min_cut,
-    check_form_shift_identity,
-    check_hub_row_identity,
-    check_transformation,
     complete_graph,
     distance_matrix,
     edge_connectivity,
     enumerate_connected,
     extremal_search,
     graph6_encode,
-    graph_rho,
     kpq,
     perron,
 )
 from dsr.cli import main
 from dsr.verify import (
-    VerificationError,
+    _stacked_solve,
+    bridge_claims,
     bridge_grid,
     suite_cut_sides,
     suite_edge_monotonicity,
@@ -45,21 +42,18 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def grid_outcomes():
-    """Every bridge-grid instance evaluated once; criteria 6 and 7 read it."""
+    """Every bridge-grid instance evaluated once, in one ``bridge_claims``
+    call; criteria 6 and 7 read it.  A hub row whose strict consequences
+    fail has a None residual, read here as an infinite one."""
     start = time.perf_counter()
+    grid = list(bridge_grid(seed=GRID_SEED))
     rows = []
-    for params in bridge_grid(seed=GRID_SEED):
-        verdict = check_transformation(params)
-        try:
-            hub_residual = check_hub_row_identity(params)
-            strict_ok = True
-        except VerificationError:
-            hub_residual = float("inf")
-            strict_ok = False
-        shift_residual = (
-            check_form_shift_identity(params) if params.t == params.r else None
-        )
-        rows.append((params, verdict, hub_residual, shift_residual, strict_ok))
+    for params, (verdict, identities) in zip(grid, bridge_claims(grid)):
+        residuals = {claim: res for claim, res, _ in identities}
+        hub_residual = residuals["hub_row_identity"]
+        strict_ok = hub_residual is not None
+        rows.append((params, verdict, hub_residual if strict_ok else float("inf"),
+                     residuals.get("form_shift_identity"), strict_ok))
     return rows, time.perf_counter() - start
 
 
@@ -70,9 +64,9 @@ def test_criterion_1_oracle_completeness():
     for n in range(1, 8):
         for g in enumerate_connected(n):
             checked += 1
-            dm = distance_matrix(g)
-            rho = perron(dm).rho
-            dense = float(np.linalg.eigvalsh(dm.d.astype(float))[-1])
+            d = distance_matrix(g)
+            rho = perron(d).rho
+            dense = float(np.linalg.eigvalsh(d.astype(float))[-1])
             if abs(rho - dense) > 1e-8 * max(1.0, abs(dense)):
                 bad.append((graph6_encode(g), "rho", rho, dense))
             if n >= 2:
@@ -108,17 +102,17 @@ def test_criterion_2_theorem_reproduction():
 
 
 def test_criterion_3_closed_form_spot_values():
-    bad = []
-    for n in range(2, 13):
-        if abs(graph_rho(complete_graph(n)) - (n - 1)) > 1e-10:
-            bad.append(f"K_{n}")
-    if abs(graph_rho(path_graph(3)) - (1 + math.sqrt(3))) > 1e-9:
-        bad.append("P3")
-    if abs(graph_rho(path_graph(4)) - (2 + math.sqrt(10))) > 1e-9:
-        bad.append("P4")
     cubic_root = float(max(np.roots([1.0, -1.0, -11.0, -7.0]).real))
-    if abs(graph_rho(kpq(3, 1)) - cubic_root) > 1e-9:
-        bad.append("kpq(3,1)")
+    spots = [(f"K_{n}", complete_graph(n), n - 1, 1e-10) for n in range(2, 13)]
+    spots += [
+        ("P3", path_graph(3), 1 + math.sqrt(3), 1e-9),
+        ("P4", path_graph(4), 2 + math.sqrt(10), 1e-9),
+        ("kpq(3,1)", kpq(3, 1), cubic_root, 1e-9),
+    ]
+    rho = _stacked_solve([g for _, g, _, _ in spots])[1]
+    bad = [name for (name, _, expected, tol), value in zip(spots, rho)
+           if abs(value - expected) > tol]
+    assert len(spots) == 14
     report(3, not bad, f"14 spot values, failures: {bad or 'none'}")
     assert not bad
 

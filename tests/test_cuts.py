@@ -157,7 +157,7 @@ def test_matches_networkx_in_both_diameter_regimes(regime):
             g = two_blobs(rng, n)
         else:
             g = random_connected(rng, n, rng.choice([0.05, 0.15, 0.3, 0.6]))
-        short = int(distance_matrix(g).d.max()) <= 2
+        short = int(distance_matrix(g).max()) <= 2
         assert _diameter_at_most_2(g.rows) == short
         if short != (regime == "diameter <= 2"):
             continue
@@ -178,7 +178,7 @@ def test_bridge_graph_sides_are_the_two_cliques():
     # minimum-degree shortcut taken at diameter 3 would get all of them wrong
     for params in bridge_grid(0, (1, 2, 3, 4), placements=1):
         g = bridge_graph(params)
-        assert distance_matrix(g).d.max() == 3
+        assert distance_matrix(g).max() == 3
         assert min_degree(g) > params.r
         cert = edge_connectivity(g)
         assert cert.size == params.r

@@ -1,6 +1,8 @@
 import logging
 import re
+from functools import lru_cache
 from itertools import permutations
+from math import comb, factorial
 
 import pytest
 
@@ -16,10 +18,12 @@ from dsr import (
 from dsr.enumeration import _chosen_removal_test, _classes, _orbit_representatives
 from dsr.graphs import Graph
 from helpers import (
+    automorphism_count,
     count_calls,
     cycle_graph,
     path_graph,
     perm_canonical,
+    relabel,
     star_graph,
     unfiltered_classes,
     upper_triangle_pairs,
@@ -223,3 +227,69 @@ def test_bogus_generator_raises(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="not an automorphism"):
         real.__wrapped__(5)
+
+
+# labeled connected graphs on 1..7 vertices (OEIS A001187)
+LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+
+
+def poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def labeled_connected_by_edges(n: int) -> tuple[int, ...]:
+    """Coefficient m: the labeled connected order-n graphs with m edges, from
+    c_n(y) = (1+y)^C(n,2) - sum_{k<n} C(n-1, k-1) c_k(y) (1+y)^C(n-k,2)
+    (Harary & Palmer, Graphical Enumeration, 1973), in exact ints."""
+    c = [comb(comb(n, 2), m) for m in range(comb(n, 2) + 1)]
+    for k in range(1, n):
+        rest = [comb(comb(n - k, 2), m) for m in range(comb(n - k, 2) + 1)]
+        for m, coef in enumerate(poly_mul(labeled_connected_by_edges(k), rest)):
+            c[m] -= comb(n - 1, k - 1) * coef
+    return tuple(c)
+
+
+def labeled_sums(n: int, classes) -> tuple[int, ...]:
+    """Per edge count, the labeled graphs the classes stand for: n!/|Aut G|
+    each, by orbit-stabilizer."""
+    sums = [0] * (comb(n, 2) + 1)
+    for g in classes:
+        sums[g.num_edges()] += factorial(n) // automorphism_count(g)
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("g, expected", [
+    (complete_graph(5), 120), (cycle_graph(6), 12), (path_graph(5), 2),
+    (star_graph(5), 24), (kpq(4, 2), 4),
+], ids=["K5", "C6", "P5", "star5", "kpq(4,2)"])
+def test_automorphism_count_known_groups(g, expected):
+    assert automorphism_count(g) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_list_complete_by_edge_count(n):
+    expected = labeled_connected_by_edges(n)
+    assert sum(expected) == LABELED_CONNECTED[n]
+    assert labeled_sums(n, enumerate_connected(n)) == expected
+
+
+@pytest.mark.parametrize("mutation", ["drop", "duplicate", "swap"])
+def test_class_list_check_catches_a_faulty_list(mutation):
+    n = 6
+    classes = list(enumerate_connected(n))
+    victim = classes[40]
+    twist = list(reversed(range(n)))
+    if mutation == "drop":
+        classes.remove(victim)
+    elif mutation == "duplicate":
+        classes.append(relabel(victim, twist))
+    else:  # one class replaced by a relabeled copy of one with another |Aut|
+        other = next(g for g in classes
+                     if automorphism_count(g) != automorphism_count(victim))
+        classes[classes.index(victim)] = relabel(other, twist)
+    assert labeled_sums(n, classes) != labeled_connected_by_edges(n)

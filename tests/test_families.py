@@ -158,7 +158,7 @@ class TestBridgeGraph:
         g = bridge_graph(p)
         assert g.n == 8
         assert g.num_edges() == 14
-        assert int(distance_matrix(g).d.max()) == 3
+        assert int(distance_matrix(g).max()) == 3
         cert = brute_force_min_cut(g)
         assert cert.size == 2
         assert cert.side_a == (0, 1, 2, 3) and cert.side_b == (4, 5, 6, 7)

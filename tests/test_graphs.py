@@ -120,17 +120,17 @@ class TestBfsDistances:
     """Single rows of the distance matrix: hop counts from one source."""
 
     def test_p3_middle(self):
-        assert distance_matrix(path_graph(3)).d[1].tolist() == [1, 0, 1]
+        assert distance_matrix(path_graph(3))[1].tolist() == [1, 0, 1]
 
     def test_k4_any_vertex(self):
-        d = distance_matrix(complete_graph(4)).d
+        d = distance_matrix(complete_graph(4))
         for v in range(4):
             assert d[v, v] == 0
             assert all(d[v, u] == 1 for u in range(4) if u != v)
 
     def test_kpq_pendant(self):
         # pendant is the added vertex, index 3; the two far clique vertices sit at 2
-        assert distance_matrix(kpq(3, 1)).d[3].tolist() == [1, 2, 2, 0]
+        assert distance_matrix(kpq(3, 1))[3].tolist() == [1, 2, 2, 0]
 
     def test_disconnected_names_vertex(self):
         g = from_edge_list(4, [(0, 1), (1, 2)])
@@ -140,7 +140,7 @@ class TestBfsDistances:
 
 class TestDistanceMatrix:
     def test_p3(self):
-        assert distance_matrix(path_graph(3)).d.tolist() == [
+        assert distance_matrix(path_graph(3)).tolist() == [
             [0, 1, 2],
             [1, 0, 1],
             [2, 1, 0],
@@ -148,11 +148,11 @@ class TestDistanceMatrix:
 
     def test_complete(self):
         for n in (2, 4, 7):
-            d = distance_matrix(complete_graph(n)).d
+            d = distance_matrix(complete_graph(n))
             assert (d == 1 - np.eye(n, dtype=np.int64)).all()
 
     def test_c5_rows_are_rotations(self):
-        d = distance_matrix(cycle_graph(5)).d
+        d = distance_matrix(cycle_graph(5))
         base = [0, 1, 2, 2, 1]
         for v in range(5):
             assert d[v].tolist() == [base[(u - v) % 5] for u in range(5)]
@@ -162,9 +162,10 @@ class TestDistanceMatrix:
             distance_matrix(from_edge_list(4, [(0, 1), (2, 3)]))
 
     def test_readonly(self):
-        dm = distance_matrix(path_graph(3))
+        d = distance_matrix(path_graph(3))
+        assert d.dtype == np.int64
         with pytest.raises(ValueError):
-            dm.d[0, 1] = 5
+            d[0, 1] = 5
 
 
 class TestIsConnected:
@@ -177,7 +178,7 @@ class TestIsConnected:
 @pytest.mark.parametrize("n", range(2, 6))
 def test_distance_invariants_over_stream(n):
     for g in enumerate_connected(n):
-        d = distance_matrix(g).d
+        d = distance_matrix(g)
         assert (np.diag(d) == 0).all()
         assert (d == d.T).all()
         off = ~np.eye(n, dtype=bool)
@@ -206,7 +207,7 @@ def floyd_warshall(g: Graph) -> np.ndarray:
 @given(n=st.integers(1, 64), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
 def test_distance_matrix_matches_floyd_warshall(n, p, seed):
     g = random_connected(random.Random(seed), n, p)
-    d = distance_matrix(g).d
+    d = distance_matrix(g)
     assert d.dtype == np.int64
     assert (d == floyd_warshall(g)).all()
 

@@ -1,13 +1,17 @@
 """Lint over the package sources, using only the standard library: no
 module may import a name it never uses, no module-level private function,
-class or alias may go unreferenced across ``src/dsr``, and the slow
-per-graph paths (power iteration, isomorphism, canonical forms and the
-canonical search behind them) are called only where they are needed."""
+class or alias may go unreferenced across ``src/dsr``, ``dsr.__all__``
+lists exactly what the package imports, the slow per-graph paths (power
+iteration, one-graph distance matrices, isomorphism, canonical forms and
+the canonical search behind them) are called only where they are needed,
+and stacked solves are grouped by order in one place."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import dsr
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dsr"
 TREES = {path.name: ast.parse(path.read_text(), str(path))
@@ -79,15 +83,28 @@ def test_every_private_definition_is_referenced(module):
     assert not unreferenced, f"{module}: unreferenced {unreferenced}"
 
 
+def test_all_lists_exactly_the_imported_names():
+    imported = set(imported_names(TREES["__init__.py"]))
+    assert set(dsr.__all__) == imported
+    assert dsr.__all__ == sorted(dsr.__all__)
+    assert len(set(dsr.__all__)) == len(dsr.__all__)
+    for name in dsr.__all__:
+        getattr(dsr, name)
+
+
 # where each slow path may be called: a module, or a (module, top-level
-# function) pair.  Power iteration stays for ``dsr compute``'s iterations
-# column and as the spectra suite's oracle; ``isomorphic`` stays public but
-# is called nowhere in the package, since ``families.is_kpq`` recognizes
-# kpq and canonical forms key enumeration and the search's runner-up; the
-# canonical search itself, which also returns automorphism generators, is
-# internal to isomorphism and enumeration.
+# function) pair.  Power iteration and one-graph distance matrices stay for
+# ``dsr compute``'s iterations column and as the spectra suite's oracle.
+# ``perron_stack`` takes one order's stack: ``_stacked_solve``, the one
+# place that groups graphs by order, and the one-order class table call it.
+# ``isomorphic`` stays public but is called nowhere in the package, since
+# ``families.is_kpq`` recognizes kpq and canonical forms key enumeration and
+# the search's runner-up; the canonical search itself, which also returns
+# automorphism generators, is internal to isomorphism and enumeration.
 SLOW_CALLERS = {
     "perron": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
+    "distance_matrix": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
+    "perron_stack": {("verify.py", "_stacked_solve"), ("verify.py", "_build_table")},
     "isomorphic": set(),
     "canonical_form": {"isomorphism.py", "enumeration.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", "enumeration.py"},

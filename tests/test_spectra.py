@@ -17,9 +17,10 @@ from dsr import (
     perron,
     perron_group_pattern,
     perron_stack,
-    quadratic_form,
     tilde_level_groups,
 )
+from dsr.graphs import distance_stack
+from dsr.verify import _stacked_solve
 from helpers import cycle_graph, path_graph, random_connected
 
 
@@ -52,8 +53,7 @@ class TestPerron:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_pair_invariants_over_stream(self, n):
         for g in enumerate_connected(n):
-            dm = distance_matrix(g)
-            pp = perron(dm)
+            pp = perron(distance_matrix(g))
             assert abs(np.linalg.norm(pp.x) - 1.0) <= 1e-12
             assert (pp.x > 0).all()
             assert pp.residual <= 1e-12 * n
@@ -65,23 +65,23 @@ class TestPerron:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_dense_oracle(self, n):
         for g in enumerate_connected(n):
-            dm = distance_matrix(g)
-            rho = perron(dm).rho
-            dense = np.linalg.eigvalsh(dm.d.astype(float))[-1]
+            d = distance_matrix(g)
+            rho = perron(d).rho
+            dense = np.linalg.eigvalsh(d.astype(float))[-1]
             assert abs(rho - dense) <= 1e-8 * max(1.0, dense)
 
 
-def assert_stack_matches_oracles(graphs):
-    """perron_stack against eigvalsh and power iteration, row by row."""
-    dms = [distance_matrix(g) for g in graphs]
-    rho, x, residual = perron_stack([dm.d for dm in dms])
+def assert_pairs_match_oracles(graphs, rho, x, residual):
+    """Stacked Perron pairs of ``graphs`` against eigvalsh and power
+    iteration, row by row; ``x`` rows are zero past their graph's order."""
     width = max(g.n for g in graphs)
     assert rho.shape == residual.shape == (len(graphs),)
     assert x.shape == (len(graphs), width)
-    for i, dm in enumerate(dms):
-        n = dm.n
-        dense = float(np.linalg.eigvalsh(dm.d.astype(float))[-1])
-        power = perron(dm)
+    for i, g in enumerate(graphs):
+        n = g.n
+        d = distance_matrix(g)
+        dense = float(np.linalg.eigvalsh(d.astype(float))[-1])
+        power = perron(d)
         assert abs(rho[i] - dense) <= 1e-8 * max(1.0, dense)
         assert abs(rho[i] - power.rho) <= 1e-8 * max(1.0, dense)
         assert np.abs(x[i, :n] - power.x).max() <= 1e-8
@@ -92,23 +92,26 @@ def assert_stack_matches_oracles(graphs):
 
 class TestPerronStack:
     def test_one_order_stack(self):
-        assert_stack_matches_oracles(list(enumerate_connected(6)))
+        graphs = list(enumerate_connected(6))
+        assert_pairs_match_oracles(graphs, *perron_stack(distance_stack(6, graphs)))
 
     def test_single_vertex_and_empty(self):
-        rho, x, residual = perron_stack([np.zeros((1, 1))])
+        rho, x, residual = perron_stack(np.zeros((1, 1, 1)))
         assert rho.tolist() == [0.0] and x.tolist() == [[1.0]]
         assert residual.tolist() == [0.0]
-        rho, x, residual = perron_stack([])
-        assert rho.shape == residual.shape == (0,) and x.shape == (0, 0)
+        rho, x, residual = perron_stack(np.zeros((0, 3, 3)))
+        assert rho.shape == residual.shape == (0,) and x.shape == (0, 3)
+        mats, rho, x, residual = _stacked_solve([])
+        assert mats == [] and rho.shape == residual.shape == (0,) and x.shape == (0, 0)
 
     def test_chunked_stack(self, monkeypatch):
         import dsr.spectra
 
         monkeypatch.setattr(dsr.spectra, "STACK_ENTRIES", 3 * 25)  # three per chunk
-        graphs = list(enumerate_connected(5))
-        rho, x, _ = perron_stack([distance_matrix(g).d for g in graphs])
+        stack = distance_stack(5, enumerate_connected(5))
+        rho, x, _ = perron_stack(stack)
         monkeypatch.undo()
-        whole_rho, whole_x, _ = perron_stack([distance_matrix(g).d for g in graphs])
+        whole_rho, whole_x, _ = perron_stack(stack)
         assert np.abs(rho - whole_rho).max() <= 1e-12
         assert np.abs(x - whole_x).max() <= 1e-12
 
@@ -119,9 +122,9 @@ class TestPerronStack:
         np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]]),
     ], ids=["zero-entry", "asymmetric"])
     def test_uncertified_row_raises(self, bad):
-        good = distance_matrix(complete_graph(3)).d
+        good = distance_matrix(complete_graph(3))
         with pytest.raises(ConvergenceError, match="matrix 1 .order 3. not certified"):
-            perron_stack([good, bad, good])
+            perron_stack(np.stack([good, bad, good]))
 
 
 @settings(max_examples=15, deadline=None, database=None)
@@ -130,78 +133,81 @@ class TestPerronStack:
     p=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32),
 )
-def test_perron_stack_mixed_orders_match_oracles(orders, p, seed):
+def test_stacked_solve_mixed_orders_match_oracles(orders, p, seed):
     rng = random.Random(seed)
-    assert_stack_matches_oracles([random_connected(rng, n, p) for n in orders])
+    graphs = [random_connected(rng, n, p) for n in orders]
+    mats, rho, x, residual = _stacked_solve(graphs)
+    for g, d in zip(graphs, mats):
+        assert (d == distance_matrix(g)).all()
+    assert_pairs_match_oracles(graphs, rho, x, residual)
 
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(n=st.integers(1, 64), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
 def test_perron_matches_eigvalsh(n, p, seed):
-    dm = distance_matrix(random_connected(random.Random(seed), n, p))
-    pp = perron(dm)
-    dense = float(np.linalg.eigvalsh(dm.d.astype(float))[-1])
+    d = distance_matrix(random_connected(random.Random(seed), n, p))
+    pp = perron(d)
+    dense = float(np.linalg.eigvalsh(d.astype(float))[-1])
     assert abs(pp.rho - dense) <= 1e-8 * max(1.0, dense)
     assert (pp.x > 0).all() and pp.residual <= 1e-12 * n
 
 
 class TestQuadraticForm:
+    """The Rayleigh quotient x D x that the bridge identities rest on."""
+
     def test_k3_uniform(self):
-        dm = distance_matrix(complete_graph(3))
+        d = distance_matrix(complete_graph(3))
         x = np.full(3, 1 / math.sqrt(3))
-        assert abs(quadratic_form(dm, x) - 2.0) <= 1e-12
+        assert abs(x @ d @ x - 2.0) <= 1e-12
 
     def test_zero_vector(self):
-        dm = distance_matrix(path_graph(4))
-        assert quadratic_form(dm, np.zeros(4)) == 0.0
+        d = distance_matrix(path_graph(4))
+        x = np.zeros(4)
+        assert x @ d @ x == 0.0
 
     def test_perron_vector_gives_radius(self):
-        dm = distance_matrix(path_graph(3))
-        pp = perron(dm)
-        assert abs(quadratic_form(dm, pp.x) - pp.rho) <= 1e-10
-
-    def test_dimension_mismatch(self):
-        dm = distance_matrix(path_graph(3))
-        with pytest.raises(ValueError, match="length"):
-            quadratic_form(dm, np.ones(4))
+        d = distance_matrix(path_graph(3))
+        pp = perron(d)
+        assert abs(pp.x @ d @ pp.x - pp.rho) <= 1e-10
 
     def test_rayleigh_scale_invariance(self):
         rng = np.random.default_rng(3)
-        dm = distance_matrix(kpq(5, 2))
+        d = distance_matrix(kpq(5, 2))
         x = rng.random(6) + 0.1
-        base = quadratic_form(dm, x) / float(x @ x)
+        base = (x @ d @ x) / float(x @ x)
         for c in (2.0, 0.5, -1.5, 7.3):
             y = c * x
-            val = quadratic_form(dm, y) / float(y @ y)
+            val = (y @ d @ y) / float(y @ y)
             assert abs(val - base) <= 1e-12 * abs(base)
 
     # Rayleigh bound: x^T D x <= rho for every unit x, with equality at the
     # Perron vector
     def test_rayleigh_bound_tight_at_perron_vector(self):
-        dm = distance_matrix(kpq(4, 2))
-        pp = perron(dm)
-        assert abs(quadratic_form(dm, pp.x) - pp.rho) <= 1e-9
+        d = distance_matrix(kpq(4, 2))
+        pp = perron(d)
+        assert abs(pp.x @ d @ pp.x - pp.rho) <= 1e-9
 
     def test_rayleigh_bound_basis_vector_on_k4(self):
         # a unit basis vector sees only the zero diagonal: slack rho = 3
-        dm = distance_matrix(complete_graph(4))
-        assert quadratic_form(dm, [1.0, 0.0, 0.0, 0.0]) == 0.0
-        assert abs(perron(dm).rho - 3.0) <= 1e-10
+        d = distance_matrix(complete_graph(4))
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        assert x @ d @ x == 0.0
+        assert abs(perron(d).rho - 3.0) <= 1e-10
 
     def test_rayleigh_bound_foreign_perron_vector_has_slack(self):
         x = perron(distance_matrix(path_graph(4))).x
-        dm = distance_matrix(cycle_graph(4))
-        assert perron(dm).rho - quadratic_form(dm, x) > 1e-3
+        d = distance_matrix(cycle_graph(4))
+        assert perron(d).rho - x @ d @ x > 1e-3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rayleigh_bound_on_random_unit_vectors(self, seed):
         rng = random.Random(seed)
-        dm = distance_matrix(random_connected(rng, rng.randint(2, 12), 0.3))
-        rho = perron(dm).rho
+        d = distance_matrix(random_connected(rng, rng.randint(2, 12), 0.3))
+        rho = perron(d).rho
         for _ in range(20):
-            x = np.array([rng.gauss(0.0, 1.0) for _ in range(dm.n)])
+            x = np.array([rng.gauss(0.0, 1.0) for _ in range(len(d))])
             x /= np.linalg.norm(x)
-            assert quadratic_form(dm, x) <= rho * (1 + 1e-12)
+            assert x @ d @ x <= rho * (1 + 1e-12)
 
 
 class TestGroupPattern:

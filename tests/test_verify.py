@@ -12,10 +12,7 @@ from dsr import (
     check_cut_order_bound,
     check_degree_r_reduction,
     check_edge_monotonicity,
-    check_form_shift_identity,
-    check_hub_row_identity,
     check_perron_order,
-    check_transformation,
     bridge_graph,
     bridge_graph_tilde,
     class_table,
@@ -27,7 +24,6 @@ from dsr import (
     from_edge_list,
     graph6_decode,
     graph6_encode,
-    graph_rho,
     is_connected,
     isomorphic,
     kpq,
@@ -43,7 +39,6 @@ from dsr.verify import (
     GROUP_DEV_TOL,
     IDENTITY_TOL,
     STRICT_MARGIN,
-    VerificationError,
     bridge_claims,
     bridge_grid,
     random_connected_graph,
@@ -111,13 +106,13 @@ class TestDegreeReduction:
         v = check_degree_r_reduction(cycle_graph(5), 0)
         assert v.holds
         assert v.margin > 1e-3
-        assert v.rhs_rho == pytest.approx(graph_rho(kpq(4, 2)))
+        assert v.rhs_rho == pytest.approx(perron(distance_matrix(kpq(4, 2))).rho)
 
     def test_p4_leaf(self):
         v = check_degree_r_reduction(path_graph(4), 0)
         assert v.holds
         assert v.lhs_rho == pytest.approx(2 + math.sqrt(10))
-        assert v.rhs_rho == pytest.approx(graph_rho(kpq(3, 1)))
+        assert v.rhs_rho == pytest.approx(perron(distance_matrix(kpq(3, 1))).rho)
 
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError, match="degree"):
@@ -133,40 +128,47 @@ class TestDegreeReduction:
             check_degree_r_reduction(kpq(4, 2), -1)
 
 
+def identity_residuals(params: BridgeFamilyParams) -> dict[str, float | None]:
+    """Each identity's residual on one bridge instance, by claim name."""
+    return {claim: res for claim, res, _ in bridge_claims([params])[0][1]}
+
+
 class TestTransformation:
     def test_hub_only(self):
-        v = check_transformation(BridgeFamilyParams(4, 4, 2, 2))
+        [(v, _)] = bridge_claims([BridgeFamilyParams(4, 4, 2, 2)])
         assert v.holds
         assert v.margin > 1e-3
 
     def test_mixed_every_placement(self):
-        for seed in range(5):
-            cross = random_cross_edges(5, 4, 2, 1, seed)
-            v = check_transformation(BridgeFamilyParams(5, 4, 2, 1, cross))
-            assert v.holds, cross
+        grid = [BridgeFamilyParams(5, 4, 2, 1, random_cross_edges(5, 4, 2, 1, seed))
+                for seed in range(5)]
+        for p, (v, _) in zip(grid, bridge_claims(grid)):
+            assert v.holds, p.cross_edges
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            check_transformation(BridgeFamilyParams(3, 3, 2, 1, ((2, 1),)))
+            bridge_claims([BridgeFamilyParams(3, 3, 2, 1, ((2, 1),))])
 
 
 class TestIdentities:
     def test_form_shift_small(self):
-        assert check_form_shift_identity(BridgeFamilyParams(4, 4, 2, 2)) < 1e-8
+        assert identity_residuals(BridgeFamilyParams(4, 4, 2, 2))["form_shift_identity"] < 1e-8
 
     def test_form_shift_larger(self):
-        assert check_form_shift_identity(BridgeFamilyParams(6, 5, 3, 3)) < 1e-8
+        assert identity_residuals(BridgeFamilyParams(6, 5, 3, 3))["form_shift_identity"] < 1e-8
 
     def test_form_shift_requires_hub_only(self):
-        with pytest.raises(ValueError, match="t == r"):
-            check_form_shift_identity(BridgeFamilyParams(4, 4, 2, 1, ((2, 1),)))
+        # with t < r only the hub row is claimed
+        assert list(identity_residuals(BridgeFamilyParams(4, 4, 2, 1, ((2, 1),)))) == [
+            "hub_row_identity"
+        ]
 
     def test_hub_row_hub_only(self):
-        assert check_hub_row_identity(BridgeFamilyParams(4, 4, 2, 2)) < 1e-8
+        assert identity_residuals(BridgeFamilyParams(4, 4, 2, 2))["hub_row_identity"] < 1e-8
 
     def test_hub_row_mixed(self):
         p = BridgeFamilyParams(5, 5, 2, 1, ((3, 2),))
-        assert check_hub_row_identity(p) < 1e-8
+        assert identity_residuals(p)["hub_row_identity"] < 1e-8
 
 
 class TestCutOrderBound:
@@ -272,7 +274,7 @@ class TestClassTable:
             table.graphs, table.lam, table.rho, table.x, table.residual
         ):
             assert lam == (edge_connectivity(g).size if n >= 2 else 0)
-            assert rho == pytest.approx(graph_rho(g), abs=1e-9)
+            assert rho == pytest.approx(perron(distance_matrix(g)).rho, abs=1e-9)
             assert (x > 0).all() and res <= 1e-12 * n
 
     def test_built_once_per_order_and_read_only(self):
@@ -339,20 +341,21 @@ def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch)
 
 def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
     grid = list(bridge_grid(0, (1, 2), placements=1))
-    worst = max(
-        max(check_hub_row_identity(p), check_form_shift_identity(p) if p.t == p.r else 0.0)
-        for p in grid
-    )
-    assert all(check_transformation(p).holds for p in grid)
+    claims = bridge_claims(grid)
+    worst = max(res for _, identities in claims for _, res, _ in identities)
+    assert all(verdict.holds for verdict, _ in claims)
     stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
     distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
     slow = count_slow_paths(monkeypatch)
     result = suite_bridge_grid(placements=1, r_max=2)
     assert result.ok and result.instances == len(grid)
     assert result.notes == f"max identity residual {worst:.3e}"
-    # the bridge and flattened graph of every instance in one stacked solve
-    assert [len(mats) for mats, in stacks] == [2 * len(grid)]
-    assert [n for n, _ in distances] == sorted({p.order for p in grid})
+    # the bridge and flattened graph of every instance in one stacked solve:
+    # one distance stack and one Perron stack per order
+    orders = sorted({p.order for p in grid})
+    assert [len(mats) for mats, in stacks] == [2 * sum(p.order == n for p in grid)
+                                               for n in orders]
+    assert [n for n, _ in distances] == orders
     assert not any(slow)
 
 
@@ -427,8 +430,6 @@ def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
     monkeypatch.setattr(dsr.verify, "perron_group_pattern", hub_above_bound)
     p = BridgeFamilyParams(4, 4, 2, 2)
     assert bridge_claims([p])[0][1][0] == ("hub_row_identity", None, False)
-    with pytest.raises(VerificationError, match="n1=4, n2=4, r=2, t=2"):
-        check_hub_row_identity(p)
     assert main(["check", "--n1", "4", "--n2", "4", "--r", "2", "--t", "2"]) == 3
     out = capsys.readouterr().out
     assert '"residual": null' in out
