@@ -136,7 +136,7 @@ class _InputError(Exception):
     """Bad user input outside argparse's reach (files, inline edge lists)."""
 
 
-def _parse_edges(text: str, n_override: int | None) -> Graph:
+def _parse_edges(text: str) -> Graph:
     pairs = []
     top = -1
     for token in text.split(","):
@@ -154,9 +154,8 @@ def _parse_edges(text: str, n_override: int | None) -> Graph:
         top = max(top, u, v)
     if not pairs:
         raise _InputError("no edges given")
-    n = n_override if n_override is not None else top + 1
     try:
-        g = from_edge_list(n, pairs)
+        g = from_edge_list(top + 1, pairs)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     if not is_connected(g):
@@ -164,23 +163,26 @@ def _parse_edges(text: str, n_override: int | None) -> Graph:
     return g
 
 
-def _load_graphs(args) -> list[tuple[str, Graph]]:
-    """(label, graph) pairs from --edges or a graph6 file, one per line."""
-    if args.edges is not None:
-        g = _parse_edges(args.edges, args.n)
-        return [(graph6_encode(g).decode(), g)]
-    with open(args.source, "rb") as fh:
+def _load_graphs(path: str, order: int | None = None) -> list[tuple[str, Graph]]:
+    """(line, graph) pairs of a graph6 file, one graph per line, of the given
+    order if one is given.  The file is read as bytes and split on newlines
+    only, and every error names the path."""
+    with open(path, "rb") as fh:
         try:
-            out = [(line.decode("ascii"), g) for line, g in read_graph6_lines(fh)]
+            out = [(line.decode("ascii"), g) for line, g in read_graph6_lines(fh, order)]
         except Graph6Error as exc:
-            raise _InputError(f"{args.source}: {exc}") from None
+            raise _InputError(f"{path}: {exc}") from None
     if not out:
-        raise _InputError(f"{args.source}: no graphs found")
+        raise _InputError(f"{path}: no graphs found")
     return out
 
 
 def cmd_compute(args) -> int:
-    graphs = _load_graphs(args)
+    if args.edges is not None:
+        g = _parse_edges(args.edges)
+        graphs = [(graph6_encode(g).decode(), g)]
+    else:
+        graphs = _load_graphs(args.source)
     records = []
     for index, (label, g) in enumerate(graphs):
         pp = perron(distance_matrix(g))
@@ -237,11 +239,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    corpus = None
-    if args.corpus:
-        with open(args.corpus, "rb") as fh:
-            corpus = fh.read().splitlines()
-    report = extremal_search(args.n, args.r, corpus=corpus)
+    graphs = [g for _, g in _load_graphs(args.corpus, args.n)] if args.corpus else None
+    report = extremal_search(args.n, args.r, graphs)
     payload = {key: _round12(value) if isinstance(value, float) else value
                for key, value in asdict(report).items()}
     _write(args, list(payload), [payload], lambda rec: (
@@ -301,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="radius/Perron/connectivity per input graph")
     p.add_argument("source", nargs="?", help="file with one graph6 string per line")
-    p.add_argument("--edges", help='inline edge list, e.g. "0-1,1-2"')
-    p.add_argument("--n", type=int, help="vertex count override for --edges")
+    p.add_argument("--edges", help='inline edge list on vertices 0..largest index, '
+                   'e.g. "0-1,1-2"')
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", help="write output here instead of stdout")
     p.set_defaults(func=cmd_compute)
@@ -357,8 +356,6 @@ def main(argv=None) -> int:
             parser.error(f"--n above {MAX_BUILTIN_ORDER} needs --corpus, got n={args.n}")
     if args.command == "compute" and (args.source is None) == (args.edges is None):
         parser.error("give exactly one of a graph6 file and --edges")
-    if args.command == "compute" and args.n is not None and args.edges is None:
-        parser.error("--n needs --edges")
     if getattr(args, "threads", 1) < 1:
         parser.error(f"--threads must be at least 1, got {args.threads}")
     if args.command == "verify-all" and not 1 <= args.max_n <= MAX_BUILTIN_ORDER:

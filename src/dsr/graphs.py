@@ -137,6 +137,8 @@ def _check_pair(n: int, u: int, v: int) -> None:
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices from unordered index pairs (duplicates allowed)."""
+    if not 1 <= n <= MAX_VERTICES:  # before the row list is allocated
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
     rows = [0] * n
     for u, v in edges:
         _check_pair(n, u, v)

@@ -29,7 +29,7 @@ from .families import (
     random_cross_edges,
     tilde_level_groups,
 )
-from .graph6 import Graph6Error, graph6_decode, graph6_encode, read_graph6_lines
+from .graph6 import graph6_decode, graph6_encode
 from .graphs import (
     Graph,
     _reach,
@@ -60,8 +60,8 @@ MONOTONICITY_CASES = 200
 
 
 class CorpusError(ValueError):
-    """A search input that cannot be scanned: a bad corpus line, or no graph
-    with the requested edge connectivity."""
+    """A search input that cannot be scanned: a graph of the wrong order, or
+    no graph with the requested edge connectivity."""
 
 
 def _stacked_solve(
@@ -196,22 +196,24 @@ def class_table(n: int) -> ClassTable:
 def extremal_search(
     n: int,
     r: int,
-    corpus: Iterable[bytes | str] | None = None,
+    graphs: Sequence[Graph] | None = None,
 ) -> ExtremalReport:
     """Scan every connected order-n class (the cached class table, or a table
-    of the corpus lines), keep those with edge connectivity exactly r, and
-    report the minimum-radius class with its uniqueness gap and the
+    of the given connected graphs), keep those with edge connectivity exactly
+    r, and report the minimum-radius class with its uniqueness gap and the
     isomorphism verdict against kpq(n-1, r).
 
     The minimizer is the least (rho, graph6) pair, so only the graphs whose
     rho equals the minimum exactly are encoded.  The runner-up rho is the
-    least rho of a graph not isomorphic to the minimizer, so a corpus that
-    lists one class twice cannot fake a tie, and a true tie between two
+    least rho of a graph not isomorphic to the minimizer, so a list that
+    holds one class twice cannot fake a tie, and a true tie between two
     classes shows as a zero gap.
     """
     if not 1 <= r <= n - 2:
         raise ValueError(f"need 1 <= r <= n-2, got n={n}, r={r}")
-    table = class_table(n) if corpus is None else _build_table(n, _read_corpus(corpus, n))
+    if graphs is not None and any(g.n != n for g in graphs):
+        raise CorpusError(f"every graph must have order {n}")
+    table = class_table(n) if graphs is None else _build_table(n, graphs)
     kept = np.flatnonzero(table.lam == r)
     if not kept.size:
         raise CorpusError(f"no connected graphs of order {n} with edge connectivity {r}")
@@ -232,15 +234,6 @@ def extremal_search(
         n, r, kept.size, min_rho, min_g6, gap,
     )
     return ExtremalReport(n, r, kept.size, min_rho, runner, gap, min_g6, matches)
-
-
-def _read_corpus(corpus: Iterable[bytes | str], n: int) -> list[Graph]:
-    """Connected order-n graphs from graph6 lines; blank lines are skipped and
-    every error names its line."""
-    try:
-        return [g for _, g in read_graph6_lines(corpus, order=n)]
-    except Graph6Error as exc:
-        raise CorpusError(f"corpus {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dsr import (
     edge_connectivity,
     enumerate_connected,
     extremal_search,
+    graph6_decode,
     graph6_encode,
     kpq,
     perron,
@@ -87,10 +88,10 @@ def test_criterion_2_theorem_reproduction():
     bad = []
     scanned = 0
     for n in range(4, 9):
-        corpus = [graph6_encode(g) for g in enumerate_connected(n)]
+        corpus = [graph6_decode(graph6_encode(g)) for g in enumerate_connected(n)]
         for r in range(1, n - 1):
             scanned += 1
-            rep = extremal_search(n, r, corpus=corpus)
+            rep = extremal_search(n, r, corpus)
             if not (rep.matches_kpq and rep.uniqueness_gap is not None
                     and rep.uniqueness_gap > 1e-6):
                 bad.append((n, r, rep.minimizer_graph6, rep.uniqueness_gap))

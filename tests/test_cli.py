@@ -68,6 +68,12 @@ class TestCompute:
         assert code == 2
         assert "self-loop" in err
 
+    def test_edges_index_above_63_exit_2(self, capsys):
+        # the vertex count is checked before any row is allocated
+        code, out, err = run(capsys, "compute", "--edges", "0-10000000000000000000")
+        assert code == 2 and not out
+        assert err == "error: vertex count must be in 1..64, got 10000000000000000001\n"
+
     def test_disconnected_line_exit_2(self, tmp_path, capsys):
         src = tmp_path / "in.g6"
         src.write_text("C~\nCA\n")  # line 2: one edge on four vertices
@@ -82,8 +88,7 @@ class TestCompute:
 
     @pytest.mark.parametrize("argv, message", [
         (["GRAPHS", "--edges", "0-1"], "give exactly one of a graph6 file and --edges"),
-        (["GRAPHS", "--n", "9"], "--n needs --edges"),
-    ], ids=["source-and-edges", "n-without-edges"])
+    ], ids=["source-and-edges"])
     def test_ignored_input_is_a_usage_error(self, tmp_path, capsys, argv, message):
         src = tmp_path / "in.g6"
         src.write_text("C~\n")
@@ -173,8 +178,8 @@ class TestSearch:
         assert json.loads(out)["uniqueness_gap"] == pytest.approx(0.2593, abs=1e-4)
 
     @pytest.mark.parametrize("bad, message", [
-        (b"~?@G", "corpus line 3: long-form graph6"),
-        (b"EwCG", "corpus line 3: graph is disconnected"),
+        (b"~?@G", "line 3: long-form graph6"),
+        (b"EwCG", "line 3: graph is disconnected"),
     ], ids=["malformed", "disconnected"])
     def test_corpus_error_names_line_exit_2(self, tmp_path, capsys, bad, message):
         corpus = tmp_path / "bad.g6"
@@ -182,7 +187,7 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--n", "6", "--r", "2",
                            "--corpus", str(corpus))
         assert code == 2
-        assert message in err
+        assert f"error: {corpus}: {message}" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "search", "--n", "4", "--r", "1",
@@ -359,15 +364,16 @@ def test_threads_give_identical_bytes(tmp_path, capsys):
     (b"E~~?\nE\xc3\xa9~w\n", "line 2: trailing garbage after 3 data bytes"),
     # \x1c is whitespace to str.strip but not to bytes.strip
     (b"E~~?\n\x1c\nE~~w\n", "line 2: malformed length byte 28"),
-], ids=["non-ascii", "file-separator"])
+    # a lone \r is not a line break
+    (b"E~~?\rE~~w\n", "line 1: trailing garbage after 3 data bytes"),
+], ids=["non-ascii", "file-separator", "carriage-return"])
 def test_graph6_readers_keep_their_error_text(tmp_path, capsys, body, reason):
-    # compute and search --corpus read the same bytes, so they give one reason
+    # compute and search --corpus read files through one loader
     src = tmp_path / "in.g6"
     src.write_bytes(body)
-    code, _, err = run(capsys, "compute", str(src))
-    assert (code, err) == (2, f"error: {src}: {reason}\n")
-    code, _, err = run(capsys, "search", "--n", "6", "--r", "2", "--corpus", str(src))
-    assert (code, err) == (2, f"error: corpus {reason}\n")
+    for argv in (["compute"], ["search", "--n", "6", "--r", "2", "--corpus"]):
+        code, _, err = run(capsys, *argv, str(src))
+        assert (code, err) == (2, f"error: {src}: {reason}\n")
 
 
 @pytest.mark.parametrize("argv, key, token", [

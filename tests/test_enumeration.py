@@ -229,8 +229,8 @@ def test_bogus_generator_raises(monkeypatch):
         real.__wrapped__(5)
 
 
-# labeled connected graphs on 1..7 vertices (OEIS A001187)
-LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+# labeled connected graphs on 1..8 vertices (OEIS A001187)
+LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256, 8: 251548592}
 
 
 def poly_mul(a, b) -> list[int]:
@@ -271,7 +271,7 @@ def test_automorphism_count_known_groups(g, expected):
     assert automorphism_count(g) == expected
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_class_list_complete_by_edge_count(n):
     expected = labeled_connected_by_edges(n)
     assert sum(expected) == LABELED_CONNECTED[n]

@@ -4,7 +4,8 @@ class or alias may go unreferenced across ``src/dsr``, ``dsr.__all__``
 lists exactly what the package imports, the slow per-graph paths (power
 iteration, one-graph distance matrices, isomorphism, canonical forms and
 the canonical search behind them) are called only where they are needed,
-and stacked solves are grouped by order in one place."""
+stacked solves are grouped by order in one place, and graph6 files are
+read in one place."""
 
 import ast
 from pathlib import Path
@@ -101,6 +102,8 @@ def test_all_lists_exactly_the_imported_names():
 # ``families.is_kpq`` recognizes kpq and canonical forms key enumeration and
 # the search's runner-up; the canonical search itself, which also returns
 # automorphism generators, is internal to isomorphism and enumeration.
+# The input reader is pinned too: every graph6 file, ``compute``'s source and
+# ``search --corpus``, goes through ``cli._load_graphs``.
 SLOW_CALLERS = {
     "perron": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
     "distance_matrix": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
@@ -108,6 +111,7 @@ SLOW_CALLERS = {
     "isomorphic": set(),
     "canonical_form": {"isomorphism.py", "enumeration.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", "enumeration.py"},
+    "read_graph6_lines": {("cli.py", "_load_graphs")},
 }
 
 

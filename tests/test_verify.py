@@ -23,7 +23,6 @@ from dsr import (
     extremal_search,
     from_edge_list,
     graph6_decode,
-    graph6_encode,
     is_connected,
     isomorphic,
     kpq,
@@ -209,28 +208,26 @@ class TestExtremalSearch:
             extremal_search(4, 0)
 
     def test_corpus_input(self):
-        corpus = [graph6_encode(g) for g in enumerate_connected(5)]
-        corpus.insert(0, b"")  # blank lines are skipped
-        rep = extremal_search(5, 1, corpus=corpus)
+        rep = extremal_search(5, 1, list(enumerate_connected(5)))
         assert rep.matches_kpq
 
     def test_corpus_order_mismatch(self):
         with pytest.raises(CorpusError, match="order"):
-            extremal_search(5, 1, corpus=[graph6_encode(complete_graph(4))])
+            extremal_search(5, 1, [complete_graph(4)])
 
     def test_corpus_without_connectivity_r(self):
         with pytest.raises(CorpusError, match="edge connectivity 3"):
-            extremal_search(5, 3, corpus=[graph6_encode(path_graph(5))])
+            extremal_search(5, 3, [path_graph(5)])
 
     def test_duplicate_class_in_corpus_is_not_a_tie(self):
-        classes = [graph6_encode(g) for g in enumerate_connected(6)]
+        classes = list(enumerate_connected(6))
         relabelings = (
-            graph6_encode(from_edge_list(6, [(p[u], p[v]) for u, v in kpq(5, 2).edges()]))
+            from_edge_list(6, [(p[u], p[v]) for u, v in kpq(5, 2).edges()])
             for p in permutations(range(6))
         )
-        duplicate = next(code for code in relabelings if code not in classes)
-        plain = extremal_search(6, 2, corpus=classes)
-        rep = extremal_search(6, 2, corpus=classes + [duplicate])
+        duplicate = next(g for g in relabelings if g not in classes)
+        plain = extremal_search(6, 2, classes)
+        rep = extremal_search(6, 2, classes + [duplicate])
         assert rep.unique() and rep.matches_kpq
         assert rep.class_size == plain.class_size + 1
         assert rep.uniqueness_gap == pytest.approx(plain.uniqueness_gap, abs=1e-12)
@@ -311,8 +308,8 @@ class TestSuiteTheorem:
     def test_failures_follow_the_gap(self, monkeypatch):
         search = dsr.verify.extremal_search
 
-        def fake(n, r, corpus=None):
-            rep = search(n, r, corpus)
+        def fake(n, r, graphs=None):
+            rep = search(n, r, graphs)
             matches = rep.matches_kpq and (n, r) != (5, 2)
             return dataclasses.replace(rep, matches_kpq=matches)
 
