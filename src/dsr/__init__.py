@@ -42,11 +42,7 @@ from .verify import (
     CutOrderVerdict,
     ExtremalReport,
     LemmaVerdict,
-    PerronOrderVerdict,
     check_cut_order_bound,
-    check_degree_r_reduction,
-    check_edge_monotonicity,
-    check_perron_order,
     class_table,
     extremal_search,
     run_all_suites,
@@ -66,15 +62,11 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "LemmaVerdict",
-    "PerronOrderVerdict",
     "PerronPair",
     "bridge_graph",
     "bridge_graph_tilde",
     "brute_force_min_cut",
     "check_cut_order_bound",
-    "check_degree_r_reduction",
-    "check_edge_monotonicity",
-    "check_perron_order",
     "class_table",
     "complete_graph",
     "distance_matrix",

@@ -81,15 +81,17 @@ def graph6_decode(data: bytes | str) -> Graph:
 
 
 def read_graph6_lines(
-    lines: Iterable[bytes | str], order: int | None = None
-) -> Iterator[tuple[bytes | str, Graph]]:
-    """(stripped line, graph) for each nonblank line.  A line that does not
-    decode, is not of the given order or is disconnected raises
+    lines: Iterable[bytes], order: int | None = None
+) -> Iterator[tuple[bytes, Graph]]:
+    """(graph6 string, graph) for each nonblank line: the line stripped of
+    whitespace and of any ">>graph6<<" header.  A line that does not decode,
+    is not of the given order or is disconnected raises
     Graph6Error("line N: reason"), N counting from 1."""
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
+        line = line.removeprefix(HEADER)
         try:
             g = graph6_decode(line)
         except Graph6Error as exc:

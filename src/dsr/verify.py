@@ -101,22 +101,7 @@ class LemmaVerdict:
     rhs_rho: float | None
     margin: float | None
     holds: bool
-    applicable: bool = True
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class PerronOrderVerdict:
-    """Neighborhood-inclusion classification of a vertex pair and the
-    corresponding Perron-entry relation."""
-
-    relation: str  # "equal" | "nested" | "incomparable"
-    u: int
-    v: int
-    x_u: float
-    x_v: float
-    larger: int | None
-    holds: bool
 
 
 @dataclass(frozen=True)
@@ -237,97 +222,7 @@ def extremal_search(
 
 
 # ---------------------------------------------------------------------------
-# per-claim checks
-
-
-def check_edge_monotonicity(g: Graph, u: int, v: int) -> LemmaVerdict:
-    """Adding an edge strictly lowers the radius; deleting a non-bridge edge
-    strictly raises it.  Bridge deletions are reported inapplicable."""
-    if u == v or not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"need two distinct vertices in 0..{g.n - 1}, got ({u}, {v})")
-    where = f"g6={graph6_encode(g).decode()} u={u} v={v}"
-    if not g.has_edge(u, v):
-        pair = (g, g.with_edge(u, v))
-        lemma = "edge_addition_decreases_radius"
-    else:
-        smaller = g.without_edge(u, v)
-        if not is_connected(smaller):
-            return LemmaVerdict(
-                lemma="edge_deletion_increases_radius",
-                params=where,
-                lhs_rho=None,
-                rhs_rho=None,
-                margin=None,
-                holds=True,
-                applicable=False,
-                detail="deleting this edge disconnects the graph",
-            )
-        pair = (smaller, g)
-        lemma = "edge_deletion_increases_radius"
-    lhs, rhs = _stacked_solve(pair)[1].tolist()
-    return LemmaVerdict(
-        lemma=lemma,
-        params=where,
-        lhs_rho=lhs,
-        rhs_rho=rhs,
-        margin=lhs - rhs,
-        holds=_strictly_above(lhs, rhs),
-    )
-
-
-def _order_claim(g: Graph, x: np.ndarray, u: int, v: int) -> PerronOrderVerdict:
-    nu = g.rows[u] & ~(1 << v)
-    nv = g.rows[v] & ~(1 << u)
-    xu, xv = float(x[u]), float(x[v])
-    if nu == nv:
-        return PerronOrderVerdict("equal", u, v, xu, xv, None, abs(xu - xv) <= ENTRY_EQ_TOL)
-    if nu & ~nv == 0:  # N(u)\{v} strictly inside N(v)\{u}: u gets the larger entry
-        return PerronOrderVerdict("nested", u, v, xu, xv, u, xu > xv)
-    if nv & ~nu == 0:
-        return PerronOrderVerdict("nested", u, v, xu, xv, v, xv > xu)
-    return PerronOrderVerdict("incomparable", u, v, xu, xv, None, True)
-
-
-def check_perron_order(g: Graph, u: int, v: int) -> PerronOrderVerdict:
-    """Classify a vertex pair by neighborhood inclusion and assert the implied
-    Perron-entry relation: coinciding neighborhoods give equal entries, a
-    strictly smaller neighborhood gives a strictly larger entry."""
-    if u == v or not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"need two distinct vertices in 0..{g.n - 1}, got ({u}, {v})")
-    return _order_claim(g, _stacked_solve([g])[2][0], u, v)
-
-
-def check_degree_r_reduction(g: Graph, v: int) -> LemmaVerdict:
-    """Completing the graph on everything except a vertex of minimum-cut
-    degree yields kpq(n-1, r) and can only lower the radius; equality happens
-    exactly when nothing was added."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"need a vertex in 0..{g.n - 1}, got {v}")
-    r = edge_connectivity(g).size
-    if g.degree(v) != r:
-        raise ValueError(f"vertex {v} has degree {g.degree(v)}, edge connectivity is {r}")
-    n = g.n
-    rest = ((1 << n) - 1) ^ (1 << v)
-    rows = list(g.rows)
-    for u in range(n):
-        if u != v:
-            rows[u] = (rest ^ (1 << u)) | (g.rows[u] & (1 << v))
-    completed = Graph(n, tuple(rows))
-    same = completed.rows == g.rows
-    rho = _stacked_solve([g] if same else [g, completed])[1]
-    lhs, rhs = float(rho[0]), float(rho[-1])
-    margin = lhs - rhs
-    iso_ok = is_kpq(completed, r)
-    holds = iso_ok and (same or _strictly_above(lhs, rhs))
-    return LemmaVerdict(
-        lemma="degree_r_completion_minimizes",
-        params=f"g6={graph6_encode(g).decode()} v={v} r={r}",
-        lhs_rho=lhs,
-        rhs_rho=rhs,
-        margin=margin,
-        holds=holds,
-        detail="" if iso_ok else "completion not isomorphic to kpq(n-1, r)",
-    )
+# bridge and cut-side claims
 
 
 def bridge_claims(
@@ -557,12 +452,28 @@ def suite_edge_monotonicity(
     return _tally("edge_monotonicity", map(_strictly_above, rho[::2], rho[1::2]))
 
 
+def _order_holds(g: Graph, x: np.ndarray, u: int, v: int) -> bool:
+    """The Perron-entry relation that neighborhood inclusion implies for the
+    pair u, v: coinciding neighborhoods (apart from each other) give entries
+    within ENTRY_EQ_TOL, a strictly smaller neighborhood gives a strictly
+    larger entry, and incomparable neighborhoods claim nothing."""
+    nu = g.rows[u] & ~(1 << v)
+    nv = g.rows[v] & ~(1 << u)
+    if nu == nv:
+        return abs(x[u] - x[v]) <= ENTRY_EQ_TOL
+    if nu & ~nv == 0:  # N(u)\{v} strictly inside N(v)\{u}: u gets the larger entry
+        return x[u] > x[v]
+    if nv & ~nu == 0:
+        return x[v] > x[u]
+    return True
+
+
 def suite_perron_order(max_n: int = 7) -> SuiteResult:
     """Exhaustive neighborhood-inclusion ordering check over all vertex pairs
     of all classes."""
     tables = map(class_table, range(2, max_n + 1))
     return _tally("perron_entry_order", (
-        _order_claim(g, x, u, v).holds
+        _order_holds(g, x, u, v)
         for table in tables
         for g, x in zip(table.graphs, table.x)
         for u, v in combinations(range(g.n), 2)

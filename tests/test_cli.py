@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import dsr.cli
+import dsr.graph6
 import dsr.verify
 from dsr import enumerate_connected, graph6_encode, kpq
 from dsr.cli import (
@@ -38,6 +39,29 @@ class TestCompute:
         assert records[0]["edge_connectivity"] == 3
         assert abs(records[1]["rho"] - (1 + math.sqrt(3))) < 1e-7
         assert len(records[1]["perron"]) == 3
+
+    def test_graph6_header_is_not_part_of_the_label(self, tmp_path, capsys):
+        src = tmp_path / "in.g6"
+        src.write_text(">>graph6<<A_\nBw\n")
+        code, out, _ = run(capsys, "compute", str(src))
+        assert code == 0
+        assert [rec["graph6"] for rec in json.loads(out)] == ["A_", "Bw"]
+        code, out, _ = run(capsys, "compute", str(src), "--format", "text")
+        assert [line.split()[1] for line in out.splitlines()] == ["A_", "Bw"]
+
+    def test_one_call_per_graph_of_each_traced_layer(self, tmp_path, monkeypatch, capsys):
+        """``check_trace_counts`` in perfbench/run.py requires one call each
+        of ``graph6_decode``, ``distance_matrix``, ``perron`` and
+        ``edge_connectivity`` per line of the compute corpus; a compute that
+        makes other counts reads as incorrect there."""
+        src = tmp_path / "in.g6"
+        src.write_text("C~\nBg\nD]w\n")
+        calls = [count_calls(monkeypatch, dsr.graph6, "graph6_decode")]
+        calls += [count_calls(monkeypatch, dsr.cli, name)
+                  for name in ("distance_matrix", "perron", "edge_connectivity")]
+        code, out, _ = run(capsys, "compute", str(src))
+        assert code == 0 and len(json.loads(out)) == 3
+        assert [len(c) for c in calls] == [3, 3, 3, 3]
 
     def test_inline_edges(self, capsys):
         code, out, _ = run(capsys, "compute", "--edges", "0-1,1-2", "--format", "text")

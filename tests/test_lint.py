@@ -1,20 +1,27 @@
 """Lint over the package sources, using only the standard library: no
 module may import a name it never uses, no module-level private function,
-class or alias may go unreferenced across ``src/dsr``, ``dsr.__all__``
+class or alias may go unreferenced across ``src/dsr``, no public top-level
+function or class may go unreferenced outside ``__init__.py``, ``dsr.__all__``
 lists exactly what the package imports, the slow per-graph paths (power
 iteration, one-graph distance matrices, isomorphism, canonical forms and
 the canonical search behind them) are called only where they are needed,
 stacked solves are grouped by order in one place, and graph6 files are
-read in one place."""
+read in one place.  The benchmark's tracer must also install on the
+package, since it wraps public names by their import path."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import dsr
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dsr"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dsr"
 TREES = {path.name: ast.parse(path.read_text(), str(path))
          for path in sorted(PACKAGE.glob("*.py"))}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
@@ -82,6 +89,42 @@ def test_every_private_definition_is_referenced(module):
         if not any(name in references(tree, inside) for tree in TREES.values()):
             unreferenced.append(f"{name} (line {node.lineno})")
     assert not unreferenced, f"{module}: unreferenced {unreferenced}"
+
+
+# public definitions that nothing in the package calls, with the reason each
+# stays: ``isomorphic`` is bound by perfbench's tracer and is the tests'
+# isomorphism oracle
+UNCALLED_PUBLIC = {"isomorphic"}
+
+
+def test_every_public_definition_is_referenced():
+    modules = [TREES[module] for module in MODULES]
+    unreferenced = []
+    for module in MODULES:
+        for node in TREES[module].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            inside = {id(inner) for inner in ast.walk(node)}
+            if not any(node.name in references(tree, inside) for tree in modules):
+                unreferenced.append(node.name)
+    assert sorted(unreferenced) == sorted(UNCALLED_PUBLIC)
+
+
+def test_benchmark_tracer_installs():
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "print(json.dumps(tracer.bindings))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    bindings = json.loads(done.stdout)
+    assert bindings and all(count >= 1 for count in bindings.values()), bindings
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -4,15 +4,13 @@ import math
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from dsr import (
     BridgeFamilyParams,
     CorpusError,
     check_cut_order_bound,
-    check_degree_r_reduction,
-    check_edge_monotonicity,
-    check_perron_order,
     bridge_graph,
     bridge_graph_tilde,
     class_table,
@@ -38,6 +36,7 @@ from dsr.verify import (
     GROUP_DEV_TOL,
     IDENTITY_TOL,
     STRICT_MARGIN,
+    _order_holds,
     bridge_claims,
     bridge_grid,
     random_connected_graph,
@@ -45,86 +44,60 @@ from dsr.verify import (
     suite_bridge_grid,
     suite_cut_sides,
     suite_edge_monotonicity,
+    suite_perron_order,
     suite_theorem,
 )
 from helpers import count_calls, count_slow_paths, cycle_graph, path_graph
 
 
-class TestEdgeMonotonicity:
-    def test_p3_endpoint_addition(self):
-        v = check_edge_monotonicity(path_graph(3), 0, 2)
-        assert v.holds
-        assert abs(v.lhs_rho - (1 + math.sqrt(3))) < 1e-9
-        assert abs(v.rhs_rho - 2.0) < 1e-9
+class TestOrderHolds:
+    """The Perron-entry relation that ``suite_perron_order`` asserts for
+    each vertex pair."""
 
-    def test_k4_edge_deletion(self):
-        v = check_edge_monotonicity(complete_graph(4), 0, 1)
-        assert v.holds
-        assert v.rhs_rho == pytest.approx(3.0)
-        assert v.lhs_rho > 3.0
+    def test_nested_needs_a_strictly_larger_entry(self):
+        g = kpq(3, 1)
+        x = perron(distance_matrix(g)).x
+        # the pendant's entry is the larger, whichever of the pair comes first
+        assert _order_holds(g, x, 3, 0) and _order_holds(g, x, 0, 3)
+        for y in (x[[3, 1, 2, 0]], np.ones(4)):  # swapped entries, then a tie
+            assert not _order_holds(g, y, 3, 0) and not _order_holds(g, y, 0, 3)
 
-    def test_bridge_deletion_inapplicable(self):
-        v = check_edge_monotonicity(path_graph(4), 1, 2)
-        assert not v.applicable
-        assert v.margin is None
+    def test_equal_needs_entries_within_tolerance(self):
+        g = complete_graph(5)
+        x = perron(distance_matrix(g)).x.copy()
+        assert _order_holds(g, x, 1, 3)
+        x[1] += 1e-6
+        assert not _order_holds(g, x, 1, 3)
 
-    def test_rejects_vertex_out_of_range(self):
-        with pytest.raises(ValueError, match=r"need two distinct vertices in 0..4, got \(5, 0\)"):
-            check_edge_monotonicity(kpq(4, 2), 5, 0)
+    def test_incomparable_claims_nothing(self):
+        g = cycle_graph(5)
+        x = perron(distance_matrix(g)).x
+        for y in (x, x[::-1], np.arange(5.0), -np.arange(5.0)):
+            assert _order_holds(g, y, 0, 2)
 
+    def test_suite_counts_each_violated_pair(self, monkeypatch):
+        real = dsr.verify.class_table
 
-class TestPerronOrder:
-    def test_pendant_strictly_larger(self):
-        v = check_perron_order(kpq(3, 1), 3, 0)
-        assert v.relation == "nested"
-        assert v.larger == 3  # the pendant
-        assert v.holds and v.x_u > v.x_v
+        def flat(n):
+            # one entry for every vertex: every strictly nested pair fails
+            table = real(n)
+            return dataclasses.replace(table, x=np.ones_like(table.x))
 
-    def test_complete_graph_equal(self):
-        v = check_perron_order(complete_graph(5), 1, 3)
-        assert v.relation == "equal"
-        assert v.holds
+        monkeypatch.setattr(dsr.verify, "class_table", flat)
+        result = suite_perron_order(5)
 
-    def test_c5_incomparable(self):
-        v = check_perron_order(cycle_graph(5), 0, 2)
-        assert v.relation == "incomparable"
-        assert v.holds
+        def neighbours(g, u, v):
+            return {w for w in range(g.n) if g.has_edge(u, w)} - {v}
 
-    def test_rejects_bad_pair(self):
-        with pytest.raises(ValueError):
-            check_perron_order(cycle_graph(5), 2, 2)
-
-
-class TestDegreeReduction:
-    def test_already_extremal_equality(self):
-        v = check_degree_r_reduction(kpq(4, 2), 4)
-        assert v.holds
-        assert v.margin == 0.0
-
-    def test_c5_strict(self):
-        v = check_degree_r_reduction(cycle_graph(5), 0)
-        assert v.holds
-        assert v.margin > 1e-3
-        assert v.rhs_rho == pytest.approx(perron(distance_matrix(kpq(4, 2))).rho)
-
-    def test_p4_leaf(self):
-        v = check_degree_r_reduction(path_graph(4), 0)
-        assert v.holds
-        assert v.lhs_rho == pytest.approx(2 + math.sqrt(10))
-        assert v.rhs_rho == pytest.approx(perron(distance_matrix(kpq(3, 1))).rho)
-
-    def test_wrong_degree_rejected(self):
-        with pytest.raises(ValueError, match="degree"):
-            check_degree_r_reduction(kpq(4, 2), 0)  # clique vertex, degree 4 != 2
-
-    def test_rejects_vertex_past_the_order(self):
-        with pytest.raises(ValueError, match="need a vertex in 0..4, got 5"):
-            check_degree_r_reduction(kpq(4, 2), 5)
-
-    def test_rejects_negative_vertex(self):
-        # a negative index would read vertex 4's degree from the end of the rows
-        with pytest.raises(ValueError, match="need a vertex in 0..4, got -1"):
-            check_degree_r_reduction(kpq(4, 2), -1)
+        nested = [
+            (g, u, v) for n in range(2, 6) for g in enumerate_connected(n)
+            for u, v in combinations(range(n), 2)
+            if neighbours(g, u, v) < neighbours(g, v, u)
+            or neighbours(g, v, u) < neighbours(g, u, v)
+        ]
+        assert result.instances == sum(c * math.comb(n, 2) for n, c in CLASS_COUNTS.items()
+                                       if 2 <= n <= 5)
+        assert result.failures == len(nested) > 0
 
 
 def identity_residuals(params: BridgeFamilyParams) -> dict[str, float | None]:
