@@ -39,10 +39,8 @@ from .spectra import (
 from .verify import (
     ClassTable,
     CorpusError,
-    CutOrderVerdict,
     ExtremalReport,
     LemmaVerdict,
-    check_cut_order_bound,
     class_table,
     extremal_search,
     run_all_suites,
@@ -56,7 +54,6 @@ __all__ = [
     "ConvergenceError",
     "CorpusError",
     "CutCertificate",
-    "CutOrderVerdict",
     "DisconnectedGraphError",
     "ExtremalReport",
     "Graph",
@@ -66,7 +63,6 @@ __all__ = [
     "bridge_graph",
     "bridge_graph_tilde",
     "brute_force_min_cut",
-    "check_cut_order_bound",
     "class_table",
     "complete_graph",
     "distance_matrix",

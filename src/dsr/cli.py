@@ -101,12 +101,16 @@ VERIFY_REPORT_SCHEMA = {
 }
 
 
-def _round12(x):
+def _round12(x: float) -> float:
     """12 significant digits; run-to-run noise below that would break byte
     identity of reports."""
-    if x is None:
-        return None
     return float(f"{x:.12g}")
+
+
+def _record(obj) -> dict:
+    """A dataclass as one report record, its floats rounded by ``_round12``."""
+    return {key: _round12(value) if isinstance(value, float) else value
+            for key, value in asdict(obj).items()}
 
 
 def _write(args, columns: list[str], records: list[dict], line, payload) -> None:
@@ -222,17 +226,8 @@ def _bridge_params(args) -> list[BridgeFamilyParams]:
 
 
 def cmd_check(args) -> int:
-    columns = ["claim", "params", "lhs_rho", "rhs_rho", "margin", "residual", "holds"]
-    records = []
-    for verdict, identities in bridge_claims(_bridge_params(args)):
-        claims = [(verdict.lemma, verdict.lhs_rho, verdict.rhs_rho, verdict.margin, None,
-                   verdict.holds)]
-        claims += [(claim, None, None, None, residual, ok) for claim, residual, ok in identities]
-        records += [
-            dict(zip(columns, (claim, verdict.params, *map(_round12, values), holds)))
-            for claim, *values, holds in claims
-        ]
-    _write(args, columns, records, lambda rec: (
+    records = [_record(c) for claims in bridge_claims(_bridge_params(args)) for c in claims]
+    _write(args, list(records[0]), records, lambda rec: (
         f"{'ok' if rec['holds'] else 'FAIL':4s} {rec['claim']:36s} {rec['params']}"
     ), records)
     return EXIT_OK if all(rec["holds"] for rec in records) else EXIT_VERIFY
@@ -241,14 +236,13 @@ def cmd_check(args) -> int:
 def cmd_search(args) -> int:
     graphs = [g for _, g in _load_graphs(args.corpus, args.n)] if args.corpus else None
     report = extremal_search(args.n, args.r, graphs)
-    payload = {key: _round12(value) if isinstance(value, float) else value
-               for key, value in asdict(report).items()}
+    payload = _record(report)
     _write(args, list(payload), [payload], lambda rec: (
         f"n={rec['n']} r={rec['r']} classes={rec['class_size']} "
         f"min_rho={rec['min_rho']} gap={rec['uniqueness_gap']} "
         f"minimizer={rec['minimizer_graph6']} matches_kpq={rec['matches_kpq']}"
     ), payload)
-    if report.matches_kpq and report.unique():
+    if report.holds():
         return EXIT_OK
     print(
         f"COUNTEREXAMPLE CANDIDATE: n={args.n} r={args.r} minimizer "

@@ -91,28 +91,17 @@ def _strictly_above(lhs: float, rhs: float) -> bool:
 
 @dataclass(frozen=True)
 class LemmaVerdict:
-    """Outcome of one strict-inequality check: the claimed-larger radius on
-    the left, the smaller on the right, and whether the margin clears the
-    noise threshold."""
+    """One bridge claim, its fields the ``dsr check`` columns in order.  A
+    strict inequality fills the claimed-larger radius, the smaller one and
+    their margin; an identity fills its residual.  ``holds`` says whether
+    the claim clears its noise band."""
 
-    lemma: str
+    claim: str
     params: str
     lhs_rho: float | None
     rhs_rho: float | None
     margin: float | None
-    holds: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class CutOrderVerdict:
-    """Side sizes of the certified minimum cut when its removal leaves two
-    cliques and every degree exceeds the cut size."""
-
-    applicable: bool
-    cut_size: int
-    side_sizes: tuple[int, int]
-    graph_min_degree: int
+    residual: float | None
     holds: bool
 
 
@@ -130,9 +119,12 @@ class ExtremalReport:
     minimizer_graph6: str
     matches_kpq: bool
 
-    def unique(self) -> bool:
-        """True when no second class comes within the uniqueness gap."""
-        return self.uniqueness_gap is None or self.uniqueness_gap > UNIQUENESS_GAP
+    def holds(self) -> bool:
+        """The theorem at (n, r): the minimizer is kpq(n-1, r) and no second
+        class comes within the uniqueness gap."""
+        return self.matches_kpq and (
+            self.uniqueness_gap is None or self.uniqueness_gap > UNIQUENESS_GAP
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +214,15 @@ def extremal_search(
 
 
 # ---------------------------------------------------------------------------
-# bridge and cut-side claims
+# bridge claims
 
 
-def bridge_claims(
-    grid: Sequence[BridgeFamilyParams],
-) -> list[tuple[LemmaVerdict, list[tuple[str, float | None, bool]]]]:
-    """Per bridge instance, the flattening verdict and each identity as
-    (claim, residual, holds), all on one Perron pair of the flattened graph.
-    Every bridge and flattened graph of the grid is solved in one stacked
-    solve.  Flattening must strictly lower the radius, land on
-    kpq(n1+n2-1, r) and give the three-level Perron pattern.  The hub row is
+def bridge_claims(grid: Sequence[BridgeFamilyParams]) -> list[list[LemmaVerdict]]:
+    """Per bridge instance, the flattening verdict and then one verdict per
+    identity, all on one Perron pair of the flattened graph.  Every bridge
+    and flattened graph of the grid is solved in one stacked solve.
+    Flattening must strictly lower the radius, land on kpq(n1+n2-1, r) and
+    give the three-level Perron pattern.  The hub row is
     rho*x1 = r*x3 + 2(n1+n2-r-1)*x2 on the flattened graph; the form shift,
     only when t == r, is x(D - D~)x = 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2).
     A residual holds below IDENTITY_TOL; it is None where a strict
@@ -248,23 +238,14 @@ def bridge_claims(
         lhs, rhs = float(rho[2 * k]), float(rho[2 * k + 1])
         xt = x[2 * k + 1, :n]
         (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(xt, tilde_level_groups(params))
-        pattern_ok = max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
-        iso_ok = is_kpq(graphs[2 * k + 1], r)
-        problems = []
-        if not pattern_ok:
-            problems.append("three-level Perron pattern violated")
-        if not iso_ok:
-            problems.append("flattened graph not isomorphic to kpq")
-        verdict = LemmaVerdict(
-            lemma="bridge_flattening_decreases_radius",
-            params=f"n1={n1} n2={n2} r={r} t={params.t} "
-            f"cross={list(params.cross_edges)}",
-            lhs_rho=lhs,
-            rhs_rho=rhs,
-            margin=lhs - rhs,
-            holds=_strictly_above(lhs, rhs) and pattern_ok and iso_ok,
-            detail="; ".join(problems),
+        label = f"n1={n1} n2={n2} r={r} t={params.t} cross={list(params.cross_edges)}"
+        flattens = (
+            _strictly_above(lhs, rhs)
+            and max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
+            and is_kpq(graphs[2 * k + 1], r)
         )
+        claims = [LemmaVerdict("bridge_flattening_decreases_radius", label,
+                               lhs, rhs, lhs - rhs, None, flattens)]
         # the hub row's strict consequences: rho > n-1 and x1 < r*x3 + 2(n2-r)*x2
         strict = rhs > n - 1 and m1 < r * m3 + 2.0 * (n2 - r) * m2
         residuals = [("hub_row_identity",
@@ -273,32 +254,13 @@ def bridge_claims(
             direct = float(xt @ ((dg - dt) @ xt))
             closed = 2.0 * (n1 - 1) * m2 * (-m1 + r * m3 + 2.0 * (n2 - r) * m2)
             residuals.append(("form_shift_identity", abs(direct - closed)))
-        out.append((verdict, [(claim, res, res is not None and res < IDENTITY_TOL)
-                              for claim, res in residuals]))
+        claims += [
+            LemmaVerdict(claim, label, None, None, None, res,
+                         res is not None and res < IDENTITY_TOL)
+            for claim, res in residuals
+        ]
+        out.append(claims)
     return out
-
-
-def _induces_clique(g: Graph, vertices: Sequence[int]) -> bool:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return all(g.rows[v] & mask == mask ^ (1 << v) for v in vertices)
-
-
-def check_cut_order_bound(g: Graph) -> CutOrderVerdict:
-    """When the certified minimum cut splits the graph into two cliques and
-    every degree exceeds the cut size, both sides must have at least cut
-    size + 2 vertices."""
-    cert = edge_connectivity(g)
-    sides = (len(cert.side_a), len(cert.side_b))
-    md = min_degree(g)
-    applicable = (
-        md > cert.size
-        and _induces_clique(g, cert.side_a)
-        and _induces_clique(g, cert.side_b)
-    )
-    holds = not applicable or min(sides) >= cert.size + 2
-    return CutOrderVerdict(applicable, cert.size, sides, md, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +373,7 @@ def suite_theorem(max_n: int = 8) -> SuiteResult:
     kpq(n-1, r), unique with a clear gap.  The notes lead with the smallest
     uniqueness gap and where it occurs."""
     reports = [extremal_search(n, r) for n in range(4, max_n + 1) for r in range(1, n - 1)]
-    outcomes = [rep.matches_kpq and rep.unique() for rep in reports]
+    outcomes = [rep.holds() for rep in reports]
     notes = [
         f"n={rep.n} r={rep.r}: minimizer {rep.minimizer_graph6}"
         for rep, ok in zip(reports, outcomes) if not ok
@@ -487,36 +449,37 @@ def suite_bridge_grid(
 ) -> SuiteResult:
     """Bridge-family grid: flattening strictly lowers the radius, lands on
     kpq, shows the three-level pattern, and satisfies both eigen identities."""
-
-    def examine(verdict: LemmaVerdict, identities) -> tuple[bool, float]:
-        worst = max(float("inf") if res is None else res for _, res, _ in identities)
-        return verdict.holds and all(ok for *_, ok in identities), worst
-
     grid = list(bridge_grid(seed, range(1, r_max + 1), placements=placements))
-    results = [examine(*claims) for claims in bridge_claims(grid)]
-    worst = max((res for _, res in results), default=0.0)
+    claims = bridge_claims(grid)
+    worst = max((float("inf") if c.residual is None else c.residual
+                 for instance in claims for c in instance[1:]), default=0.0)
     notes = f"max identity residual {worst:.3e}"
-    return _tally("bridge_grid_and_identities", (ok for ok, _ in results), notes)
+    return _tally("bridge_grid_and_identities",
+                  (all(c.holds for c in instance) for instance in claims), notes)
 
 
 def suite_cut_sides(
     max_n: int = 8, seed: int = 0, r_max: int = 4
 ) -> SuiteResult:
-    """Two-clique minimum cuts with all degrees above the cut size must leave
-    at least r+2 vertices on each side: exhaustively over small classes and
-    on every grid instance (where the check must also apply).  A class whose
-    minimum degree equals its edge connectivity cannot meet the hypothesis,
-    so only the others get a cut certificate."""
+    """The cut-side lemma: when every degree exceeds the edge connectivity r,
+    each side S of a minimum cut has |S|(r+1) <= |S|(|S|-1) + r, so at least
+    r+2 vertices.  Checked on the certified cut of every class up to max_n
+    and of every grid instance (which must meet the hypothesis).  A class
+    whose minimum degree equals its edge connectivity cannot meet the
+    hypothesis, so only the others get a cut certificate."""
+
+    def sides_clear(g: Graph) -> bool:
+        cert = edge_connectivity(g)
+        return (min_degree(g) > cert.size
+                and min(len(cert.side_a), len(cert.side_b)) >= cert.size + 2)
+
     tables = map(class_table, range(2, max_n + 1))
     classes = (
-        min_degree(g) <= lam or check_cut_order_bound(g).holds
+        min_degree(g) <= lam or sides_clear(g)
         for table in tables for g, lam in zip(table.graphs, table.lam)
     )
-    verdicts = (
-        check_cut_order_bound(bridge_graph(params))
-        for params in bridge_grid(seed, range(1, r_max + 1))
-    )
-    grid = (verdict.applicable and verdict.holds for verdict in verdicts)
+    grid = (sides_clear(bridge_graph(params))
+            for params in bridge_grid(seed, range(1, r_max + 1)))
     return _tally("cut_side_orders", chain(classes, grid))
 
 

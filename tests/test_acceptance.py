@@ -49,8 +49,8 @@ def grid_outcomes():
     start = time.perf_counter()
     grid = list(bridge_grid(seed=GRID_SEED))
     rows = []
-    for params, (verdict, identities) in zip(grid, bridge_claims(grid)):
-        residuals = {claim: res for claim, res, _ in identities}
+    for params, (verdict, *identities) in zip(grid, bridge_claims(grid)):
+        residuals = {c.claim: c.residual for c in identities}
         hub_residual = residuals["hub_row_identity"]
         strict_ok = hub_residual is not None
         rows.append((params, verdict, hub_residual if strict_ok else float("inf"),

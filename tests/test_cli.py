@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from dsr.cli import (
     build_parser,
     main,
 )
-from dsr.verify import SuiteResult
+from dsr.verify import LemmaVerdict, SuiteResult
 from helpers import count_calls, count_slow_paths
 
 
@@ -233,6 +234,14 @@ class TestCheck:
         assert "bridge_flattening_decreases_radius" in claims
         assert "hub_row_identity" in claims
         assert "form_shift_identity" in claims
+
+    def test_columns_are_the_verdict_fields(self, capsys):
+        code, out, _ = run(capsys, "check", "--n1", "4", "--n2", "4",
+                           "--r", "2", "--t", "2", "--format", "csv")
+        assert code == 0
+        columns = [f.name for f in dataclasses.fields(LemmaVerdict)]
+        assert columns == list(CHECK_RECORD_SCHEMA["properties"])
+        assert out.splitlines()[0] == ",".join(columns)
 
     def test_mixed_runs_five_placements(self, capsys):
         code, out, _ = run(capsys, "check", "--n1", "5", "--n2", "4",

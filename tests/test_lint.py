@@ -3,8 +3,9 @@ module may import a name it never uses, no module-level private function,
 class or alias may go unreferenced across ``src/dsr``, no public top-level
 function or class may go unreferenced outside ``__init__.py``, ``dsr.__all__``
 lists exactly what the package imports, the slow per-graph paths (power
-iteration, one-graph distance matrices, isomorphism, canonical forms and
-the canonical search behind them) are called only where they are needed,
+iteration, one-graph distance matrices, minimum cuts, isomorphism,
+canonical forms and the canonical search behind them) are called only
+where they are needed,
 stacked solves are grouped by order in one place, and graph6 files are
 read in one place.  The benchmark's tracer must also install on the
 package, since it wraps public names by their import path."""
@@ -146,10 +147,14 @@ def test_all_lists_exactly_the_imported_names():
 # the search's runner-up; the canonical search itself, which also returns
 # automorphism generators, is internal to isomorphism and enumeration.
 # The input reader is pinned too: every graph6 file, ``compute``'s source and
-# ``search --corpus``, goes through ``cli._load_graphs``.
+# ``search --corpus``, goes through ``cli._load_graphs``.  Minimum cuts are
+# computed once and shared: one per graph in ``dsr compute``, one per class
+# in the class table, and ``suite_cut_sides``'s certificates.
 SLOW_CALLERS = {
     "perron": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
     "distance_matrix": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
+    "edge_connectivity": {("cli.py", "cmd_compute"), ("verify.py", "_build_table"),
+                          ("verify.py", "suite_cut_sides")},
     "perron_stack": {("verify.py", "_stacked_solve"), ("verify.py", "_build_table")},
     "isomorphic": set(),
     "canonical_form": {"isomorphism.py", "enumeration.py", ("verify.py", "extremal_search")},

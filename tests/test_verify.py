@@ -10,9 +10,10 @@ import pytest
 from dsr import (
     BridgeFamilyParams,
     CorpusError,
-    check_cut_order_bound,
+    CutCertificate,
     bridge_graph,
     bridge_graph_tilde,
+    brute_force_min_cut,
     class_table,
     complete_graph,
     distance_matrix,
@@ -36,6 +37,7 @@ from dsr.verify import (
     GROUP_DEV_TOL,
     IDENTITY_TOL,
     STRICT_MARGIN,
+    UNIQUENESS_GAP,
     _order_holds,
     bridge_claims,
     bridge_grid,
@@ -102,19 +104,23 @@ class TestOrderHolds:
 
 def identity_residuals(params: BridgeFamilyParams) -> dict[str, float | None]:
     """Each identity's residual on one bridge instance, by claim name."""
-    return {claim: res for claim, res, _ in bridge_claims([params])[0][1]}
+    return {c.claim: c.residual for c in bridge_claims([params])[0][1:]}
 
 
 class TestTransformation:
     def test_hub_only(self):
-        [(v, _)] = bridge_claims([BridgeFamilyParams(4, 4, 2, 2)])
-        assert v.holds
+        [[v, *identities]] = bridge_claims([BridgeFamilyParams(4, 4, 2, 2)])
+        assert v.claim == "bridge_flattening_decreases_radius"
+        assert v.holds and v.residual is None
         assert v.margin > 1e-3
+        for c in identities:  # an identity fills its residual and nothing else
+            assert c.params == v.params
+            assert (c.lhs_rho, c.rhs_rho, c.margin) == (None, None, None)
 
     def test_mixed_every_placement(self):
         grid = [BridgeFamilyParams(5, 4, 2, 1, random_cross_edges(5, 4, 2, 1, seed))
                 for seed in range(5)]
-        for p, (v, _) in zip(grid, bridge_claims(grid)):
+        for p, (v, *_) in zip(grid, bridge_claims(grid)):
             assert v.holds, p.cross_edges
 
     def test_invalid_params_rejected(self):
@@ -143,21 +149,58 @@ class TestIdentities:
         assert identity_residuals(p)["hub_row_identity"] < 1e-8
 
 
-class TestCutOrderBound:
-    def test_bridge_instance(self):
-        v = check_cut_order_bound(bridge_graph(BridgeFamilyParams(4, 4, 2, 2)))
-        assert v.applicable
-        assert v.side_sizes == (4, 4)
-        assert v.holds
+class TestCutSideLemma:
+    """The general cut-side lemma that ``suite_cut_sides`` checks: when
+    every degree exceeds the edge connectivity r, each side of a minimum cut
+    has at least r+2 vertices."""
 
-    def test_kpq_hypothesis_fails(self):
-        v = check_cut_order_bound(kpq(4, 2))
-        assert not v.applicable  # has a vertex of degree exactly r
-        assert v.holds
+    @staticmethod
+    def eligible(n: int) -> list:
+        """(graph, edge connectivity) of each order-n class with min degree
+        above its edge connectivity."""
+        table = class_table(n)
+        return [(g, int(lam)) for g, lam in zip(table.graphs, table.lam)
+                if min(g.degree(v) for v in range(n)) > lam]
 
-    def test_c5_hypothesis_fails(self):
-        v = check_cut_order_bound(cycle_graph(5))
-        assert not v.applicable
+    def test_every_minimum_cut_of_the_bipartition_scan(self):
+        # oracle: every bipartition at the minimum cut size, not only the one
+        # the certificate names
+        counts = []
+        for n in range(2, 9):
+            eligible = self.eligible(n)
+            counts.append(len(eligible))
+            for g, lam in eligible:
+                assert brute_force_min_cut(g).size == lam
+                minimum = [
+                    mask for mask in range(1, 1 << (n - 1))
+                    if sum(1 for u, v in g.edges() if (mask >> u ^ mask >> v) & 1) == lam
+                ]
+                assert minimum
+                for mask in minimum:
+                    a = mask.bit_count()
+                    assert min(a, n - a) >= lam + 2, (g, mask)
+        assert counts == [0, 0, 0, 0, 1, 5, 44]
+
+    def test_suite_fails_on_a_one_vertex_side(self, monkeypatch):
+        def two_cliques(g, side):
+            rest = [v for v in range(g.n) if v not in side]
+            return all(g.has_edge(u, v) for part in (side, rest)
+                       for u, v in combinations(part, 2))
+
+        real = dsr.verify.edge_connectivity
+        target, lam = next((g, lam) for g, lam in self.eligible(8)
+                           if not two_cliques(g, real(g).side_a))
+
+        def bad(g):
+            if g != target:
+                return real(g)
+            # the right size, but one side is a single vertex
+            return CutCertificate(lam, tuple(g.edges()[:lam]),
+                                  (0,), tuple(range(1, g.n)))
+
+        monkeypatch.setattr(dsr.verify, "edge_connectivity", bad)
+        result = suite_cut_sides(max_n=8, r_max=1)
+        assert result.failures == 1
 
 
 class TestExtremalSearch:
@@ -172,7 +215,7 @@ class TestExtremalSearch:
     def test_n5_r2(self):
         rep = extremal_search(5, 2)
         assert rep.matches_kpq
-        assert rep.unique()
+        assert rep.holds()
 
     def test_r_range_enforced(self):
         with pytest.raises(ValueError):
@@ -201,7 +244,7 @@ class TestExtremalSearch:
         duplicate = next(g for g in relabelings if g not in classes)
         plain = extremal_search(6, 2, classes)
         rep = extremal_search(6, 2, classes + [duplicate])
-        assert rep.unique() and rep.matches_kpq
+        assert rep.holds()
         assert rep.class_size == plain.class_size + 1
         assert rep.uniqueness_gap == pytest.approx(plain.uniqueness_gap, abs=1e-12)
         assert rep.uniqueness_gap == pytest.approx(0.2593, abs=1e-4)
@@ -210,7 +253,14 @@ class TestExtremalSearch:
         rep = extremal_search(3, 1)
         assert rep.class_size == 1
         assert rep.runner_up_rho is None and rep.uniqueness_gap is None
-        assert rep.unique()
+        assert rep.holds()
+
+    def test_holds_needs_kpq_and_a_gap_above_the_band(self):
+        rep = extremal_search(5, 2)
+        assert rep.holds()
+        assert not dataclasses.replace(rep, matches_kpq=False).holds()
+        assert not dataclasses.replace(rep, uniqueness_gap=UNIQUENESS_GAP).holds()
+        assert dataclasses.replace(rep, uniqueness_gap=2 * UNIQUENESS_GAP).holds()
 
 
 def test_random_connected_graph_seeded():
@@ -303,17 +353,18 @@ def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch)
     assert eligible[-1] == 44  # of the 11,117 order-8 classes
     cuts = count_calls(monkeypatch, dsr.verify, "edge_connectivity")
     result = suite_cut_sides(max_n=8, r_max=1)
-    grid = len(list(bridge_grid(0, (1,))))  # one cut per grid instance
+    grid = [bridge_graph(p) for p in bridge_grid(0, (1,))]  # one cut per grid instance
     assert result.ok
-    assert result.instances == sum(len(t.graphs) for t in tables) + grid
-    assert len(cuts) == sum(eligible) + grid
+    assert result.instances == sum(len(t.graphs) for t in tables) + len(grid)
+    assert len(cuts) == sum(eligible) + len(grid)
+    assert [g for g, in cuts[sum(eligible):]] == grid
 
 
 def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
     grid = list(bridge_grid(0, (1, 2), placements=1))
     claims = bridge_claims(grid)
-    worst = max(res for _, identities in claims for _, res, _ in identities)
-    assert all(verdict.holds for verdict, _ in claims)
+    worst = max(c.residual for instance in claims for c in instance[1:])
+    assert all(c.holds for instance in claims for c in instance)
     stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
     distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
     slow = count_slow_paths(monkeypatch)
@@ -346,7 +397,7 @@ def test_bridge_claims_builds_each_distance_matrix_once(monkeypatch, t):
 def test_bridge_claims_match_power_iteration():
     # oracle: each graph alone by power iteration, kpq by canonical forms
     grid = list(bridge_grid(0, (1, 2), placements=1))
-    for p, (verdict, identities) in zip(grid, bridge_claims(grid)):
+    for p, (verdict, *identities) in zip(grid, bridge_claims(grid)):
         lhs = perron(distance_matrix(bridge_graph(p))).rho
         pp = perron(distance_matrix(bridge_graph_tilde(p)))
         assert verdict.lhs_rho == pytest.approx(lhs, rel=1e-10, abs=0)
@@ -358,7 +409,8 @@ def test_bridge_claims_match_power_iteration():
             and isomorphic(bridge_graph_tilde(p), kpq(p.order - 1, p.r))
         )
         hub = abs(pp.rho * m1 - (p.r * m3 + 2.0 * (p.order - p.r - 1) * m2))
-        assert identities[0][2] == (hub < IDENTITY_TOL)
+        assert identities[0].claim == "hub_row_identity"
+        assert identities[0].holds == (hub < IDENTITY_TOL)
 
 
 def test_edge_monotonicity_matches_power_iteration(monkeypatch):
@@ -399,7 +451,8 @@ def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
 
     monkeypatch.setattr(dsr.verify, "perron_group_pattern", hub_above_bound)
     p = BridgeFamilyParams(4, 4, 2, 2)
-    assert bridge_claims([p])[0][1][0] == ("hub_row_identity", None, False)
+    [[_, hub, _]] = bridge_claims([p])  # flattening, hub row, form shift
+    assert (hub.claim, hub.residual, hub.holds) == ("hub_row_identity", None, False)
     assert main(["check", "--n1", "4", "--n2", "4", "--r", "2", "--t", "2"]) == 3
     out = capsys.readouterr().out
     assert '"residual": null' in out
