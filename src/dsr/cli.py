@@ -22,15 +22,23 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 from .cuts import edge_connectivity
 from .enumeration import MAX_BUILTIN_ORDER
 from .families import BridgeFamilyParams, random_cross_edges
-from .graph6 import Graph6Error, graph6_encode, read_graph6_lines
+from .graph6 import HEADER, Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .spectra import ConvergenceError, perron
-from .verify import CorpusError, bridge_claims, extremal_search, run_all_suites
+from .verify import (
+    CorpusError,
+    ExtremalReport,
+    LemmaVerdict,
+    SuiteResult,
+    bridge_claims,
+    extremal_search,
+    run_all_suites,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,60 +49,35 @@ EXIT_INTERNAL = 4
 # work, so the option only survives for existing command lines.
 THREADS_HELP = "accepted for compatibility; the work runs in one thread"
 
-SEARCH_REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "n", "r", "class_size", "min_rho", "runner_up_rho",
-        "uniqueness_gap", "minimizer_graph6", "matches_kpq",
-    ],
-    "properties": {
-        "n": {"type": "integer"},
-        "r": {"type": "integer"},
-        "class_size": {"type": "integer"},
-        "min_rho": {"type": "number"},
-        "runner_up_rho": {"type": ["number", "null"]},
-        "uniqueness_gap": {"type": ["number", "null"]},
-        "minimizer_graph6": {"type": "string"},
-        "matches_kpq": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
+_JSON_TYPES = {"int": "integer", "float": "number", "str": "string", "bool": "boolean",
+               "None": "null"}
 
-CHECK_RECORD_SCHEMA = {
-    "type": "object",
-    "required": ["claim", "params", "holds"],
-    "properties": {
-        "claim": {"type": "string"},
-        "params": {"type": "string"},
-        "lhs_rho": {"type": ["number", "null"]},
-        "rhs_rho": {"type": ["number", "null"]},
-        "margin": {"type": ["number", "null"]},
-        "residual": {"type": ["number", "null"]},
-        "holds": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
 
+def _schema(cls) -> dict:
+    """JSON schema of a record dataclass: one property per field, typed from
+    its annotation string (``X | None`` also admits null), required unless
+    the field has a default."""
+    properties = {}
+    for f in fields(cls):
+        kinds = [_JSON_TYPES[kind] for kind in f.type.split(" | ")]
+        properties[f.name] = {"type": kinds if len(kinds) > 1 else kinds[0]}
+    return {
+        "type": "object",
+        "required": [f.name for f in fields(cls) if f.default is MISSING],
+        "properties": properties,
+        "additionalProperties": False,
+    }
+
+
+SEARCH_REPORT_SCHEMA = _schema(ExtremalReport)
+CHECK_RECORD_SCHEMA = _schema(LemmaVerdict)
 VERIFY_REPORT_SCHEMA = {
     "type": "object",
     "required": ["seed", "max_n", "suites", "ok"],
     "properties": {
         "seed": {"type": "integer"},
         "max_n": {"type": "integer"},
-        "suites": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "instances", "failures"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "instances": {"type": "integer"},
-                    "failures": {"type": "integer"},
-                    "notes": {"type": "string"},
-                },
-                "additionalProperties": False,
-            },
-        },
+        "suites": {"type": "array", "items": _schema(SuiteResult)},
         "ok": {"type": "boolean"},
     },
     "additionalProperties": False,
@@ -113,15 +96,15 @@ def _record(obj) -> dict:
             for key, value in asdict(obj).items()}
 
 
-def _write(args, columns: list[str], records: list[dict], line, payload) -> None:
+def _write(args, records: list[dict], line, payload) -> None:
     """Render ``--format`` and write it to ``--out`` or stdout: ``payload`` as
-    JSON, ``records`` as CSV rows over ``columns`` with list fields joined by
-    ";", or ``line(record)`` per record as text lines."""
+    JSON, ``records`` as CSV rows under the first record's keys with list
+    fields joined by ";", or ``line(record)`` per record as text lines."""
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
         writer.writeheader()
         for rec in records:
             writer.writerow({key: ";".join(map(str, value)) if isinstance(value, list)
@@ -168,14 +151,27 @@ def _parse_edges(text: str) -> Graph:
 
 
 def _load_graphs(path: str, order: int | None = None) -> list[tuple[str, Graph]]:
-    """(line, graph) pairs of a graph6 file, one graph per line, of the given
-    order if one is given.  The file is read as bytes and split on newlines
-    only, and every error names the path."""
+    """(line, graph) pairs of a graph6 file, one graph per nonblank line, the
+    line stripped of whitespace and of any ">>graph6<<" header.  The file is
+    read as bytes and split on newlines only.  A line that does not decode,
+    is not of the given order or is disconnected is an error that names the
+    path and the line, counted from 1."""
+    out = []
     with open(path, "rb") as fh:
-        try:
-            out = [(line.decode("ascii"), g) for line, g in read_graph6_lines(fh, order)]
-        except Graph6Error as exc:
-            raise _InputError(f"{path}: {exc}") from None
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            line = line.removeprefix(HEADER)
+            try:
+                g = graph6_decode(line)
+            except Graph6Error as exc:
+                raise _InputError(f"{path}: line {lineno}: {exc}") from None
+            if order is not None and g.n != order:
+                raise _InputError(f"{path}: line {lineno}: order {g.n}, expected {order}")
+            if not is_connected(g):
+                raise _InputError(f"{path}: line {lineno}: graph is disconnected")
+            out.append((line.decode("ascii"), g))
     if not out:
         raise _InputError(f"{path}: no graphs found")
     return out
@@ -201,9 +197,7 @@ def cmd_compute(args) -> int:
             "edge_connectivity": conn,
             "perron": [_round12(v) for v in pp.x],
         })
-    columns = ["index", "graph6", "n", "rho", "residual", "iterations",
-               "edge_connectivity", "perron"]
-    _write(args, columns, records, lambda rec: (
+    _write(args, records, lambda rec: (
         f"[{rec['index']}] {rec['graph6']}  n={rec['n']}  "
         f"rho={rec['rho']:.10f}  connectivity={rec['edge_connectivity']}  "
         f"residual={rec['residual']:.3e}"
@@ -227,7 +221,7 @@ def _bridge_params(args) -> list[BridgeFamilyParams]:
 
 def cmd_check(args) -> int:
     records = [_record(c) for claims in bridge_claims(_bridge_params(args)) for c in claims]
-    _write(args, list(records[0]), records, lambda rec: (
+    _write(args, records, lambda rec: (
         f"{'ok' if rec['holds'] else 'FAIL':4s} {rec['claim']:36s} {rec['params']}"
     ), records)
     return EXIT_OK if all(rec["holds"] for rec in records) else EXIT_VERIFY
@@ -237,7 +231,7 @@ def cmd_search(args) -> int:
     graphs = [g for _, g in _load_graphs(args.corpus, args.n)] if args.corpus else None
     report = extremal_search(args.n, args.r, graphs)
     payload = _record(report)
-    _write(args, list(payload), [payload], lambda rec: (
+    _write(args, [payload], lambda rec: (
         f"n={rec['n']} r={rec['r']} classes={rec['class_size']} "
         f"min_rho={rec['min_rho']} gap={rec['uniqueness_gap']} "
         f"minimizer={rec['minimizer_graph6']} matches_kpq={rec['matches_kpq']}"

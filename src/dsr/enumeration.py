@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .graphs import Graph, _bits, _reach
-from .isomorphism import _canonical_search
+from .isomorphism import _canonical_search, _orbit
 
 logger = logging.getLogger(__name__)
 
@@ -107,21 +107,12 @@ def _orbit_representatives(prow: Sequence[int], generators: Sequence[Perm]) -> S
         if any(image[row] != prow[gamma[v]] for v, row in enumerate(prow)):
             raise RuntimeError(f"{gamma} is not an automorphism of the graph with rows {prow}")
         tables.append(image)
-    seen = bytearray(full)
     reps = []
+    seen: set[int] = set()
     for s in range(1, full):
-        if seen[s]:
-            continue
-        reps.append(s)
-        seen[s] = 1
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for image in tables:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
+        if s not in seen:
+            reps.append(s)
+            seen |= _orbit(s, tables)
     return reps
 
 

@@ -9,9 +9,7 @@ never emitted.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-from .graphs import Graph, bit_transpose, is_connected, matrix_width
+from .graphs import Graph, bit_transpose, matrix_width
 
 HEADER = b">>graph6<<"
 
@@ -79,25 +77,3 @@ def graph6_decode(data: bytes | str) -> Graph:
     full = (1 << n) - 1
     return Graph(n, tuple(packed >> v * w & full for v in range(n)))
 
-
-def read_graph6_lines(
-    lines: Iterable[bytes], order: int | None = None
-) -> Iterator[tuple[bytes, Graph]]:
-    """(graph6 string, graph) for each nonblank line: the line stripped of
-    whitespace and of any ">>graph6<<" header.  A line that does not decode,
-    is not of the given order or is disconnected raises
-    Graph6Error("line N: reason"), N counting from 1."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        line = line.removeprefix(HEADER)
-        try:
-            g = graph6_decode(line)
-        except Graph6Error as exc:
-            raise Graph6Error(f"line {lineno}: {exc}") from None
-        if order is not None and g.n != order:
-            raise Graph6Error(f"line {lineno}: order {g.n}, expected {order}")
-        if not is_connected(g):
-            raise Graph6Error(f"line {lineno}: graph is disconnected")
-        yield line, g

@@ -26,6 +26,8 @@ enumeration uses them to try attachment sets once per orbit.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graphs import Graph, _bits
 
 
@@ -46,7 +48,8 @@ def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
         ncolors = len(rank)
 
 
-def _orbit(v: int, generators: list[tuple[int, ...]]) -> set[int]:
+def _orbit(v: int, generators: Sequence[Sequence[int]]) -> set[int]:
+    """The images of ``v`` under the group the permutation tables generate."""
     orbit = {v}
     stack = [v]
     while stack:

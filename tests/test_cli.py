@@ -4,12 +4,12 @@ import dataclasses
 import io
 import json
 import math
+import typing
 
 import jsonschema
 import pytest
 
 import dsr.cli
-import dsr.graph6
 import dsr.verify
 from dsr import enumerate_connected, graph6_encode, kpq
 from dsr.cli import (
@@ -19,7 +19,7 @@ from dsr.cli import (
     build_parser,
     main,
 )
-from dsr.verify import LemmaVerdict, SuiteResult
+from dsr.verify import ExtremalReport, LemmaVerdict, SuiteResult
 from helpers import count_calls, count_slow_paths
 
 
@@ -53,13 +53,13 @@ class TestCompute:
     def test_one_call_per_graph_of_each_traced_layer(self, tmp_path, monkeypatch, capsys):
         """``check_trace_counts`` in perfbench/run.py requires one call each
         of ``graph6_decode``, ``distance_matrix``, ``perron`` and
-        ``edge_connectivity`` per line of the compute corpus; a compute that
+        ``edge_connectivity`` per line of the compute corpus, counted where
+        the tracer wraps them, at ``dsr.cli``'s bindings; a compute that
         makes other counts reads as incorrect there."""
         src = tmp_path / "in.g6"
         src.write_text("C~\nBg\nD]w\n")
-        calls = [count_calls(monkeypatch, dsr.graph6, "graph6_decode")]
-        calls += [count_calls(monkeypatch, dsr.cli, name)
-                  for name in ("distance_matrix", "perron", "edge_connectivity")]
+        calls = [count_calls(monkeypatch, dsr.cli, name) for name in
+                 ("graph6_decode", "distance_matrix", "perron", "edge_connectivity")]
         code, out, _ = run(capsys, "compute", str(src))
         assert code == 0 and len(json.loads(out)) == 3
         assert [len(c) for c in calls] == [3, 3, 3, 3]
@@ -356,6 +356,65 @@ class TestVerifyAll:
         assert out.endswith("overall: FAIL\n")
 
 
+class TestSchemas:
+    """Each report schema is derived from its record dataclass."""
+
+    JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean",
+                  type(None): "null"}
+
+    @pytest.mark.parametrize("schema, cls", [
+        (SEARCH_REPORT_SCHEMA, ExtremalReport),
+        (CHECK_RECORD_SCHEMA, LemmaVerdict),
+        (VERIFY_REPORT_SCHEMA["properties"]["suites"]["items"], SuiteResult),
+    ], ids=["search", "check", "verify-suite"])
+    def test_schema_follows_the_record_fields(self, schema, cls):
+        hints = typing.get_type_hints(cls)
+        types = {}
+        for f in dataclasses.fields(cls):
+            kinds = [self.JSON_TYPES[t] for t in typing.get_args(hints[f.name]) or [hints[f.name]]]
+            types[f.name] = kinds if len(kinds) > 1 else kinds[0]
+        assert {name: prop["type"] for name, prop in schema["properties"].items()} == types
+        assert list(schema["properties"]) == [f.name for f in dataclasses.fields(cls)]
+        assert schema["required"] == [f.name for f in dataclasses.fields(cls)
+                                      if f.default is dataclasses.MISSING]
+        assert schema["additionalProperties"] is False
+
+    def test_check_records_require_every_column(self, capsys):
+        code, out, _ = run(capsys, "check", "--n1", "4", "--n2", "4",
+                           "--r", "2", "--t", "2")
+        assert code == 0
+        record = json.loads(out)[0]
+        jsonschema.validate(record, CHECK_RECORD_SCHEMA)
+        del record["residual"]
+        with pytest.raises(jsonschema.ValidationError, match="'residual' is a required"):
+            jsonschema.validate(record, CHECK_RECORD_SCHEMA)
+
+    def test_search_payload_requires_the_gap(self, capsys):
+        code, out, _ = run(capsys, "search", "--n", "5", "--r", "2")
+        assert code == 0
+        payload = json.loads(out)
+        del payload["uniqueness_gap"]
+        with pytest.raises(jsonschema.ValidationError, match="'uniqueness_gap' is a required"):
+            jsonschema.validate(payload, SEARCH_REPORT_SCHEMA)
+
+    def test_suite_entry_admits_no_extra_key(self):
+        entry = dataclasses.asdict(SuiteResult("closed_forms", 3, 0))
+        report = {"seed": 0, "max_n": 4, "suites": [entry], "ok": True}
+        jsonschema.validate(report, VERIFY_REPORT_SCHEMA)
+        entry["ok"] = True
+        with pytest.raises(jsonschema.ValidationError, match="'ok' was unexpected"):
+            jsonschema.validate(report, VERIFY_REPORT_SCHEMA)
+
+    def test_single_class_corpus_null_gap_validates(self, tmp_path, capsys):
+        corpus = tmp_path / "one.g6"
+        corpus.write_bytes(graph6_encode(kpq(4, 2)) + b"\n")
+        code, out, _ = run(capsys, "search", "--n", "5", "--r", "2", "--corpus", str(corpus))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["runner_up_rho"] is None and payload["uniqueness_gap"] is None
+        jsonschema.validate(payload, SEARCH_REPORT_SCHEMA)
+
+
 def test_help_lists_every_option():
     # no option may hide behind argparse.SUPPRESS, so no test hook can ride
     # along in the production CLI
@@ -407,6 +466,27 @@ def test_graph6_readers_keep_their_error_text(tmp_path, capsys, body, reason):
     for argv in (["compute"], ["search", "--n", "6", "--r", "2", "--corpus"]):
         code, _, err = run(capsys, *argv, str(src))
         assert (code, err) == (2, f"error: {src}: {reason}\n")
+
+
+@pytest.mark.parametrize("lines, order, reason", [
+    ([b"C~", b"  ", b"Bg", b"C~~"], None, "line 4: trailing garbage after 1 data bytes"),
+    ([b"C~", b"  ", b"Bg", b"CA"], None, "line 4: graph is disconnected"),
+    ([b"C~", b"  ", b"Bg"], 4, "line 3: order 3, expected 4"),
+    ([b"C~", b">>graph6<<"], None, "line 2: empty graph6 string"),
+], ids=["malformed", "disconnected", "order", "header-only"])
+def test_loader_names_each_fault(tmp_path, lines, order, reason):
+    src = tmp_path / "in.g6"
+    src.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(dsr.cli._InputError) as exc:
+        dsr.cli._load_graphs(str(src), order)
+    assert str(exc.value) == f"{src}: {reason}"
+
+
+def test_loader_skips_blank_lines(tmp_path):
+    src = tmp_path / "in.g6"
+    src.write_bytes(b"\n \t\nC~\r\n\r\n>>graph6<<Bg\n   \n")
+    assert [(label, g.n) for label, g in dsr.cli._load_graphs(str(src), None)] == [
+        ("C~", 4), ("Bg", 3)]
 
 
 @pytest.mark.parametrize("argv, key, token", [

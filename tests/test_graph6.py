@@ -12,7 +12,6 @@ from dsr import (
     graph6_decode,
     graph6_encode,
 )
-from dsr.graph6 import read_graph6_lines
 from helpers import (
     path_graph,
     random_graph,
@@ -143,15 +142,3 @@ def test_decode_matches_bitwise_reference(n, p, seed, how, value, data):
     # odd values also go in as text, where bytes above 127 are not ASCII
     text = raw.decode("latin-1") if how == "text" or value & 1 else bytes(raw)
     assert _outcome(graph6_decode, text) == _outcome(reference_graph6_decode, text)
-
-
-def test_line_reader_names_each_fault():
-    lines = [b"C~", b"  ", b"Bg", b"C~~", b"CA", b"Dh{"]
-    got = read_graph6_lines(lines[:3], order=None)
-    assert [(line, g.n) for line, g in got] == [(b"C~", 4), (b"Bg", 3)]
-    with pytest.raises(Graph6Error, match="^line 4: trailing garbage after 1 data bytes$"):
-        list(read_graph6_lines(lines))
-    with pytest.raises(Graph6Error, match="^line 4: graph is disconnected$"):
-        list(read_graph6_lines(lines[:3] + lines[4:]))
-    with pytest.raises(Graph6Error, match="^line 3: order 3, expected 4$"):
-        list(read_graph6_lines(lines[:3], order=4))

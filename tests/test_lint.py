@@ -7,7 +7,8 @@ iteration, one-graph distance matrices, minimum cuts, isomorphism,
 canonical forms and the canonical search behind them) are called only
 where they are needed,
 stacked solves are grouped by order in one place, and graph6 files are
-read in one place.  The benchmark's tracer must also install on the
+read in one place (the CLI loader is the only caller of the decoder besides
+the round-trip suite).  The benchmark's tracer must also install on the
 package, since it wraps public names by their import path."""
 
 import ast
@@ -147,7 +148,8 @@ def test_all_lists_exactly_the_imported_names():
 # the search's runner-up; the canonical search itself, which also returns
 # automorphism generators, is internal to isomorphism and enumeration.
 # The input reader is pinned too: every graph6 file, ``compute``'s source and
-# ``search --corpus``, goes through ``cli._load_graphs``.  Minimum cuts are
+# ``search --corpus``, goes through ``cli._load_graphs``, the one caller of
+# ``graph6_decode`` outside the codec's round-trip suite.  Minimum cuts are
 # computed once and shared: one per graph in ``dsr compute``, one per class
 # in the class table, and ``suite_cut_sides``'s certificates.
 SLOW_CALLERS = {
@@ -159,7 +161,7 @@ SLOW_CALLERS = {
     "isomorphic": set(),
     "canonical_form": {"isomorphism.py", "enumeration.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", "enumeration.py"},
-    "read_graph6_lines": {("cli.py", "_load_graphs")},
+    "graph6_decode": {("cli.py", "_load_graphs"), ("verify.py", "suite_graph6_roundtrip")},
 }
 
 
