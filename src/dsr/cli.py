@@ -21,16 +21,18 @@ import io
 import json
 import logging
 import os
+import random
 import sys
 from dataclasses import MISSING, asdict, fields
 
 from .cuts import edge_connectivity
 from .enumeration import MAX_BUILTIN_ORDER
 from .families import BridgeFamilyParams, random_cross_edges
-from .graph6 import HEADER, Graph6Error, graph6_decode, graph6_encode
+from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .spectra import ConvergenceError, perron
 from .verify import (
+    PLACEMENTS,
     CorpusError,
     ExtremalReport,
     LemmaVerdict,
@@ -48,6 +50,9 @@ EXIT_INTERNAL = 4
 # The GIL made a thread pool slower than one thread on this pure-Python
 # work, so the option only survives for existing command lines.
 THREADS_HELP = "accepted for compatibility; the work runs in one thread"
+
+# a prefix that the loader drops from any line of a graph6 file
+HEADER = b">>graph6<<"
 
 _JSON_TYPES = {"int": "integer", "float": "number", "str": "string", "bool": "boolean",
                "None": "null"}
@@ -152,7 +157,7 @@ def _parse_edges(text: str) -> Graph:
 
 def _load_graphs(path: str, order: int | None = None) -> list[tuple[str, Graph]]:
     """(line, graph) pairs of a graph6 file, one graph per nonblank line, the
-    line stripped of whitespace and of any ">>graph6<<" header.  The file is
+    line stripped of whitespace and of one leading HEADER.  The file is
     read as bytes and split on newlines only.  A line that does not decode,
     is not of the given order or is disconnected is an error that names the
     path and the line, counted from 1."""
@@ -206,21 +211,24 @@ def cmd_compute(args) -> int:
 
 
 def _bridge_params(args) -> list[BridgeFamilyParams]:
-    """The hub-only instance, or with 1 <= t < r five cross-edge placements
-    seeded --seed .. --seed+4.  Bad parameters raise BridgeFamilyParams's
-    ValueError before any placement is drawn."""
+    """The hub-only instance, or with 1 <= t < r PLACEMENTS cross-edge
+    placements, each drawn from its own seed --seed, --seed+1, ....  Bad
+    parameters raise BridgeFamilyParams's ValueError before any placement is
+    drawn."""
     if not 1 <= args.t < args.r:
         return [BridgeFamilyParams(args.n1, args.n2, args.r, args.t)]
     BridgeFamilyParams(args.n1, args.n2, args.r, args.r)  # validates n1, n2 and r
     return [
         BridgeFamilyParams(args.n1, args.n2, args.r, args.t,
-                           random_cross_edges(args.n1, args.n2, args.r, args.t, seed))
-        for seed in range(args.seed, args.seed + 5)
+                           random_cross_edges(args.n1, args.n2, args.r, args.t,
+                                              random.Random(seed)))
+        for seed in range(args.seed, args.seed + PLACEMENTS)
     ]
 
 
 def cmd_check(args) -> int:
-    records = [_record(c) for claims in bridge_claims(_bridge_params(args)) for c in claims]
+    # main validated the parameters by drawing them, and kept the draw
+    records = [_record(c) for claims in bridge_claims(args.params) for c in claims]
     _write(args, records, lambda rec: (
         f"{'ok' if rec['holds'] else 'FAIL':4s} {rec['claim']:36s} {rec['params']}"
     ), records)
@@ -350,7 +358,7 @@ def main(argv=None) -> int:
         parser.error(f"--max-n must be in 1..{MAX_BUILTIN_ORDER}, got {args.max_n}")
     if args.command == "check":
         try:
-            _bridge_params(args)
+            args.params = _bridge_params(args)
         except ValueError as exc:
             parser.error(str(exc))
     try:

@@ -101,12 +101,11 @@ class BridgeFamilyParams:
 
 
 def random_cross_edges(
-    n1: int, n2: int, r: int, t: int, rng: random.Random | int
+    n1: int, n2: int, r: int, t: int, rng: random.Random
 ) -> tuple[tuple[int, int], ...]:
-    """Seeded sample of r-t distinct non-hub bridge edges.  It draws indices
-    into the pairs (i, j) in row order, so no order builds the pair list."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
+    """Sample of r-t distinct non-hub bridge edges drawn with ``rng``.  It
+    draws indices into the pairs (i, j) in row order, so no order builds the
+    pair list."""
     picks = rng.sample(range(max(n1 - 1, 0) * max(n2, 0)), r - t)
     return tuple(sorted((2 + k // n2, 1 + k % n2) for k in picks))
 

@@ -3,15 +3,14 @@
 Layout: byte 0 is chr(n+63); then the upper triangle of the adjacency
 matrix, read column by column ((0,1),(0,2),(1,2),(0,3),...), packed
 big-endian into 6-bit groups, zero-padded, each group stored as
-chr(value+63).  An optional ">>graph6<<" header is tolerated on input and
-never emitted.
+chr(value+63).  A ">>graph6<<" header is file policy, not part of a graph6
+string: the CLI's file loader strips it, and the codec neither emits nor
+accepts it.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph, bit_transpose, matrix_width
-
-HEADER = b">>graph6<<"
 
 _MIN_BYTE = 63   # '?'
 _MAX_BYTE = 126  # '~', also the long-form marker when used as length byte
@@ -42,8 +41,6 @@ def graph6_decode(data: bytes | str) -> Graph:
             data = data.encode("ascii")
         except UnicodeEncodeError as exc:
             raise Graph6Error(f"non-ASCII input: {exc}") from None
-    if data.startswith(HEADER):
-        data = data[len(HEADER):]
     if not data:
         raise Graph6Error("empty graph6 string")
     first = data[0]

@@ -55,8 +55,12 @@ IDENTITY_TOL = 1e-8
 ENTRY_EQ_TOL = 1e-10
 # clique orders of the bridge grid, as offsets above r
 GRID_OFFSETS = (2, 3, 4, 5, 6)
-# random graphs drawn by the edge-monotonicity suite
+# random graphs drawn by the edge-monotonicity suite, and their largest order
 MONOTONICITY_CASES = 200
+MONOTONICITY_MAX_ORDER = 20
+# seeded cross-edge placements per mixed bridge instance, in the grid and in
+# ``dsr check``
+PLACEMENTS = 5
 
 
 class CorpusError(ValueError):
@@ -267,10 +271,10 @@ def bridge_claims(grid: Sequence[BridgeFamilyParams]) -> list[list[LemmaVerdict]
 # randomized instance generation
 
 
-def random_connected_graph(rng: random.Random, n_min: int = 4, n_max: int = 20) -> Graph:
-    """Connected Erdos-Renyi sample; edge probability drawn from {0.3, 0.5, 0.7},
-    rejection-sampled until connected."""
-    n = rng.randint(n_min, n_max)
+def random_connected_graph(rng: random.Random) -> Graph:
+    """Connected Erdos-Renyi sample of order 4..MONOTONICITY_MAX_ORDER; edge
+    probability drawn from {0.3, 0.5, 0.7}, rejection-sampled until connected."""
+    n = rng.randint(4, MONOTONICITY_MAX_ORDER)
     p = rng.choice((0.3, 0.5, 0.7))
     while True:
         edges = [
@@ -281,22 +285,19 @@ def random_connected_graph(rng: random.Random, n_min: int = 4, n_max: int = 20) 
             return g
 
 
-def bridge_grid(
-    seed: int = 0,
-    r_values: Sequence[int] = (1, 2, 3, 4),
-    placements: int = 5,
-) -> Iterator[BridgeFamilyParams]:
-    """Deterministic parameter grid over the bridge family; hub-only cases get
-    one instance, mixed cases get ``placements`` seeded cross-edge samples."""
+def bridge_grid(seed: int, r_max: int) -> Iterator[BridgeFamilyParams]:
+    """Deterministic parameter grid over the bridge family for r = 1..r_max;
+    hub-only cases get one instance, mixed cases get PLACEMENTS seeded
+    cross-edge samples."""
     rng = random.Random(seed)
-    for r in r_values:
+    for r in range(1, r_max + 1):
         for t in range(1, r + 1):
             for n1 in (r + o for o in GRID_OFFSETS):
                 for n2 in (r + o for o in GRID_OFFSETS):
                     if t == r:
                         yield BridgeFamilyParams(n1, n2, r, t)
                     else:
-                        for _ in range(placements):
+                        for _ in range(PLACEMENTS):
                             yield BridgeFamilyParams(
                                 n1, n2, r, t, random_cross_edges(n1, n2, r, t, rng)
                             )
@@ -342,14 +343,14 @@ def suite_closed_forms() -> SuiteResult:
     ))
 
 
-def suite_graph6_roundtrip(max_n: int = 7) -> SuiteResult:
+def suite_graph6_roundtrip(max_n: int) -> SuiteResult:
     return _tally("graph6_roundtrip", (
         graph6_decode(graph6_encode(g)) == g
         for n in range(1, max_n + 1) for g in enumerate_connected(n)
     ))
 
 
-def suite_spectra_oracle(max_n: int = 7) -> SuiteResult:
+def suite_spectra_oracle(max_n: int) -> SuiteResult:
     """Over every class: the class table's stacked radius vs. power
     iteration, power iteration vs. a dense symmetric eigensolver, and the
     table's phase-contraction cut size vs. the bipartition scan."""
@@ -368,7 +369,7 @@ def suite_spectra_oracle(max_n: int = 7) -> SuiteResult:
     ))
 
 
-def suite_theorem(max_n: int = 8) -> SuiteResult:
+def suite_theorem(max_n: int) -> SuiteResult:
     """For every n and every feasible r, the minimum-radius class must be
     kpq(n-1, r), unique with a clear gap.  The notes lead with the smallest
     uniqueness gap and where it occurs."""
@@ -386,17 +387,15 @@ def suite_theorem(max_n: int = 8) -> SuiteResult:
     return _tally("extremal_theorem", outcomes, "; ".join(notes))
 
 
-def suite_edge_monotonicity(
-    cases: int = MONOTONICITY_CASES, seed: int = 0, n_max: int = 20
-) -> SuiteResult:
+def suite_edge_monotonicity(seed: int) -> SuiteResult:
     """Random connected graphs; one random edge addition and one random
     non-bridge deletion each must move the radius strictly the right way.
     Every (larger, smaller) radius pair is drawn first, then all are solved
     in one stacked call."""
     rng = random.Random(seed)
     graphs = []
-    for _ in range(cases):
-        g = random_connected_graph(rng, 4, n_max)
+    for _ in range(MONOTONICITY_CASES):
+        g = random_connected_graph(rng)
         non_edges = [
             (u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)
         ]
@@ -430,7 +429,7 @@ def _order_holds(g: Graph, x: np.ndarray, u: int, v: int) -> bool:
     return True
 
 
-def suite_perron_order(max_n: int = 7) -> SuiteResult:
+def suite_perron_order(max_n: int) -> SuiteResult:
     """Exhaustive neighborhood-inclusion ordering check over all vertex pairs
     of all classes."""
     tables = map(class_table, range(2, max_n + 1))
@@ -442,14 +441,9 @@ def suite_perron_order(max_n: int = 7) -> SuiteResult:
     ))
 
 
-def suite_bridge_grid(
-    seed: int = 0,
-    placements: int = 5,
-    r_max: int = 4,
-) -> SuiteResult:
+def suite_bridge_grid(grid: Sequence[BridgeFamilyParams]) -> SuiteResult:
     """Bridge-family grid: flattening strictly lowers the radius, lands on
     kpq, shows the three-level pattern, and satisfies both eigen identities."""
-    grid = list(bridge_grid(seed, range(1, r_max + 1), placements=placements))
     claims = bridge_claims(grid)
     worst = max((float("inf") if c.residual is None else c.residual
                  for instance in claims for c in instance[1:]), default=0.0)
@@ -458,9 +452,7 @@ def suite_bridge_grid(
                   (all(c.holds for c in instance) for instance in claims), notes)
 
 
-def suite_cut_sides(
-    max_n: int = 8, seed: int = 0, r_max: int = 4
-) -> SuiteResult:
+def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResult:
     """The cut-side lemma: when every degree exceeds the edge connectivity r,
     each side S of a minimum cut has |S|(r+1) <= |S|(|S|-1) + r, so at least
     r+2 vertices.  Checked on the certified cut of every class up to max_n
@@ -478,15 +470,15 @@ def suite_cut_sides(
         min_degree(g) <= lam or sides_clear(g)
         for table in tables for g, lam in zip(table.graphs, table.lam)
     )
-    grid = (sides_clear(bridge_graph(params))
-            for params in bridge_grid(seed, range(1, r_max + 1)))
-    return _tally("cut_side_orders", chain(classes, grid))
+    bridges = (sides_clear(bridge_graph(params)) for params in grid)
+    return _tally("cut_side_orders", chain(classes, bridges))
 
 
 def run_all_suites(seed: int = 0, max_n: int = 8) -> list[SuiteResult]:
-    """Every verification suite at the given caps, in a fixed order."""
+    """Every verification suite at the given caps, in a fixed order.  The
+    bridge grid is drawn once and read by both suites that need it."""
     small = min(7, max_n)
-    grid_r = min(4, max(1, max_n - 4))
+    grid = list(bridge_grid(seed, min(4, max(1, max_n - 4))))
     results = [
         suite_closed_forms(),
         suite_graph6_roundtrip(small),
@@ -494,8 +486,8 @@ def run_all_suites(seed: int = 0, max_n: int = 8) -> list[SuiteResult]:
     ]
     if max_n >= 4:
         results.append(suite_theorem(max_n))
-    results.append(suite_edge_monotonicity(seed=seed))
+    results.append(suite_edge_monotonicity(seed))
     results.append(suite_perron_order(small))
-    results.append(suite_bridge_grid(seed, r_max=grid_r))
-    results.append(suite_cut_sides(max_n, seed, grid_r))
+    results.append(suite_bridge_grid(grid))
+    results.append(suite_cut_sides(max_n, grid))
     return results

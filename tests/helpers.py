@@ -37,6 +37,12 @@ def random_connected(rng, n: int, p: float) -> Graph:
     return from_edge_list(n, tree + random_graph(rng, n, p).edges())
 
 
+def crossing_edges(g: Graph, cert) -> list[tuple[int, int]]:
+    """The edges of g with one end on each side of a cut certificate."""
+    in_a = set(cert.side_a)
+    return [(u, v) for u, v in g.edges() if (u in in_a) != (v in in_a)]
+
+
 def perm_canonical(g: Graph) -> tuple:
     """Minimum adjacency bit string over all vertex permutations.
 
@@ -173,8 +179,6 @@ def reference_graph6_decode(data: bytes | str) -> Graph:
             data = data.encode("ascii")
         except UnicodeEncodeError as exc:
             raise Graph6Error(f"non-ASCII input: {exc}") from None
-    if data.startswith(b">>graph6<<"):
-        data = data[10:]
     if not data:
         raise Graph6Error("empty graph6 string")
     first = data[0]

@@ -25,6 +25,8 @@ from dsr import (
 )
 from dsr.cli import main
 from dsr.verify import (
+    MONOTONICITY_CASES,
+    MONOTONICITY_MAX_ORDER,
     _stacked_solve,
     bridge_claims,
     bridge_grid,
@@ -47,7 +49,7 @@ def grid_outcomes():
     call; criteria 6 and 7 read it.  A hub row whose strict consequences
     fail has a None residual, read here as an infinite one."""
     start = time.perf_counter()
-    grid = list(bridge_grid(seed=GRID_SEED))
+    grid = list(bridge_grid(GRID_SEED, 4))
     rows = []
     for params, (verdict, *identities) in zip(grid, bridge_claims(grid)):
         residuals = {c.claim: c.residual for c in identities}
@@ -120,8 +122,9 @@ def test_criterion_3_closed_form_spot_values():
 
 def test_criterion_4_edge_monotonicity_suite():
     start = time.perf_counter()
-    result = suite_edge_monotonicity(cases=200, seed=GRID_SEED, n_max=20)
+    result = suite_edge_monotonicity(GRID_SEED)
     elapsed = time.perf_counter() - start
+    assert MONOTONICITY_CASES == 200 and MONOTONICITY_MAX_ORDER == 20
     ok = result.failures == 0 and elapsed < 30
     report(4, ok, f"{result.instances} toggles on 200 graphs, "
                   f"{result.failures} failures, {elapsed:.1f}s")
@@ -160,7 +163,7 @@ def test_criterion_7_identity_residuals(grid_outcomes):
 
 
 def test_criterion_8_cut_side_orders():
-    result = suite_cut_sides(max_n=8, seed=GRID_SEED, r_max=4)
+    result = suite_cut_sides(8, list(bridge_grid(GRID_SEED, 4)))
     report(8, result.failures == 0,
            f"{result.instances} graphs (exhaustive n<=8 plus grid), "
            f"{result.failures} counterexamples")

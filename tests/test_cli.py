@@ -19,7 +19,7 @@ from dsr.cli import (
     build_parser,
     main,
 )
-from dsr.verify import ExtremalReport, LemmaVerdict, SuiteResult
+from dsr.verify import PLACEMENTS, ExtremalReport, LemmaVerdict, SuiteResult
 from helpers import count_calls, count_slow_paths
 
 
@@ -243,13 +243,15 @@ class TestCheck:
         assert columns == list(CHECK_RECORD_SCHEMA["properties"])
         assert out.splitlines()[0] == ",".join(columns)
 
-    def test_mixed_runs_five_placements(self, capsys):
+    def test_mixed_runs_five_placements(self, monkeypatch, capsys):
+        draws = count_calls(monkeypatch, dsr.cli, "random_cross_edges")
         code, out, _ = run(capsys, "check", "--n1", "5", "--n2", "4",
                            "--r", "2", "--t", "1")
         assert code == 0
         records = json.loads(out)
         flattenings = [r for r in records if r["claim"].startswith("bridge_")]
-        assert len(flattenings) == 5
+        # the placements main drew to validate are the ones checked
+        assert len(flattenings) == len(draws) == PLACEMENTS == 5
 
     @pytest.mark.parametrize("t, placements", [(2, 1), (1, 5)])
     def test_solves_each_flattened_pair_once(self, monkeypatch, capsys, t, placements):
@@ -473,7 +475,9 @@ def test_graph6_readers_keep_their_error_text(tmp_path, capsys, body, reason):
     ([b"C~", b"  ", b"Bg", b"CA"], None, "line 4: graph is disconnected"),
     ([b"C~", b"  ", b"Bg"], 4, "line 3: order 3, expected 4"),
     ([b"C~", b">>graph6<<"], None, "line 2: empty graph6 string"),
-], ids=["malformed", "disconnected", "order", "header-only"])
+    # the loader drops one header; the codec takes none
+    ([b">>graph6<<>>graph6<<C~"], None, "line 1: malformed length byte 62"),
+], ids=["malformed", "disconnected", "order", "header-only", "doubled-header"])
 def test_loader_names_each_fault(tmp_path, lines, order, reason):
     src = tmp_path / "in.g6"
     src.write_bytes(b"\n".join(lines) + b"\n")

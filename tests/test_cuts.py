@@ -22,23 +22,19 @@ from dsr import (
 )
 from dsr.cuts import _diameter_at_most_2
 from dsr.verify import bridge_grid
-from helpers import cycle_graph, path_graph, random_connected
+from helpers import crossing_edges, cycle_graph, path_graph, random_connected
 
 
 def assert_valid_certificate(g, cert):
-    """Certificate invariants: sides partition V, cut edges are exactly the
-    crossing edges, and removing them leaves the two sides as components."""
+    """Certificate invariants: sides partition V, the size counts the edges
+    between them, and removing those leaves the two sides as components."""
     assert set(cert.side_a) | set(cert.side_b) == set(range(g.n))
     assert not set(cert.side_a) & set(cert.side_b)
     assert cert.side_a and cert.side_b
-    in_a = set(cert.side_a)
-    crossing = sorted(
-        (u, v) for u, v in g.edges() if (u in in_a) != (v in in_a)
-    )
-    assert sorted(cert.cut_edges) == crossing
+    crossing = crossing_edges(g, cert)
     assert cert.size == len(crossing)
     stripped = g
-    for u, v in cert.cut_edges:
+    for u, v in crossing:
         stripped = stripped.without_edge(u, v)
     assert not is_connected(stripped)
     # each side is one whole component of the stripped graph
@@ -60,10 +56,11 @@ class TestEdgeConnectivity:
         assert edge_connectivity(complete_graph(n)).size == n - 1
 
     def test_kpq_isolates_added_vertex(self):
-        cert = edge_connectivity(kpq(4, 2))
+        g = kpq(4, 2)
+        cert = edge_connectivity(g)
         assert cert.size == 2
         assert cert.side_b == (4,)
-        assert cert.cut_edges == ((0, 4), (1, 4))
+        assert crossing_edges(g, cert) == [(0, 4), (1, 4)]
 
     def test_c5(self):
         assert edge_connectivity(cycle_graph(5)).size == 2
@@ -78,7 +75,7 @@ class TestEdgeConnectivity:
 
     def test_k2(self):
         cert = edge_connectivity(complete_graph(2))
-        assert cert.size == 1 and cert.cut_edges == ((0, 1),)
+        assert (cert.size, cert.side_a, cert.side_b) == (1, (0,), (1,))
 
 
 class TestBruteForceMinCut:
@@ -176,7 +173,7 @@ def test_bridge_graph_sides_are_the_two_cliques():
     # every grid instance has diameter 3 and all degrees above r, so the r
     # bridge edges are the unique minimum cut and no star certifies it: a
     # minimum-degree shortcut taken at diameter 3 would get all of them wrong
-    for params in bridge_grid(0, (1, 2, 3, 4), placements=1):
+    for params in bridge_grid(0, 4):
         g = bridge_graph(params)
         assert distance_matrix(g).max() == 3
         assert min_degree(g) > params.r
@@ -198,7 +195,8 @@ def test_log_counts_phases(caplog):
     with caplog.at_level(logging.DEBUG, logger="dsr.cuts"):
         cert = edge_connectivity(g)
     assert caplog.messages == ["min cut order 6: 3 phases, size 1"]
-    assert cert.side_b == (3, 4, 5) and cert.cut_edges == ((2, 3),)
+    assert cert.side_b == (3, 4, 5) and crossing_edges(g, cert) == [(2, 3)]
+    assert_valid_certificate(g, cert)
 
 
 def test_log_reports_diameter_shortcut(caplog):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dsr import (
 )
 from dsr.graphs import MAX_VERTICES
 from dsr.isomorphism import canonical_form
+from helpers import crossing_edges
 
 
 class TestCompleteGraph:
@@ -175,19 +177,16 @@ class TestBridgeGraph:
         p = BridgeFamilyParams(5, 4, 2, 1, ((3, 2),))
         g = bridge_graph(p)
         cert = edge_connectivity(g)
-        assert cert.size == p.r
+        crossing = crossing_edges(g, cert)
+        assert cert.size == len(crossing) == p.r
         stripped = g
-        for u, v in cert.cut_edges:
+        for u, v in crossing:
             stripped = stripped.without_edge(u, v)
-        comp_a = from_edge_list(
-            len(cert.side_a),
-            [
-                (cert.side_a.index(u), cert.side_a.index(v))
-                for u, v in stripped.edges()
-                if u in cert.side_a and v in cert.side_a
-            ],
-        )
-        assert isomorphic(comp_a, complete_graph(p.n1))
+        # the two sides are the two cliques, and no edge is left between them
+        assert (len(cert.side_a), len(cert.side_b)) == (p.n1, p.n2)
+        assert stripped == from_edge_list(p.order, [
+            pair for side in (cert.side_a, cert.side_b) for pair in combinations(side, 2)
+        ])
 
     @pytest.mark.parametrize(
         "params",
@@ -245,8 +244,8 @@ class TestBridgeGraphTilde:
 
 
 def test_random_cross_edges_seeded():
-    a = random_cross_edges(6, 5, 3, 1, 42)
-    b = random_cross_edges(6, 5, 3, 1, 42)
+    a = random_cross_edges(6, 5, 3, 1, random.Random(42))
+    b = random_cross_edges(6, 5, 3, 1, random.Random(42))
     assert a == b
     assert len(a) == 2
     assert all(2 <= i <= 6 and 1 <= j <= 5 for i, j in a)
@@ -259,4 +258,4 @@ def test_random_cross_edges_match_a_sample_of_the_pair_list(seed):
     for n1, n2, r, t in [(3, 3, 1, 1), (4, 4, 2, 1), (6, 5, 3, 1), (10, 8, 6, 1), (30, 34, 9, 2)]:
         pairs = [(i, j) for i in range(2, n1 + 1) for j in range(1, n2 + 1)]
         expected = tuple(sorted(random.Random(seed).sample(pairs, r - t)))
-        assert random_cross_edges(n1, n2, r, t, seed) == expected
+        assert random_cross_edges(n1, n2, r, t, random.Random(seed)) == expected

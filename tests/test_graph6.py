@@ -33,9 +33,11 @@ def test_decode_k1():
     assert graph6_decode("@") == Graph(1, (0,))
 
 
-def test_decode_accepts_bytes_and_header():
+def test_decode_accepts_bytes_not_the_header():
     assert graph6_decode(b"C~") == complete_graph(4)
-    assert graph6_decode(b">>graph6<<C~") == complete_graph(4)
+    # the header is file policy, left to the CLI loader; '>' is byte 62
+    with pytest.raises(Graph6Error, match="^malformed length byte 62$"):
+        graph6_decode(b">>graph6<<C~")
 
 
 def test_encode_examples():
@@ -141,4 +143,7 @@ def test_decode_matches_bitwise_reference(n, p, seed, how, value, data):
         raw[0] = value
     # odd values also go in as text, where bytes above 127 are not ASCII
     text = raw.decode("latin-1") if how == "text" or value & 1 else bytes(raw)
-    assert _outcome(graph6_decode, text) == _outcome(reference_graph6_decode, text)
+    outcome = _outcome(graph6_decode, text)
+    assert outcome == _outcome(reference_graph6_decode, text)
+    if how == "header":  # a header is never part of a graph6 string
+        assert outcome == (Graph6Error, "malformed length byte 62")

@@ -8,7 +8,9 @@ canonical forms and the canonical search behind them) are called only
 where they are needed,
 stacked solves are grouped by order in one place, and graph6 files are
 read in one place (the CLI loader is the only caller of the decoder besides
-the round-trip suite).  The benchmark's tracer must also install on the
+the round-trip suite).  The bridge grid and ``dsr check``'s placements are
+each drawn in one place, and ``run_all_suites`` sets every suite parameter,
+none of which has a default.  The benchmark's tracer must also install on the
 package, since it wraps public names by their import path."""
 
 import ast
@@ -151,7 +153,10 @@ def test_all_lists_exactly_the_imported_names():
 # ``search --corpus``, goes through ``cli._load_graphs``, the one caller of
 # ``graph6_decode`` outside the codec's round-trip suite.  Minimum cuts are
 # computed once and shared: one per graph in ``dsr compute``, one per class
-# in the class table, and ``suite_cut_sides``'s certificates.
+# in the class table, and ``suite_cut_sides``'s certificates.  Each random
+# input is drawn once: ``run_all_suites`` draws the bridge grid that both grid
+# suites read, and ``dsr check`` keeps the placements that ``main`` drew to
+# validate its parameters.
 SLOW_CALLERS = {
     "perron": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
     "distance_matrix": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
@@ -162,6 +167,8 @@ SLOW_CALLERS = {
     "canonical_form": {"isomorphism.py", "enumeration.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", "enumeration.py"},
     "graph6_decode": {("cli.py", "_load_graphs"), ("verify.py", "suite_graph6_roundtrip")},
+    "bridge_grid": {("verify.py", "run_all_suites")},
+    "_bridge_params": {("cli.py", "main")},
 }
 
 
@@ -189,3 +196,21 @@ def test_slow_paths_only_where_allowed(name):
         if called == name and module not in allowed and (module, owner) not in allowed
     ]
     assert not stray, f"{name}( called outside {sorted(map(str, allowed))}: {stray}"
+
+
+def test_run_all_suites_sets_every_suite_parameter():
+    # a suite knob has the one value ``run_all_suites`` gives it: no suite
+    # parameter has a default, and every call there passes each parameter
+    top = {node.name: node for node in TREES["verify.py"].body
+           if isinstance(node, ast.FunctionDef)}
+    suites = {name: node.args for name, node in top.items() if name.startswith("suite_")}
+    defaults = [name for name, args in suites.items()
+                if args.defaults or any(args.kw_defaults)]
+    assert not defaults, f"suite parameters with defaults: {defaults}"
+    passed = {
+        node.func.id: len(node.args) + len(node.keywords)
+        for node in ast.walk(top["run_all_suites"])
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in suites
+    }
+    assert passed == {name: len(args.posonlyargs + args.args + args.kwonlyargs)
+                      for name, args in suites.items()}

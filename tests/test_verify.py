@@ -36,6 +36,7 @@ from dsr.cli import main
 from dsr.verify import (
     GROUP_DEV_TOL,
     IDENTITY_TOL,
+    PLACEMENTS,
     STRICT_MARGIN,
     UNIQUENESS_GAP,
     _order_holds,
@@ -118,7 +119,8 @@ class TestTransformation:
             assert (c.lhs_rho, c.rhs_rho, c.margin) == (None, None, None)
 
     def test_mixed_every_placement(self):
-        grid = [BridgeFamilyParams(5, 4, 2, 1, random_cross_edges(5, 4, 2, 1, seed))
+        grid = [BridgeFamilyParams(5, 4, 2, 1,
+                                   random_cross_edges(5, 4, 2, 1, random.Random(seed)))
                 for seed in range(5)]
         for p, (v, *_) in zip(grid, bridge_claims(grid)):
             assert v.holds, p.cross_edges
@@ -195,11 +197,10 @@ class TestCutSideLemma:
             if g != target:
                 return real(g)
             # the right size, but one side is a single vertex
-            return CutCertificate(lam, tuple(g.edges()[:lam]),
-                                  (0,), tuple(range(1, g.n)))
+            return CutCertificate(lam, (0,), tuple(range(1, g.n)))
 
         monkeypatch.setattr(dsr.verify, "edge_connectivity", bad)
-        result = suite_cut_sides(max_n=8, r_max=1)
+        result = suite_cut_sides(8, list(bridge_grid(0, 1)))
         assert result.failures == 1
 
 
@@ -267,16 +268,16 @@ def test_random_connected_graph_seeded():
     rng1 = random.Random(11)
     rng2 = random.Random(11)
     for _ in range(10):
-        g1 = random_connected_graph(rng1, 4, 12)
-        g2 = random_connected_graph(rng2, 4, 12)
+        g1 = random_connected_graph(rng1)
+        g2 = random_connected_graph(rng2)
         assert g1 == g2
         assert is_connected(g1)
-        assert 4 <= g1.n <= 12
+        assert 4 <= g1.n <= 20
 
 
 def test_bridge_grid_deterministic():
-    a = list(bridge_grid(3, (1, 2)))
-    b = list(bridge_grid(3, (1, 2)))
+    a = list(bridge_grid(3, 2))
+    b = list(bridge_grid(3, 2))
     assert a == b
     # hub-only cells yield one instance, mixed cells five
     assert len(a) == 25 + 25 + 125
@@ -351,24 +352,25 @@ def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch)
         sum(1 for g, lam in zip(t.graphs, t.lam) if min_degree(g) > lam) for t in tables
     ]
     assert eligible[-1] == 44  # of the 11,117 order-8 classes
+    grid = list(bridge_grid(0, 1))
     cuts = count_calls(monkeypatch, dsr.verify, "edge_connectivity")
-    result = suite_cut_sides(max_n=8, r_max=1)
-    grid = [bridge_graph(p) for p in bridge_grid(0, (1,))]  # one cut per grid instance
+    result = suite_cut_sides(8, grid)
+    bridges = [bridge_graph(p) for p in grid]  # one cut per grid instance
     assert result.ok
     assert result.instances == sum(len(t.graphs) for t in tables) + len(grid)
     assert len(cuts) == sum(eligible) + len(grid)
-    assert [g for g, in cuts[sum(eligible):]] == grid
+    assert [g for g, in cuts[sum(eligible):]] == bridges
 
 
 def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
-    grid = list(bridge_grid(0, (1, 2), placements=1))
+    grid = list(bridge_grid(0, 2))
     claims = bridge_claims(grid)
     worst = max(c.residual for instance in claims for c in instance[1:])
     assert all(c.holds for instance in claims for c in instance)
     stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
     distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
     slow = count_slow_paths(monkeypatch)
-    result = suite_bridge_grid(placements=1, r_max=2)
+    result = suite_bridge_grid(grid)
     assert result.ok and result.instances == len(grid)
     assert result.notes == f"max identity residual {worst:.3e}"
     # the bridge and flattened graph of every instance in one stacked solve:
@@ -382,7 +384,7 @@ def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
 
 @pytest.mark.parametrize("t", [1, 2], ids=["mixed", "hub-only"])
 def test_bridge_claims_builds_each_distance_matrix_once(monkeypatch, t):
-    grid = [p for p in bridge_grid(0, (2,), placements=2) if p.t == t]
+    grid = [p for p in bridge_grid(0, 2) if (p.r, p.t) == (2, t)]
     distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
     slow = count_slow_paths(monkeypatch)
     bridge_claims(grid)
@@ -396,7 +398,7 @@ def test_bridge_claims_builds_each_distance_matrix_once(monkeypatch, t):
 
 def test_bridge_claims_match_power_iteration():
     # oracle: each graph alone by power iteration, kpq by canonical forms
-    grid = list(bridge_grid(0, (1, 2), placements=1))
+    grid = list(bridge_grid(0, 2))
     for p, (verdict, *identities) in zip(grid, bridge_claims(grid)):
         lhs = perron(distance_matrix(bridge_graph(p))).rho
         pp = perron(distance_matrix(bridge_graph_tilde(p)))
@@ -422,12 +424,13 @@ def test_edge_monotonicity_matches_power_iteration(monkeypatch):
         return seen[-1][2]
 
     monkeypatch.setattr(dsr.verify, "_strictly_above", recorded)
-    result = suite_edge_monotonicity(cases=50, seed=0)
+    monkeypatch.setattr(dsr.verify, "MONOTONICITY_CASES", 50)
+    result = suite_edge_monotonicity(0)
     # oracle: the suite's random stream replayed with per-graph paths
     rng = random.Random(0)
     pairs = []
     for _ in range(50):
-        g = random_connected_graph(rng, 4, 20)
+        g = random_connected_graph(rng)
         non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
         deletable = [(u, v) for u, v in g.edges() if is_connected(g.without_edge(u, v))]
         if non_edges:
@@ -458,8 +461,9 @@ def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
     assert '"residual": null' in out
     hub = [rec for rec in json.loads(out) if rec["claim"] == "hub_row_identity"]
     assert [(rec["residual"], rec["holds"]) for rec in hub] == [(None, False)]
-    result = suite_bridge_grid(placements=1, r_max=2)
-    assert result.instances == len(list(bridge_grid(0, (1, 2), placements=1)))
+    grid = list(bridge_grid(0, 2))
+    result = suite_bridge_grid(grid)
+    assert result.instances == len(grid)
     assert result.failures == result.instances
     assert result.notes == "max identity residual inf"
 
@@ -489,8 +493,11 @@ def tally(results) -> list[tuple[str, int, int]]:
     return [(r.name, r.instances, r.failures) for r in results]
 
 
-def test_suite_tally_at_max_n_6():
+def test_suite_tally_at_max_n_6(monkeypatch):
+    draws = count_calls(monkeypatch, dsr.verify, "random_cross_edges")
     assert tally(run_all_suites(seed=0, max_n=6)) == expected_tally_at_6()
+    # the grid is drawn once: one draw per placement of the 25 r=2, t=1 cells
+    assert len(draws) == 25 * PLACEMENTS
 
 
 def test_suite_tally_counts_one_failing_claim(monkeypatch):
@@ -508,3 +515,62 @@ def test_suite_tally_counts_one_failing_claim(monkeypatch):
         for name, instances, _ in expected_tally_at_6()
     ]
     assert tally(run_all_suites(seed=0, max_n=6)) == expected
+
+
+# Fault injection: each case replaces one function at its ``dsr.verify``
+# binding with a faulty version, and the named suite must report failures
+# in a run of every suite, rather than raise.
+
+
+def scale_one_rho(real):
+    def fault(stack):  # the first row's radius, 1e-7 relative too high
+        rho, x, residual = real(stack)
+        return rho * np.r_[1 + 1e-7, np.ones(len(rho) - 1)], x, residual
+    return fault
+
+
+def raise_k4_connectivity(real):
+    def fault(g):  # K4's cut, one edge too large
+        cert = real(g)
+        return dataclasses.replace(cert, size=cert.size + 1) if g == complete_graph(4) else cert
+    return fault
+
+
+def reverse_nesting(real):
+    # negated entries: a strictly smaller neighbourhood now needs a smaller entry
+    return lambda g, x, u, v: real(g, -x, u, v)
+
+
+def drop_last_edge(real):
+    def fault(data):
+        g = real(data)
+        return g.without_edge(*g.edges()[-1]) if g.num_edges() else g
+    return fault
+
+
+def add_hub_edge(real):
+    def fault(params):  # the hub of the flattened graph gets r + 1 neighbours
+        h = real(params)
+        return h.with_edge(0, next(v for v in range(1, h.n) if not h.has_edge(0, v)))
+    return fault
+
+
+@pytest.fixture
+def cold_class_tables():
+    """No class table built under an injected fault outlives its case."""
+    class_table.cache_clear()
+    yield
+    class_table.cache_clear()
+
+
+@pytest.mark.parametrize("name, fault, suite", [
+    ("perron_stack", scale_one_rho, "spectra_and_cut_oracle"),
+    ("edge_connectivity", raise_k4_connectivity, "spectra_and_cut_oracle"),
+    ("_order_holds", reverse_nesting, "perron_entry_order"),
+    ("graph6_decode", drop_last_edge, "graph6_roundtrip"),
+    ("bridge_graph_tilde", add_hub_edge, "bridge_grid_and_identities"),
+], ids=lambda value: value.__name__ if callable(value) else None)
+def test_injected_fault_fails_its_suite(monkeypatch, cold_class_tables, name, fault, suite):
+    monkeypatch.setattr(dsr.verify, name, fault(getattr(dsr.verify, name)))
+    failures = {r.name: r.failures for r in run_all_suites(seed=0, max_n=6)}
+    assert failures[suite] > 0, failures
