@@ -33,7 +33,6 @@ from .spectra import (
     ConvergenceError,
     PerronPair,
     perron,
-    perron_group_pattern,
     perron_stack,
 )
 from .verify import (
@@ -78,7 +77,6 @@ __all__ = [
     "kpq",
     "min_degree",
     "perron",
-    "perron_group_pattern",
     "perron_stack",
     "random_cross_edges",
     "run_all_suites",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,7 +72,7 @@ def perron(d: np.ndarray) -> PerronPair:
     )
 
 
-def perron_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def perron_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Perron pairs of a (k, n, n) stack of distance matrices of connected
     order-n graphs.
 
@@ -81,13 +80,12 @@ def perron_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``STACK_ENTRIES`` entries.  Each top eigenvector is taken in absolute
     value and normalized, its Rayleigh quotient is recomputed, and every row
     must have an infinity-norm residual at most 1e-12 * n and strictly
-    positive entries, or ``ConvergenceError`` is raised.  Returns ``(rho, x,
-    residual)`` of shapes (k,), (k, n) and (k,).
+    positive entries, or ``ConvergenceError`` is raised.  Returns ``(rho, x)``
+    of shapes (k,) and (k, n).
     """
     k, n, _ = mats.shape
     rho = np.empty(k)
     x = np.empty((k, n))
-    residual = np.empty(k)
     chunk = max(1, STACK_ENTRIES // (n * n))
     for start in range(0, k, chunk):
         a = mats[start:start + chunk].astype(np.float64)
@@ -106,32 +104,4 @@ def perron_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             )
         rho[start:start + chunk] = values
         x[start:start + chunk] = vecs
-        residual[start:start + chunk] = res
-    return rho, x, residual
-
-
-def perron_group_pattern(
-    x: np.ndarray, groups: Sequence[Iterable[int]]
-) -> list[tuple[float, float]]:
-    """Per-group (mean entry, max within-group deviation) of a Perron vector.
-
-    ``groups`` must partition 0..n-1 for n = len(x); used to assert
-    block-constant eigenvector structure on symmetric constructions.
-    """
-    n = len(x)
-    seen: set[int] = set()
-    out = []
-    for group in groups:
-        idx = list(group)
-        if not idx:
-            raise ValueError("empty group")
-        for v in idx:
-            if not 0 <= v < n or v in seen:
-                raise ValueError(f"groups do not partition 0..{n - 1}: bad index {v}")
-            seen.add(v)
-        entries = x[idx]
-        mean = float(entries.mean())
-        out.append((mean, float(np.max(np.abs(entries - mean)))))
-    if len(seen) != n:
-        raise ValueError(f"groups do not partition 0..{n - 1}: {n - len(seen)} missing")
-    return out
+    return rho, x

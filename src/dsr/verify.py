@@ -39,7 +39,7 @@ from .graphs import (
     is_connected,
 )
 from .isomorphism import canonical_form
-from .spectra import perron, perron_group_pattern, perron_stack
+from .spectra import perron, perron_stack
 
 logger = logging.getLogger(__name__)
 
@@ -70,22 +70,22 @@ class CorpusError(ValueError):
 
 def _stacked_solve(
     graphs: Sequence[Graph],
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Distance matrices and certified Perron pairs of connected graphs of
     any mix of orders: one ``distance_stack`` and one ``perron_stack`` call
-    per order.  Returns ``(mats, rho, x, residual)``, row i for
-    ``graphs[i]``; ``x`` rows are zero past the order of their graph."""
+    per order.  Returns ``(mats, rho, x)``, row i for ``graphs[i]``; ``x``
+    rows are zero past the order of their graph."""
     k = len(graphs)
     mats = [None] * k
-    rho, residual = np.empty(k), np.empty(k)
+    rho = np.empty(k)
     x = np.zeros((k, max((g.n for g in graphs), default=0)))
     for n in sorted({g.n for g in graphs}):
         rows = [i for i, g in enumerate(graphs) if g.n == n]
         stack = distance_stack(n, [graphs[i] for i in rows])
-        rho[rows], x[rows, :n], residual[rows] = perron_stack(stack)
+        rho[rows], x[rows, :n] = perron_stack(stack)
         for i, d in zip(rows, stack):
             mats[i] = d
-    return mats, rho, x, residual
+    return mats, rho, x
 
 
 def _strictly_above(lhs: float, rhs: float) -> bool:
@@ -140,19 +140,18 @@ class ClassTable:
     """Per-graph quantities of connected order-n graphs, one column each.
 
     Row i describes ``graphs[i]``: ``lam`` its edge connectivity (0 for a
-    single vertex), ``rho``, ``x`` and ``residual`` its certified Perron
-    pair.  ``x`` is one (k, n) array, not an object per graph.
+    single vertex), ``rho`` and ``x`` its Perron pair, certified when it was
+    solved.  ``x`` is one (k, n) array, not an object per graph.
     """
 
     graphs: tuple[Graph, ...]
     lam: np.ndarray
     rho: np.ndarray
     x: np.ndarray
-    residual: np.ndarray
 
     def __post_init__(self):
         # cached tables are shared by every caller in the process
-        for column in (self.lam, self.rho, self.x, self.residual):
+        for column in (self.lam, self.rho, self.x):
             column.setflags(write=False)
 
 
@@ -221,6 +220,12 @@ def extremal_search(
 # bridge claims
 
 
+def _level(entries: np.ndarray) -> tuple[float, float]:
+    """Mean of one level's Perron entries and their max deviation from it."""
+    mean = float(entries.mean())
+    return mean, float(np.max(np.abs(entries - mean)))
+
+
 def bridge_claims(grid: Sequence[BridgeFamilyParams]) -> list[list[LemmaVerdict]]:
     """Per bridge instance, the flattening verdict and then one verdict per
     identity, all on one Perron pair of the flattened graph.  Every bridge
@@ -234,14 +239,18 @@ def bridge_claims(grid: Sequence[BridgeFamilyParams]) -> list[list[LemmaVerdict]
     graphs = []
     for params in grid:
         graphs += [bridge_graph(params), bridge_graph_tilde(params)]
-    mats, rho, x, _ = _stacked_solve(graphs)
+    mats, rho, x = _stacked_solve(graphs)
     out = []
     for k, params in enumerate(grid):
         n1, n2, r, n = params.n1, params.n2, params.r, params.order
         dg, dt = mats[2 * k], mats[2 * k + 1]
         lhs, rhs = float(rho[2 * k]), float(rho[2 * k + 1])
         xt = x[2 * k + 1, :n]
-        (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(xt, tilde_level_groups(params))
+        # the hub is the single vertex 0; the other two levels are its
+        # non-neighbours and its neighbours
+        _, mid, near = tilde_level_groups(params)
+        m1 = float(xt[0])
+        (m2, d2), (m3, d3) = (_level(xt[list(idx)]) for idx in (mid, near))
         label = f"n1={n1} n2={n2} r={r} t={params.t} cross={list(params.cross_edges)}"
         flattens = (
             _strictly_above(lhs, rhs)
@@ -371,20 +380,24 @@ def suite_spectra_oracle(max_n: int) -> SuiteResult:
 
 def suite_theorem(max_n: int) -> SuiteResult:
     """For every n and every feasible r, the minimum-radius class must be
-    kpq(n-1, r), unique with a clear gap.  The notes lead with the smallest
-    uniqueness gap and where it occurs."""
+    kpq(n-1, r), unique with a clear gap.  The built-in classes are pairwise
+    non-isomorphic, so two or more of them without a runner-up can only come
+    from a broken runner-up test, and fail too.  The notes lead with the
+    smallest uniqueness gap and where it occurs, then name each failure."""
     reports = [extremal_search(n, r) for n in range(4, max_n + 1) for r in range(1, n - 1)]
-    outcomes = [rep.holds() for rep in reports]
-    notes = [
-        f"n={rep.n} r={rep.r}: minimizer {rep.minimizer_graph6}"
-        for rep, ok in zip(reports, outcomes) if not ok
+    faults = [
+        f"minimizer {rep.minimizer_graph6}" if not rep.holds()
+        else f"no runner-up among {rep.class_size} classes"
+        if rep.class_size >= 2 and rep.uniqueness_gap is None else None
+        for rep in reports
     ]
+    notes = [f"n={rep.n} r={rep.r}: {fault}" for rep, fault in zip(reports, faults) if fault]
     # (gap, n, r) in scan order, so min() keeps the first of equal gaps
     gaps = [(rep.uniqueness_gap, rep.n, rep.r) for rep in reports
             if rep.uniqueness_gap is not None]
     if gaps:
         notes.insert(0, "min uniqueness gap {:.6e} at n={} r={}".format(*min(gaps)))
-    return _tally("extremal_theorem", outcomes, "; ".join(notes))
+    return _tally("extremal_theorem", (fault is None for fault in faults), "; ".join(notes))
 
 
 def suite_edge_monotonicity(seed: int) -> SuiteResult:
@@ -474,7 +487,7 @@ def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResu
     return _tally("cut_side_orders", chain(classes, bridges))
 
 
-def run_all_suites(seed: int = 0, max_n: int = 8) -> list[SuiteResult]:
+def run_all_suites(seed: int, max_n: int) -> list[SuiteResult]:
     """Every verification suite at the given caps, in a fixed order.  The
     bridge grid is drawn once and read by both suites that need it."""
     small = min(7, max_n)

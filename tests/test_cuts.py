@@ -43,8 +43,8 @@ def assert_valid_certificate(g, cert):
         frontier = [side[0]]
         while frontier:
             u = frontier.pop()
-            for w in stripped.neighbors(u):
-                if w not in reach:
+            for w in range(g.n):
+                if stripped.has_edge(u, w) and w not in reach:
                     reach.add(w)
                     frontier.append(w)
         assert reach == set(side)

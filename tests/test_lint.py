@@ -1,7 +1,8 @@
 """Lint over the package sources, using only the standard library: no
 module may import a name it never uses, no module-level private function,
 class or alias may go unreferenced across ``src/dsr``, no public top-level
-function or class may go unreferenced outside ``__init__.py``, ``dsr.__all__``
+function or class may go unreferenced outside ``__init__.py``, no public
+method or property may go unread outside its own body, ``dsr.__all__``
 lists exactly what the package imports, the slow per-graph paths (power
 iteration, one-graph distance matrices, minimum cuts, isomorphism,
 canonical forms and the canonical search behind them) are called only
@@ -9,8 +10,8 @@ where they are needed,
 stacked solves are grouped by order in one place, and graph6 files are
 read in one place (the CLI loader is the only caller of the decoder besides
 the round-trip suite).  The bridge grid and ``dsr check``'s placements are
-each drawn in one place, and ``run_all_suites`` sets every suite parameter,
-none of which has a default.  The benchmark's tracer must also install on the
+each drawn in one place, and ``run_all_suites`` sets every suite parameter;
+neither it nor any suite has a parameter default.  The benchmark's tracer must also install on the
 package, since it wraps public names by their import path."""
 
 import ast
@@ -114,6 +115,22 @@ def test_every_public_definition_is_referenced():
     assert sorted(unreferenced) == sorted(UNCALLED_PUBLIC)
 
 
+def test_every_public_method_is_referenced():
+    # dunders are called by the language, not by name
+    unread = []
+    for module in MODULES:
+        for cls in ast.walk(TREES[module]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                inside = {id(inner) for inner in ast.walk(node)}
+                if not any(node.name in references(tree, inside) for tree in TREES.values()):
+                    unread.append(f"{module}: {cls.name}.{node.name}")
+    assert not unread, f"public methods or properties never read: {unread}"
+
+
 def test_benchmark_tracer_installs():
     script = (
         "import json, sys\n"
@@ -200,13 +217,15 @@ def test_slow_paths_only_where_allowed(name):
 
 def test_run_all_suites_sets_every_suite_parameter():
     # a suite knob has the one value ``run_all_suites`` gives it: no suite
-    # parameter has a default, and every call there passes each parameter
+    # parameter has a default, nor has ``run_all_suites``'s own, and every
+    # call there passes each suite parameter
     top = {node.name: node for node in TREES["verify.py"].body
            if isinstance(node, ast.FunctionDef)}
     suites = {name: node.args for name, node in top.items() if name.startswith("suite_")}
-    defaults = [name for name, args in suites.items()
+    checked = {**suites, "run_all_suites": top["run_all_suites"].args}
+    defaults = [name for name, args in checked.items()
                 if args.defaults or any(args.kw_defaults)]
-    assert not defaults, f"suite parameters with defaults: {defaults}"
+    assert not defaults, f"parameters with defaults: {defaults}"
     passed = {
         node.func.id: len(node.args) + len(node.keywords)
         for node in ast.walk(top["run_all_suites"])

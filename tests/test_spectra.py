@@ -7,17 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsr import (
-    BridgeFamilyParams,
     ConvergenceError,
-    bridge_graph_tilde,
     complete_graph,
     distance_matrix,
     enumerate_connected,
     kpq,
     perron,
-    perron_group_pattern,
     perron_stack,
-    tilde_level_groups,
 )
 from dsr.graphs import distance_stack
 from dsr.verify import _stacked_solve
@@ -71,11 +67,12 @@ class TestPerron:
             assert abs(rho - dense) <= 1e-8 * max(1.0, dense)
 
 
-def assert_pairs_match_oracles(graphs, rho, x, residual):
+def assert_pairs_match_oracles(graphs, rho, x):
     """Stacked Perron pairs of ``graphs`` against eigvalsh and power
-    iteration, row by row; ``x`` rows are zero past their graph's order."""
+    iteration, row by row, each with its eigen-residual recomputed; ``x``
+    rows are zero past their graph's order."""
     width = max(g.n for g in graphs)
-    assert rho.shape == residual.shape == (len(graphs),)
+    assert rho.shape == (len(graphs),)
     assert x.shape == (len(graphs), width)
     for i, g in enumerate(graphs):
         n = g.n
@@ -87,7 +84,7 @@ def assert_pairs_match_oracles(graphs, rho, x, residual):
         assert np.abs(x[i, :n] - power.x).max() <= 1e-8
         assert (x[i, :n] > 0).all() and not x[i, n:].any()
         assert abs(np.linalg.norm(x[i]) - 1.0) <= 1e-12
-        assert residual[i] <= 1e-12 * n
+        assert np.abs(d @ x[i, :n] - rho[i] * x[i, :n]).max() <= 1e-12 * n
 
 
 class TestPerronStack:
@@ -96,22 +93,21 @@ class TestPerronStack:
         assert_pairs_match_oracles(graphs, *perron_stack(distance_stack(6, graphs)))
 
     def test_single_vertex_and_empty(self):
-        rho, x, residual = perron_stack(np.zeros((1, 1, 1)))
+        rho, x = perron_stack(np.zeros((1, 1, 1)))
         assert rho.tolist() == [0.0] and x.tolist() == [[1.0]]
-        assert residual.tolist() == [0.0]
-        rho, x, residual = perron_stack(np.zeros((0, 3, 3)))
-        assert rho.shape == residual.shape == (0,) and x.shape == (0, 3)
-        mats, rho, x, residual = _stacked_solve([])
-        assert mats == [] and rho.shape == residual.shape == (0,) and x.shape == (0, 0)
+        rho, x = perron_stack(np.zeros((0, 3, 3)))
+        assert rho.shape == (0,) and x.shape == (0, 3)
+        mats, rho, x = _stacked_solve([])
+        assert mats == [] and rho.shape == (0,) and x.shape == (0, 0)
 
     def test_chunked_stack(self, monkeypatch):
         import dsr.spectra
 
         monkeypatch.setattr(dsr.spectra, "STACK_ENTRIES", 3 * 25)  # three per chunk
         stack = distance_stack(5, enumerate_connected(5))
-        rho, x, _ = perron_stack(stack)
+        rho, x = perron_stack(stack)
         monkeypatch.undo()
-        whole_rho, whole_x, _ = perron_stack(stack)
+        whole_rho, whole_x = perron_stack(stack)
         assert np.abs(rho - whole_rho).max() <= 1e-12
         assert np.abs(x - whole_x).max() <= 1e-12
 
@@ -136,10 +132,10 @@ class TestPerronStack:
 def test_stacked_solve_mixed_orders_match_oracles(orders, p, seed):
     rng = random.Random(seed)
     graphs = [random_connected(rng, n, p) for n in orders]
-    mats, rho, x, residual = _stacked_solve(graphs)
+    mats, rho, x = _stacked_solve(graphs)
     for g, d in zip(graphs, mats):
         assert (d == distance_matrix(g)).all()
-    assert_pairs_match_oracles(graphs, rho, x, residual)
+    assert_pairs_match_oracles(graphs, rho, x)
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -209,36 +205,3 @@ class TestQuadraticForm:
             x /= np.linalg.norm(x)
             assert x @ d @ x <= rho * (1 + 1e-12)
 
-
-class TestGroupPattern:
-    def test_complete_graph_single_group(self):
-        pp = perron(distance_matrix(complete_graph(5)))
-        [(mean, dev)] = perron_group_pattern(pp.x, [range(5)])
-        assert dev <= 1e-15  # exact symmetry up to one rounding ulp in the mean
-        assert abs(mean - pp.x[0]) <= 1e-15
-
-    def test_three_levels_hub_only(self):
-        p = BridgeFamilyParams(4, 4, 2, 2)
-        tilde = bridge_graph_tilde(p)
-        pp = perron(distance_matrix(tilde))
-        (m1, d1), (m2, d2), (m3, d3) = perron_group_pattern(
-            pp.x, tilde_level_groups(p)
-        )
-        assert max(d1, d2, d3) < 1e-9
-        assert m3 < m2 < m1
-
-    def test_three_levels_mixed(self):
-        p = BridgeFamilyParams(5, 5, 2, 1, ((4, 3),))
-        pp = perron(distance_matrix(bridge_graph_tilde(p)))
-        (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(pp.x, tilde_level_groups(p))
-        assert max(d2, d3) < 1e-9
-        assert m3 < m2 < m1
-
-    def test_rejects_non_partition(self):
-        pp = perron(distance_matrix(complete_graph(4)))
-        with pytest.raises(ValueError):
-            perron_group_pattern(pp.x, [(0, 1), (1, 2, 3)])  # overlap
-        with pytest.raises(ValueError):
-            perron_group_pattern(pp.x, [(0, 1)])  # missing vertices
-        with pytest.raises(ValueError):
-            perron_group_pattern(pp.x, [(0, 1, 2, 3), ()])  # empty group

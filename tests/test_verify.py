@@ -27,7 +27,6 @@ from dsr import (
     kpq,
     min_degree,
     perron,
-    perron_group_pattern,
     random_cross_edges,
     tilde_level_groups,
 )
@@ -128,6 +127,28 @@ class TestTransformation:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             bridge_claims([BridgeFamilyParams(3, 3, 2, 1, ((2, 1),))])
+
+    @pytest.mark.parametrize("p", [
+        BridgeFamilyParams(4, 4, 2, 2),
+        BridgeFamilyParams(5, 5, 2, 1, ((4, 3),)),
+    ], ids=["hub-only", "mixed"])
+    def test_three_levels(self, p):
+        # oracle: the flattened graph's Perron vector from a dense
+        # eigensolver, split by hand into the hub (vertex 0), its
+        # non-neighbours and its neighbours
+        g = bridge_graph_tilde(p)
+        values, vectors = np.linalg.eigh(distance_matrix(g).astype(float))
+        rho, x = values[-1], np.abs(vectors[:, -1])
+        near = [v for v in range(g.n) if g.has_edge(0, v)]
+        mid = [v for v in range(1, g.n) if not g.has_edge(0, v)]
+        assert tilde_level_groups(p) == ((0,), tuple(mid), tuple(near))
+        assert max(np.ptp(x[mid]), np.ptp(x[near])) < 1e-9
+        m1, m2, m3 = x[0], x[mid].mean(), x[near].mean()
+        assert m3 < m2 < m1
+        hub = abs(rho * m1 - (p.r * m3 + 2.0 * (p.order - p.r - 1) * m2))
+        [verdict, hub_row, *_] = bridge_claims([p])[0]
+        assert verdict.holds and hub_row.holds
+        assert hub_row.residual == pytest.approx(hub, abs=1e-12)
 
 
 class TestIdentities:
@@ -255,6 +276,11 @@ class TestExtremalSearch:
         assert rep.class_size == 1
         assert rep.runner_up_rho is None and rep.uniqueness_gap is None
         assert rep.holds()
+        # a corpus of copies of one class has none either, and still holds:
+        # only the theorem suite, over the built-in classes, fails the gap
+        rep = extremal_search(6, 2, [kpq(5, 2)] * 2)
+        assert rep.class_size == 2 and rep.uniqueness_gap is None
+        assert rep.holds()
 
     def test_holds_needs_kpq_and_a_gap_above_the_band(self):
         rep = extremal_search(5, 2)
@@ -289,14 +315,13 @@ class TestClassTable:
         table = class_table(n)
         assert table.graphs == tuple(enumerate_connected(n))
         k = len(table.graphs)
-        assert table.lam.shape == table.rho.shape == table.residual.shape == (k,)
+        assert table.lam.shape == table.rho.shape == (k,)
         assert table.x.shape == (k, n)
-        for g, lam, rho, x, res in zip(
-            table.graphs, table.lam, table.rho, table.x, table.residual
-        ):
+        for g, lam, rho, x in zip(table.graphs, table.lam, table.rho, table.x):
+            d = distance_matrix(g)
             assert lam == (edge_connectivity(g).size if n >= 2 else 0)
-            assert rho == pytest.approx(perron(distance_matrix(g)).rho, abs=1e-9)
-            assert (x > 0).all() and res <= 1e-12 * n
+            assert rho == pytest.approx(perron(d).rho, abs=1e-9)
+            assert (x > 0).all() and np.abs(d @ x - rho * x).max() <= 1e-12 * n
 
     def test_built_once_per_order_and_read_only(self):
         table = class_table(5)
@@ -327,6 +352,7 @@ class TestSuiteTheorem:
         assert result.notes.startswith("min uniqueness gap 1.9148")
         gaps = [extremal_search(n, r).uniqueness_gap
                 for n in range(4, 9) for r in range(1, n - 1)]
+        assert None not in gaps  # every (n, r) up to 8 has a runner-up
         assert result.notes == f"min uniqueness gap {min(gaps):.6e} at n=8 r=2"
 
     def test_failures_follow_the_gap(self, monkeypatch):
@@ -344,6 +370,18 @@ class TestSuiteTheorem:
         head, tail = result.notes.split("; ")
         assert head.startswith("min uniqueness gap ")
         assert tail == f"n=5 r=2: minimizer {minimizer}"
+
+    def test_missing_runner_up_fails(self, monkeypatch):
+        # every class the same canonical form: no search finds a runner-up
+        monkeypatch.setattr(dsr.verify, "canonical_form", lambda g: complete_graph(1))
+        result = suite_theorem(5)
+        cases = [(n, r) for n in (4, 5) for r in range(1, n - 1)]
+        sizes = [extremal_search(n, r).class_size for n, r in cases]
+        assert min(sizes) >= 2 and result.failures == result.instances == len(cases)
+        assert result.notes.split("; ") == [
+            f"n={n} r={r}: no runner-up among {size} classes"
+            for (n, r), size in zip(cases, sizes)
+        ]
 
 
 def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch):
@@ -404,7 +442,9 @@ def test_bridge_claims_match_power_iteration():
         pp = perron(distance_matrix(bridge_graph_tilde(p)))
         assert verdict.lhs_rho == pytest.approx(lhs, rel=1e-10, abs=0)
         assert verdict.rhs_rho == pytest.approx(pp.rho, rel=1e-10, abs=0)
-        (m1, _), (m2, d2), (m3, d3) = perron_group_pattern(pp.x, tilde_level_groups(p))
+        _, mid, near = map(list, tilde_level_groups(p))
+        m1, m2, m3 = pp.x[0], pp.x[mid].mean(), pp.x[near].mean()
+        d2, d3 = np.abs(pp.x[mid] - m2).max(), np.abs(pp.x[near] - m3).max()
         assert verdict.holds == (
             lhs - pp.rho > STRICT_MARGIN * max(lhs, pp.rho)
             and max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
@@ -446,13 +486,14 @@ def test_edge_monotonicity_matches_power_iteration(monkeypatch):
 
 
 def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
-    pattern = dsr.verify.perron_group_pattern
+    solve = dsr.verify._stacked_solve
 
-    def hub_above_bound(x, groups):
-        (m1, d1), *rest = pattern(x, groups)
-        return [(m1 + 10.0, d1), *rest]  # x1 now exceeds r*x3 + 2(n2-r)*x2
+    def hub_above_bound(graphs):
+        mats, rho, x = solve(graphs)
+        x[1::2, 0] += 10.0  # each flattened hub: x1 now exceeds r*x3 + 2(n2-r)*x2
+        return mats, rho, x
 
-    monkeypatch.setattr(dsr.verify, "perron_group_pattern", hub_above_bound)
+    monkeypatch.setattr(dsr.verify, "_stacked_solve", hub_above_bound)
     p = BridgeFamilyParams(4, 4, 2, 2)
     [[_, hub, _]] = bridge_claims([p])  # flattening, hub row, form shift
     assert (hub.claim, hub.residual, hub.holds) == ("hub_row_identity", None, False)
@@ -518,14 +559,14 @@ def test_suite_tally_counts_one_failing_claim(monkeypatch):
 
 
 # Fault injection: each case replaces one function at its ``dsr.verify``
-# binding with a faulty version, and the named suite must report failures
-# in a run of every suite, rather than raise.
+# binding with a faulty version, and exactly the named suites must report
+# failures in a run of every suite, rather than raise.
 
 
 def scale_one_rho(real):
     def fault(stack):  # the first row's radius, 1e-7 relative too high
-        rho, x, residual = real(stack)
-        return rho * np.r_[1 + 1e-7, np.ones(len(rho) - 1)], x, residual
+        rho, x = real(stack)
+        return rho * np.r_[1 + 1e-7, np.ones(len(rho) - 1)], x
     return fault
 
 
@@ -555,6 +596,28 @@ def add_hub_edge(real):
     return fault
 
 
+def never_kpq(real):
+    return lambda g, q: False
+
+
+def swap_arguments(real):
+    return lambda lhs, rhs: real(rhs, lhs)
+
+
+def raise_min_degree(real):
+    return lambda g: real(g) + 1
+
+
+def constant_canonical_form(real):
+    return lambda g: complete_graph(1)
+
+
+def fault_case(name, fault, *failing):
+    """One matrix case: the binding, its fault, and every suite that must
+    fail, led by the one the fault aims at, which names the case."""
+    return pytest.param(name, fault, set(failing), id=f"{name}-{fault.__name__}-{failing[0]}")
+
+
 @pytest.fixture
 def cold_class_tables():
     """No class table built under an injected fault outlives its case."""
@@ -563,14 +626,19 @@ def cold_class_tables():
     class_table.cache_clear()
 
 
-@pytest.mark.parametrize("name, fault, suite", [
-    ("perron_stack", scale_one_rho, "spectra_and_cut_oracle"),
-    ("edge_connectivity", raise_k4_connectivity, "spectra_and_cut_oracle"),
-    ("_order_holds", reverse_nesting, "perron_entry_order"),
-    ("graph6_decode", drop_last_edge, "graph6_roundtrip"),
-    ("bridge_graph_tilde", add_hub_edge, "bridge_grid_and_identities"),
-], ids=lambda value: value.__name__ if callable(value) else None)
-def test_injected_fault_fails_its_suite(monkeypatch, cold_class_tables, name, fault, suite):
+@pytest.mark.parametrize("name, fault, failing", [
+    fault_case("perron_stack", scale_one_rho, "spectra_and_cut_oracle", "closed_forms"),
+    fault_case("edge_connectivity", raise_k4_connectivity, "spectra_and_cut_oracle"),
+    fault_case("_order_holds", reverse_nesting, "perron_entry_order"),
+    fault_case("graph6_decode", drop_last_edge, "graph6_roundtrip"),
+    fault_case("bridge_graph_tilde", add_hub_edge, "bridge_grid_and_identities"),
+    fault_case("is_kpq", never_kpq, "extremal_theorem", "bridge_grid_and_identities"),
+    fault_case("_strictly_above", swap_arguments,
+               "edge_monotonicity", "bridge_grid_and_identities"),
+    fault_case("min_degree", raise_min_degree, "cut_side_orders"),
+    fault_case("canonical_form", constant_canonical_form, "extremal_theorem"),
+])
+def test_injected_fault_fails_its_suite(monkeypatch, cold_class_tables, name, fault, failing):
     monkeypatch.setattr(dsr.verify, name, fault(getattr(dsr.verify, name)))
     failures = {r.name: r.failures for r in run_all_suites(seed=0, max_n=6)}
-    assert failures[suite] > 0, failures
+    assert {suite for suite, count in failures.items() if count} == failing, failures
