@@ -23,6 +23,7 @@ import logging
 import os
 import random
 import sys
+import time
 from dataclasses import MISSING, asdict, fields
 
 from .cuts import edge_connectivity
@@ -41,6 +42,8 @@ from .verify import (
     extremal_search,
     run_all_suites,
 )
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -183,15 +186,28 @@ def _load_graphs(path: str, order: int | None = None) -> list[tuple[str, Graph]]
 
 
 def cmd_compute(args) -> int:
+    start = time.perf_counter()
     if args.edges is not None:
         g = _parse_edges(args.edges)
         graphs = [(graph6_encode(g).decode(), g)]
     else:
         graphs = _load_graphs(args.source)
+    loaded = time.perf_counter()
+    spent = [0.0, 0.0, 0.0]  # seconds in distances, Perron pairs, cuts
+    iterations = 0
     records = []
     for index, (label, g) in enumerate(graphs):
-        pp = perron(distance_matrix(g))
+        t0 = time.perf_counter()
+        d = distance_matrix(g)
+        t1 = time.perf_counter()
+        pp = perron(d)
+        t2 = time.perf_counter()
         conn = edge_connectivity(g).size if g.n >= 2 else None
+        t3 = time.perf_counter()
+        spent[0] += t1 - t0
+        spent[1] += t2 - t1
+        spent[2] += t3 - t2
+        iterations += pp.iterations
         records.append({
             "index": index,
             "graph6": label,
@@ -200,13 +216,19 @@ def cmd_compute(args) -> int:
             "residual": _round12(pp.residual),
             "iterations": pp.iterations,
             "edge_connectivity": conn,
-            "perron": [_round12(v) for v in pp.x],
+            "perron": [_round12(v) for v in pp.x.tolist()],
         })
+    computed = time.perf_counter()
     _write(args, records, lambda rec: (
         f"[{rec['index']}] {rec['graph6']}  n={rec['n']}  "
         f"rho={rec['rho']:.10f}  connectivity={rec['edge_connectivity']}  "
         f"residual={rec['residual']:.3e}"
     ), records)
+    logger.info(
+        "compute: %d graphs, %.1f power iterations mean; load %.3f s, distances "
+        "%.3f s, perron %.3f s, cuts %.3f s, write %.3f s", len(graphs),
+        iterations / len(graphs), loaded - start, *spent, time.perf_counter() - computed,
+    )
     return EXIT_OK
 
 

@@ -81,6 +81,7 @@ def edge_connectivity(g: Graph) -> CutCertificate:
         logger.debug("min cut order %d: diameter <= 2, 0 phases, size %d", g.n, best_size)
         return _certificate(g, best_mask)
     _require_cuttable(g)
+    rows = g.rows
     merged = {v: 1 << v for v in range(g.n)}  # supernode name -> its vertex mask
     name = list(range(g.n))  # vertex -> name of its supernode
     phases = 0
@@ -92,10 +93,16 @@ def edge_connectivity(g: Graph) -> CutCertificate:
         while key:
             z = max(key, key=key.__getitem__)
             order.append((z, key.pop(z)))
-            outside ^= merged[z]
-            for u in _bits(merged[z]):
-                for v in _bits(g.rows[u] & outside):
-                    key[name[v]] += 1
+            members = merged[z]
+            outside ^= members
+            while members:  # each member's neighbours outside, lowest bits first
+                low = members & -members
+                nbrs = rows[low.bit_length() - 1] & outside
+                members ^= low
+                while nbrs:
+                    v = nbrs & -nbrs
+                    key[name[v.bit_length() - 1]] += 1
+                    nbrs ^= v
         last, cut = order[-1]
         if cut < best_size:
             best_size, best_mask = cut, merged[last]

@@ -15,6 +15,11 @@ import numpy as np
 
 MAX_VERTICES = 64
 
+# matrix entries per chunk of a stacked kernel (distance_stack, and one
+# np.linalg.eigh call in spectra.perron_stack): 256 graphs of order 8, fewer
+# of larger orders; larger chunks raise peak memory and gain no speed
+STACK_ENTRIES = 1 << 14
+
 
 class DisconnectedGraphError(ValueError):
     """An operation that requires a connected graph received one that is not."""
@@ -166,25 +171,30 @@ def is_connected(g: Graph) -> bool:
 
 def distance_stack(n: int, graphs: Iterable[Graph]) -> np.ndarray:
     """(k, n, n) int8 hop counts of k connected order-n graphs, from all their
-    breadth-first searches at once: each level grows every reached set by
-    its neighbours with one boolean matmul, and each entry counts the levels
-    at which its vertex was not yet reached.  Raises on disconnected input."""
+    breadth-first searches at once, in chunks of at most ``STACK_ENTRIES``
+    entries: each level grows every reached set by its neighbours with one
+    float32 matmul (sums of at most 64 terms of 0 or 1, so exact), and each
+    entry counts the levels at which its vertex was not yet reached.  Raises
+    on disconnected input."""
     rows = np.array([g.rows for g in graphs], dtype=f"<u{matrix_width(n) // 8}")
-    adj = np.unpackbits(rows.reshape(-1, n, 1).view(np.uint8), axis=2, count=n,
-                        bitorder="little").view(bool)
-    dist = np.zeros(adj.shape, dtype=np.int8)  # hop counts stay below n <= 64
-    reach = np.broadcast_to(np.eye(n, dtype=bool), adj.shape)
-    for _ in range(n - 1):  # no hop count exceeds n - 1
-        if reach.all():
-            break
-        dist += ~reach
-        reach = reach | reach @ adj
-    # a disconnected graph leaves some vertex unreached from source 0
-    unreached = np.argwhere(~reach[:, 0])
-    if len(unreached):
-        raise DisconnectedGraphError(
-            f"vertex {unreached[0, 1]} unreachable from 0; graph is disconnected"
-        )
+    dist = np.zeros((len(rows), n, n), dtype=np.int8)  # hop counts stay below n <= 64
+    chunk = max(1, STACK_ENTRIES // (n * n))
+    for start in range(0, len(rows), chunk):
+        adj = np.unpackbits(rows[start:start + chunk].reshape(-1, n, 1).view(np.uint8),
+                            axis=2, count=n, bitorder="little").astype(np.float32)
+        part = dist[start:start + chunk]
+        reach = np.eye(n, dtype=bool)  # the first level broadcasts it over the chunk
+        for _ in range(n - 1):  # no hop count exceeds n - 1
+            if reach.all():
+                break
+            part += ~reach
+            reach = reach | (reach.astype(np.float32) @ adj > 0)
+        # a disconnected graph leaves some vertex unreached from source 0
+        if not reach[:, 0].all():
+            unreached = np.argwhere(~reach[:, 0])
+            raise DisconnectedGraphError(
+                f"vertex {unreached[0, 1]} unreachable from 0; graph is disconnected"
+            )
     return dist
 
 

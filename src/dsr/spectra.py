@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-# matrix entries per np.linalg.eigh call in perron_stack: 256 graphs of
-# order 8, fewer of larger orders; larger chunks raise peak memory and gain
-# no speed
-STACK_ENTRIES = 1 << 14
+from .graphs import STACK_ENTRIES
 
 
 class ConvergenceError(RuntimeError):
@@ -60,13 +56,17 @@ def perron(d: np.ndarray) -> PerronPair:
     tol = 1e-12 * n
     max_iter = int(100 * n * math.log(1.0 / tol))
     x = np.full(n, 1.0 / math.sqrt(n))
+    y = np.empty(n)
+    r = np.empty(n)  # |D x - rho x|
     for it in range(1, max_iter + 1):
-        y = a @ x
-        rho = float(x @ y)
-        residual = float(np.max(np.abs(y - rho * x)))
+        np.matmul(a, x, out=y)
+        rho = float(np.dot(x, y))
+        np.multiply(x, rho, out=r)
+        np.subtract(y, r, out=r)
+        residual = float(np.abs(r, out=r).max())
         if residual <= tol:
-            return PerronPair(rho, x.copy(), residual, it)
-        x = y / np.linalg.norm(y)
+            return PerronPair(rho, x, residual, it)
+        np.divide(y, math.sqrt(np.dot(y, y)), out=x)  # np.linalg.norm(y) is sqrt(dot) too
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (last residual {residual:.3e})"
     )

@@ -1,11 +1,15 @@
 """Shared test helpers, including brute-force oracles kept deliberately
 independent of the production code paths they check."""
 
+import math
 from functools import lru_cache
 from itertools import permutations
 
-from dsr import Graph, Graph6Error, from_edge_list
+import numpy as np
+
+from dsr import ConvergenceError, Graph, Graph6Error, from_edge_list
 from dsr.isomorphism import canonical_form
+from dsr.spectra import PerronPair
 
 
 def upper_triangle_pairs(n: int) -> list[tuple[int, int]]:
@@ -208,3 +212,25 @@ def reference_graph6_decode(data: bytes | str) -> Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return Graph(n, tuple(rows))
+
+
+def reference_perron(d: np.ndarray) -> PerronPair:
+    """Power iteration with a fresh array per step, ``np.linalg.norm`` and
+    ``np.max(np.abs(...))``; ``dsr.perron`` must match it bit for bit."""
+    n = len(d)
+    if n == 1:
+        return PerronPair(0.0, np.ones(1), 0.0, 0)
+    a = d.astype(np.float64)
+    tol = 1e-12 * n
+    max_iter = int(100 * n * math.log(1.0 / tol))
+    x = np.full(n, 1.0 / math.sqrt(n))
+    for it in range(1, max_iter + 1):
+        y = a @ x
+        rho = float(x @ y)
+        residual = float(np.max(np.abs(y - rho * x)))
+        if residual <= tol:
+            return PerronPair(rho, x.copy(), residual, it)
+        x = y / np.linalg.norm(y)
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations (last residual {residual:.3e})"
+    )

@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import math
+import re
 import typing
 
 import jsonschema
@@ -63,6 +65,19 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", str(src))
         assert code == 0 and len(json.loads(out)) == 3
         assert [len(c) for c in calls] == [3, 3, 3, 3]
+
+    def test_info_log_line_leaves_the_report_alone(self, tmp_path, capsys, caplog):
+        src = tmp_path / "in.g6"
+        src.write_text("C~\nBg\nD]w\n")
+        code, quiet, _ = run(capsys, "compute", str(src))
+        caplog.set_level(logging.INFO, logger="dsr.cli")
+        code, out, err = run(capsys, "compute", str(src))
+        assert code == 0 and out == quiet and err == ""
+        mean = sum(rec["iterations"] for rec in json.loads(out)) / 3
+        [line] = [rec.getMessage() for rec in caplog.records if rec.name == "dsr.cli"]
+        assert re.fullmatch(
+            rf"compute: 3 graphs, {mean:.1f} power iterations mean; load \S+ s, "
+            r"distances \S+ s, perron \S+ s, cuts \S+ s, write \S+ s", line)
 
     def test_inline_edges(self, capsys):
         code, out, _ = run(capsys, "compute", "--edges", "0-1,1-2", "--format", "text")

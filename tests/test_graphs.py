@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dsr.graphs
 from dsr import (
     DisconnectedGraphError,
     Graph,
@@ -17,6 +19,7 @@ from dsr import (
 )
 from dsr.graphs import _reach, bit_transpose, distance_stack, matrix_width
 from helpers import (
+    count_calls,
     cycle_graph,
     path_graph,
     random_connected,
@@ -254,6 +257,54 @@ def test_distance_stack_names_the_disconnected_graph_vertex():
     with pytest.raises(DisconnectedGraphError,
                        match="^vertex 3 unreachable from 0; graph is disconnected$"):
         distance_stack(4, graphs)
+
+
+def test_distance_stack_peak_memory():
+    # chunks bound the order-8 stack: one float32 pass over all 11,117
+    # graphs peaks near 10 MB, one boolean pass near 2.9 MB
+    graphs = list(enumerate_connected(8))
+    tracemalloc.start()
+    try:
+        distance_stack(8, graphs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+class TestChunkedDistanceStack:
+    """``distance_stack`` with ``STACK_ENTRIES`` patched to three graphs per
+    chunk."""
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        def patch(n):
+            monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 3 * n * n)
+            return count_calls(monkeypatch, np, "unpackbits")
+        return patch
+
+    @pytest.mark.parametrize("n, k", [(5, 21), (9, 7), (40, 4)])
+    def test_rows_match_floyd_warshall(self, chunks, n, k):
+        rng = random.Random(n)
+        graphs = [random_connected(rng, n, rng.random()) for _ in range(k)]
+        calls = chunks(n)
+        d = distance_stack(n, graphs)
+        assert len(calls) == -(-k // 3)
+        assert d.dtype == np.int8 and d.shape == (k, n, n)
+        for g, di in zip(graphs, d):
+            assert (di == floyd_warshall(g)).all()
+
+    def test_disconnected_graph_in_second_chunk(self, chunks):
+        graphs = [path_graph(5), cycle_graph(5), complete_graph(5), kpq(4, 2),
+                  from_edge_list(5, [(0, 1), (1, 2), (3, 4)]), path_graph(5)]
+        with pytest.raises(DisconnectedGraphError) as whole:
+            distance_stack(5, graphs)
+        calls = chunks(5)
+        with pytest.raises(DisconnectedGraphError) as chunked:
+            distance_stack(5, graphs)
+        assert len(calls) == 2
+        assert str(chunked.value) == str(whole.value) == (
+            "vertex 3 unreachable from 0; graph is disconnected")
 
 
 @settings(max_examples=40, deadline=None, database=None)

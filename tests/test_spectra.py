@@ -17,7 +17,7 @@ from dsr import (
 )
 from dsr.graphs import distance_stack
 from dsr.verify import _stacked_solve
-from helpers import cycle_graph, path_graph, random_connected
+from helpers import cycle_graph, count_calls, path_graph, random_connected, reference_perron
 
 
 class TestPerron:
@@ -57,6 +57,18 @@ class TestPerron:
             assert pp.rho >= n - 1 - 1e-10
             if g.num_edges() < n * (n - 1) // 2:
                 assert pp.rho > n - 1 + 1e-6  # only the complete graph sits at n-1
+
+    def test_bit_identical_to_reference_loop(self):
+        # every class of order <= 7, then seeded random graphs of orders 2..64
+        rng = random.Random(20)
+        graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+        graphs += [random_connected(rng, n, p) for n in range(2, 65) for p in (0.3, 0.5, 0.7)]
+        for g in graphs:
+            d = distance_matrix(g)
+            pp, ref = perron(d), reference_perron(d)
+            assert (pp.rho, pp.residual, pp.iterations) == (ref.rho, ref.residual,
+                                                           ref.iterations), g
+            assert np.array_equal(pp.x, ref.x), g
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_dense_oracle(self, n):
@@ -103,9 +115,12 @@ class TestPerronStack:
     def test_chunked_stack(self, monkeypatch):
         import dsr.spectra
 
+        stack = distance_stack(5, enumerate_connected(5))  # 21 matrices
+        # perron_stack reads its own binding of dsr.graphs.STACK_ENTRIES
         monkeypatch.setattr(dsr.spectra, "STACK_ENTRIES", 3 * 25)  # three per chunk
-        stack = distance_stack(5, enumerate_connected(5))
+        solves = count_calls(monkeypatch, np.linalg, "eigh")
         rho, x = perron_stack(stack)
+        assert len(solves) == 7
         monkeypatch.undo()
         whole_rho, whole_x = perron_stack(stack)
         assert np.abs(rho - whole_rho).max() <= 1e-12
