@@ -15,9 +15,9 @@ import numpy as np
 
 MAX_VERTICES = 64
 
-# matrix entries per chunk of a stacked kernel (distance_stack, and one
-# np.linalg.eigh call in spectra.perron_stack): 256 graphs of order 8, fewer
-# of larger orders; larger chunks raise peak memory and gain no speed
+# entries per chunk of a stacked kernel (distance_stack, one np.linalg.eigh
+# call in spectra.perron_stack, one temporary of cuts.brute_force_min_cut):
+# 256 order-8 matrices; larger chunks raise peak memory and gain no speed
 STACK_ENTRIES = 1 << 14
 
 

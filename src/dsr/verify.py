@@ -33,13 +33,12 @@ from .graph6 import graph6_decode, graph6_encode
 from .graphs import (
     Graph,
     _reach,
-    distance_matrix,
     distance_stack,
     from_edge_list,
     is_connected,
 )
 from .isomorphism import canonical_form
-from .spectra import perron, perron_stack
+from .spectra import perron_stack
 
 logger = logging.getLogger(__name__)
 
@@ -360,22 +359,24 @@ def suite_graph6_roundtrip(max_n: int) -> SuiteResult:
 
 
 def suite_spectra_oracle(max_n: int) -> SuiteResult:
-    """Over every class: the class table's stacked radius vs. power
-    iteration, power iteration vs. a dense symmetric eigensolver, and the
-    table's phase-contraction cut size vs. the bipartition scan."""
-
-    def examine(g: Graph, rho: float, lam: int) -> bool:
-        d = distance_matrix(g)
-        power = perron(d).rho
-        dense = float(np.linalg.eigvalsh(d.astype(float))[-1])
-        scale = max(1.0, abs(dense))
-        close = abs(rho - power) <= 1e-8 * scale and abs(power - dense) <= 1e-8 * scale
-        return close and (g.n < 2 or lam == brute_force_min_cut(g).size)
-
-    tables = map(class_table, range(1, max_n + 1))
-    return _tally("spectra_and_cut_oracle", (
-        examine(*row) for table in tables for row in zip(table.graphs, table.rho, table.lam)
-    ))
+    """Over every class, one order's stack at a time: the table's radius
+    within the band of a dense symmetric eigensolver's and of both ends of
+    the Collatz-Wielandt enclosure min/max (Dx)_i/x_i of its own vector
+    x > 0 (Horn & Johnson 8.1; an entry <= 0 makes them NaN and fails), and
+    the table's cut sizes equal to the bipartition scan's."""
+    verdicts = []
+    for n in range(1, max_n + 1):
+        table = class_table(n)
+        d = distance_stack(n, table.graphs).astype(float)
+        dense = np.linalg.eigvalsh(d)[:, -1]
+        x = np.where(table.x > 0, table.x, np.nan)
+        ratios = (d @ x[:, :, None])[:, :, 0] / x
+        bounds = np.stack([dense, ratios.min(axis=1), ratios.max(axis=1)])
+        holds = (np.abs(table.rho - bounds) <= 1e-8 * np.maximum(1.0, np.abs(dense))).all(0)
+        if n >= 2:
+            holds &= table.lam == [cert.size for cert in brute_force_min_cut(n, table.graphs)]
+        verdicts += holds.tolist()
+    return _tally("spectra_and_cut_oracle", verdicts)
 
 
 def suite_theorem(max_n: int) -> SuiteResult:
@@ -426,32 +427,30 @@ def suite_edge_monotonicity(seed: int) -> SuiteResult:
     return _tally("edge_monotonicity", map(_strictly_above, rho[::2], rho[1::2]))
 
 
-def _order_holds(g: Graph, x: np.ndarray, u: int, v: int) -> bool:
-    """The Perron-entry relation that neighborhood inclusion implies for the
-    pair u, v: coinciding neighborhoods (apart from each other) give entries
-    within ENTRY_EQ_TOL, a strictly smaller neighborhood gives a strictly
-    larger entry, and incomparable neighborhoods claim nothing."""
-    nu = g.rows[u] & ~(1 << v)
-    nv = g.rows[v] & ~(1 << u)
-    if nu == nv:
-        return abs(x[u] - x[v]) <= ENTRY_EQ_TOL
-    if nu & ~nv == 0:  # N(u)\{v} strictly inside N(v)\{u}: u gets the larger entry
-        return x[u] > x[v]
-    if nv & ~nu == 0:
-        return x[v] > x[u]
-    return True
+def _entry_order(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per pair (u, v) of each (n, n) adjacency and Perron vector x in a
+    stack, the entry order that neighborhood inclusion implies: equal
+    neighborhoods (apart from u, v) give entries within ENTRY_EQ_TOL, a
+    strictly smaller one a strictly larger entry, incomparable ones nothing.
+    N(u) - v lies inside N(v) iff deg u - a_uv - (A^2)_uv is zero."""
+    a = adj.astype(np.float32)
+    inside = a.sum(axis=2)[:, :, None] - a - a @ a == 0
+    contains = inside.transpose(0, 2, 1)  # N(v) - u inside N(u)
+    gap = x[:, :, None] - x[:, None, :]  # x_u - x_v
+    return np.where(inside, np.where(contains, np.abs(gap) <= ENTRY_EQ_TOL, gap > 0),
+                    ~contains | (gap < 0))
 
 
 def suite_perron_order(max_n: int) -> SuiteResult:
     """Exhaustive neighborhood-inclusion ordering check over all vertex pairs
-    of all classes."""
-    tables = map(class_table, range(2, max_n + 1))
-    return _tally("perron_entry_order", (
-        _order_holds(g, x, u, v)
-        for table in tables
-        for g, x in zip(table.graphs, table.x)
-        for u, v in combinations(range(g.n), 2)
-    ))
+    u < v of all classes, one order's stack at a time."""
+    verdicts = []
+    for n in range(2, max_n + 1):
+        table = class_table(n)
+        u, v = np.triu_indices(n, 1)
+        holds = _entry_order(distance_stack(n, table.graphs) == 1, table.x)
+        verdicts += holds[:, u, v].ravel().tolist()
+    return _tally("perron_entry_order", verdicts)
 
 
 def suite_bridge_grid(grid: Sequence[BridgeFamilyParams]) -> SuiteResult:
@@ -469,9 +468,9 @@ def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResu
     """The cut-side lemma: when every degree exceeds the edge connectivity r,
     each side S of a minimum cut has |S|(r+1) <= |S|(|S|-1) + r, so at least
     r+2 vertices.  Checked on the certified cut of every class up to max_n
-    and of every grid instance (which must meet the hypothesis).  A class
-    whose minimum degree equals its edge connectivity cannot meet the
-    hypothesis, so only the others get a cut certificate."""
+    whose minimum degree exceeds its table edge connectivity, and of every
+    grid instance (which must meet the hypothesis).  A class whose minimum
+    degree is below it fails: a minimum-degree star is a cut."""
 
     def sides_clear(g: Graph) -> bool:
         cert = edge_connectivity(g)
@@ -480,7 +479,7 @@ def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResu
 
     tables = map(class_table, range(2, max_n + 1))
     classes = (
-        min_degree(g) <= lam or sides_clear(g)
+        min_degree(g) == lam or min_degree(g) > lam and sides_clear(g)
         for table in tables for g, lam in zip(table.graphs, table.lam)
     )
     bridges = (sides_clear(bridge_graph(params)) for params in grid)

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import numpy as np
 
-from dsr import ConvergenceError, Graph, Graph6Error, from_edge_list
+from dsr import ConvergenceError, CutCertificate, Graph, Graph6Error, from_edge_list
 from dsr.isomorphism import canonical_form
 from dsr.spectra import PerronPair
 
@@ -124,17 +124,54 @@ def count_calls(monkeypatch, module, name):
 
 
 def count_slow_paths(monkeypatch) -> list[list]:
-    """Count, one list each, the per-graph paths that the stacked solver
-    replaces in dsr.verify: power iteration, one-graph distance matrices,
-    and isomorphism or canonical-form tests."""
+    """Count, one list each, the per-graph isomorphism and canonical-form
+    tests that the stacked solves do without (dsr.verify binds neither
+    power iteration nor one-graph distance matrices)."""
     import dsr.isomorphism
     import dsr.verify
 
     return [count_calls(monkeypatch, module, name) for module, name in [
-        (dsr.verify, "perron"), (dsr.verify, "distance_matrix"),
         (dsr.verify, "canonical_form"), (dsr.isomorphism, "isomorphic"),
         (dsr.isomorphism, "canonical_form"),
     ]]
+
+
+def adjacency(g: Graph) -> np.ndarray:
+    """(n, n) boolean adjacency matrix, one edge test per entry."""
+    return np.array([[g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)])
+
+
+def reference_order_holds(g: Graph, x: np.ndarray, u: int, v: int, tol: float) -> bool:
+    """The Perron-entry relation that neighborhood inclusion implies for the
+    pair u, v, from the bitset rows: coinciding neighborhoods (apart from
+    each other) give entries within tol, a strictly smaller neighborhood
+    gives a strictly larger entry, and incomparable neighborhoods claim
+    nothing."""
+    nu = g.rows[u] & ~(1 << v)
+    nv = g.rows[v] & ~(1 << u)
+    if nu == nv:
+        return abs(x[u] - x[v]) <= tol
+    if nu & ~nv == 0:  # N(u)\{v} strictly inside N(v)\{u}: u gets the larger entry
+        return x[u] > x[v]
+    if nv & ~nu == 0:
+        return x[v] > x[u]
+    return True
+
+
+def reference_min_cut(g: Graph) -> CutCertificate:
+    """Minimum cut by scanning the sides over vertices 0..n-2 one mask at a
+    time, counting each side's crossing edges row by row; the least mask of
+    minimum cut, its sides named so that side_a holds vertex 0."""
+    full = (1 << g.n) - 1
+    best_size, best_mask = None, 0
+    for mask in range(1, 1 << (g.n - 1)):
+        crossing = sum((g.rows[v] & full & ~mask).bit_count()
+                       for v in range(g.n) if mask >> v & 1)
+        if best_size is None or crossing < best_size:
+            best_size, best_mask = crossing, mask
+    side_a = best_mask if best_mask & 1 else full ^ best_mask
+    return CutCertificate(best_size, tuple(v for v in range(g.n) if side_a >> v & 1),
+                          tuple(v for v in range(g.n) if not side_a >> v & 1))
 
 
 def reference_transpose(packed: int, w: int) -> int:

@@ -20,9 +20,10 @@ from dsr import (
     min_degree,
     enumerate_connected,
 )
+import dsr.cuts
 from dsr.cuts import _diameter_at_most_2
 from dsr.verify import bridge_grid
-from helpers import crossing_edges, cycle_graph, path_graph, random_connected
+from helpers import crossing_edges, cycle_graph, path_graph, random_connected, reference_min_cut
 
 
 def assert_valid_certificate(g, cert):
@@ -80,20 +81,39 @@ class TestEdgeConnectivity:
 
 class TestBruteForceMinCut:
     def test_p4_bridge(self):
-        assert brute_force_min_cut(path_graph(4)).size == 1
+        assert brute_force_min_cut(4, [path_graph(4)])[0].size == 1
 
     def test_k4(self):
-        assert brute_force_min_cut(complete_graph(4)).size == 3
+        assert brute_force_min_cut(4, [complete_graph(4)])[0].size == 3
 
     def test_bridge_graph_sides_are_cliques(self):
-        cert = brute_force_min_cut(bridge_graph(BridgeFamilyParams(4, 4, 2, 2)))
+        [cert] = brute_force_min_cut(8, [bridge_graph(BridgeFamilyParams(4, 4, 2, 2))])
         assert cert.size == 2
         assert cert.side_a == (0, 1, 2, 3)
         assert cert.side_b == (4, 5, 6, 7)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="n <= 12"):
-            brute_force_min_cut(complete_graph(13))
+            brute_force_min_cut(13, [complete_graph(13)])
+
+    def test_single_vertex_rejected(self):
+        with pytest.raises(ValueError, match="2 <= n"):
+            brute_force_min_cut(1, [Graph(1, (0,))])
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(DisconnectedGraphError):
+            brute_force_min_cut(4, [complete_graph(4), from_edge_list(4, [(0, 1), (2, 3)])])
+
+    def test_empty_stack(self):
+        assert brute_force_min_cut(5, []) == []
+
+    def test_chunks_match_one_graph_scans(self, monkeypatch):
+        # a chunk of two graphs at order 6 splits the 112 classes 56 ways
+        graphs = list(enumerate_connected(6))
+        whole = brute_force_min_cut(6, graphs)
+        monkeypatch.setattr(dsr.cuts, "STACK_ENTRIES", 2 * 31 * 6)
+        assert brute_force_min_cut(6, graphs) == whole
+        assert whole == [brute_force_min_cut(6, [g])[0] for g in graphs]
 
 
 class TestMinDegree:
@@ -105,9 +125,9 @@ class TestMinDegree:
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_phase_contraction_matches_brute_force(n):
-    for g in enumerate_connected(n):
+    graphs = list(enumerate_connected(n))
+    for g, slow in zip(graphs, brute_force_min_cut(n, graphs), strict=True):
         fast = edge_connectivity(g)
-        slow = brute_force_min_cut(g)
         assert fast.size == slow.size
         assert fast.size <= min_degree(g)
         assert_valid_certificate(g, fast)
@@ -119,8 +139,23 @@ def test_phase_contraction_matches_brute_force(n):
 def test_phase_contraction_matches_brute_force_random(n, p, seed):
     g = random_connected(random.Random(seed), n, p)
     cert = edge_connectivity(g)
-    assert cert.size == brute_force_min_cut(g).size
+    assert cert.size == brute_force_min_cut(n, [g])[0].size
     assert_valid_certificate(g, cert)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_bipartition_scan_matches_per_mask_loop(n):
+    # oracle: the least mask of minimum cut, one mask and one row at a time
+    graphs = list(enumerate_connected(n))
+    assert brute_force_min_cut(n, graphs) == [reference_min_cut(g) for g in graphs]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_bipartition_scan_matches_per_mask_loop_random(n, p, seed):
+    rng = random.Random(seed)
+    graphs = [random_connected(rng, n, p) for _ in range(3)]
+    assert brute_force_min_cut(n, graphs) == [reference_min_cut(g) for g in graphs]
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])

@@ -161,7 +161,7 @@ class TestBridgeGraph:
         assert g.n == 8
         assert g.num_edges() == 14
         assert int(distance_matrix(g).max()) == 3
-        cert = brute_force_min_cut(g)
+        [cert] = brute_force_min_cut(8, [g])
         assert cert.size == 2
         assert cert.side_a == (0, 1, 2, 3) and cert.side_b == (4, 5, 6, 7)
 

@@ -6,7 +6,8 @@ method or property may go unread outside its own body, ``dsr.__all__``
 lists exactly what the package imports, the slow per-graph paths (power
 iteration, one-graph distance matrices, minimum cuts, isomorphism,
 canonical forms and the canonical search behind them) are called only
-where they are needed,
+where they are needed, ``dsr compute`` alone solving one graph at a time,
+the bipartition scan is called only by the spectra suite's oracle,
 stacked solves are grouped by order in one place, and graph6 files are
 read in one place (the CLI loader is the only caller of the decoder besides
 the round-trip suite).  The bridge grid and ``dsr check``'s placements are
@@ -158,8 +159,10 @@ def test_all_lists_exactly_the_imported_names():
 
 
 # where each slow path may be called: a module, or a (module, top-level
-# function) pair.  Power iteration and one-graph distance matrices stay for
-# ``dsr compute``'s iterations column and as the spectra suite's oracle.
+# function) pair.  Power iteration and one-graph distance matrices stay only
+# for ``dsr compute``'s iterations column; the spectra suite checks the class
+# table's stacks with a dense eigensolver and the Collatz-Wielandt bounds,
+# and its stacked bipartition scan is the one caller of ``brute_force_min_cut``.
 # ``perron_stack`` takes one order's stack: ``_stacked_solve``, the one
 # place that groups graphs by order, and the one-order class table call it.
 # ``isomorphic`` stays public but is called nowhere in the package, since
@@ -175,8 +178,9 @@ def test_all_lists_exactly_the_imported_names():
 # suites read, and ``dsr check`` keeps the placements that ``main`` drew to
 # validate its parameters.
 SLOW_CALLERS = {
-    "perron": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
-    "distance_matrix": {("cli.py", "cmd_compute"), ("verify.py", "suite_spectra_oracle")},
+    "perron": {("cli.py", "cmd_compute")},
+    "distance_matrix": {("cli.py", "cmd_compute")},
+    "brute_force_min_cut": {("verify.py", "suite_spectra_oracle")},
     "edge_connectivity": {("cli.py", "cmd_compute"), ("verify.py", "_build_table"),
                           ("verify.py", "suite_cut_sides")},
     "perron_stack": {("verify.py", "_stacked_solve"), ("verify.py", "_build_table")},

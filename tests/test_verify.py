@@ -1,8 +1,10 @@
 import dataclasses
+import importlib
 import json
 import math
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +35,13 @@ from dsr import (
 import dsr.verify
 from dsr.cli import main
 from dsr.verify import (
+    ENTRY_EQ_TOL,
     GROUP_DEV_TOL,
     IDENTITY_TOL,
     PLACEMENTS,
     STRICT_MARGIN,
     UNIQUENESS_GAP,
-    _order_holds,
+    _entry_order,
     bridge_claims,
     bridge_grid,
     random_connected_graph,
@@ -49,33 +52,65 @@ from dsr.verify import (
     suite_perron_order,
     suite_theorem,
 )
-from helpers import count_calls, count_slow_paths, cycle_graph, path_graph
+from helpers import (
+    adjacency,
+    count_calls,
+    count_slow_paths,
+    cycle_graph,
+    path_graph,
+    reference_order_holds,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def entry_order(g, x) -> np.ndarray:
+    """``_entry_order``'s (n, n) verdicts for one graph and vector."""
+    return _entry_order(adjacency(g)[None], np.asarray(x)[None])[0]
 
 
 class TestOrderHolds:
     """The Perron-entry relation that ``suite_perron_order`` asserts for
-    each vertex pair."""
+    each vertex pair, as ``_entry_order`` computes it for a stack."""
 
     def test_nested_needs_a_strictly_larger_entry(self):
         g = kpq(3, 1)
         x = perron(distance_matrix(g)).x
         # the pendant's entry is the larger, whichever of the pair comes first
-        assert _order_holds(g, x, 3, 0) and _order_holds(g, x, 0, 3)
+        holds = entry_order(g, x)
+        assert holds[3, 0] and holds[0, 3]
         for y in (x[[3, 1, 2, 0]], np.ones(4)):  # swapped entries, then a tie
-            assert not _order_holds(g, y, 3, 0) and not _order_holds(g, y, 0, 3)
+            holds = entry_order(g, y)
+            assert not holds[3, 0] and not holds[0, 3]
 
     def test_equal_needs_entries_within_tolerance(self):
         g = complete_graph(5)
         x = perron(distance_matrix(g)).x.copy()
-        assert _order_holds(g, x, 1, 3)
+        assert entry_order(g, x)[1, 3]
         x[1] += 1e-6
-        assert not _order_holds(g, x, 1, 3)
+        assert not entry_order(g, x)[1, 3]
 
     def test_incomparable_claims_nothing(self):
         g = cycle_graph(5)
         x = perron(distance_matrix(g)).x
         for y in (x, x[::-1], np.arange(5.0), -np.arange(5.0)):
-            assert _order_holds(g, y, 0, 2)
+            assert entry_order(g, y)[0, 2]
+
+    def test_matches_the_per_pair_reference_on_every_class(self):
+        # oracle: the bitset rows, one pair at a time, on each class's own
+        # Perron vector and on that vector reversed and rounded, whose ties
+        # and swaps reach every branch
+        seen = set()
+        for n in range(2, 9):
+            table = class_table(n)
+            adj = np.array([adjacency(g) for g in table.graphs])
+            for x in (table.x, np.round(table.x[:, ::-1], 2)):
+                for g, y, holds in zip(table.graphs, x, _entry_order(adj, x).tolist()):
+                    for u, v in combinations(range(n), 2):
+                        expected = reference_order_holds(g, y, u, v, ENTRY_EQ_TOL)
+                        assert holds[u][v] == holds[v][u] == expected, (g, u, v)
+                        seen.add(expected)
+        assert seen == {True, False}
 
     def test_suite_counts_each_violated_pair(self, monkeypatch):
         real = dsr.verify.class_table
@@ -192,8 +227,9 @@ class TestCutSideLemma:
         for n in range(2, 9):
             eligible = self.eligible(n)
             counts.append(len(eligible))
-            for g, lam in eligible:
-                assert brute_force_min_cut(g).size == lam
+            scan = brute_force_min_cut(n, [g for g, _ in eligible])
+            for (g, lam), cert in zip(eligible, scan, strict=True):
+                assert cert.size == lam
                 minimum = [
                     mask for mask in range(1, 1 << (n - 1))
                     if sum(1 for u, v in g.edges() if (mask >> u ^ mask >> v) & 1) == lam
@@ -337,14 +373,12 @@ class TestSuiteTheorem:
         decodes = count_calls(monkeypatch, dsr.verify, "graph6_decode")
         stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
         distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
-        singles = count_calls(monkeypatch, dsr.verify, "distance_matrix")
         result = suite_theorem(6)
         assert result.ok and result.instances == 2 + 3 + 4
         assert len(cuts) == 6 + 21 + 112  # one per class of orders 4..6
         assert not decodes
         assert len(stacks) == 3
         assert [n for n, _ in distances] == [4, 5, 6]
-        assert not singles
 
     def test_notes_lead_with_smallest_gap(self):
         result = suite_theorem(8)
@@ -541,6 +575,17 @@ def test_suite_tally_at_max_n_6(monkeypatch):
     assert len(draws) == 25 * PLACEMENTS
 
 
+@pytest.mark.parametrize("max_n", [1, 2, 3])
+def test_smallest_caps_run_every_suite(max_n):
+    # orders below 2 have no vertex pair and no cut, so some stacks are empty
+    results = run_all_suites(seed=0, max_n=max_n)
+    assert all(r.ok for r in results), results
+    instances = {r.name: r.instances for r in results}
+    assert instances["spectra_and_cut_oracle"] == sum(CLASS_COUNTS[n] for n in range(1, max_n + 1))
+    assert instances["perron_entry_order"] == sum(
+        CLASS_COUNTS[n] * math.comb(n, 2) for n in range(1, max_n + 1))
+
+
 def test_suite_tally_counts_one_failing_claim(monkeypatch):
     # the strict-margin verdict is first read by the edge-monotonicity suite
     strictly_above = dsr.verify._strictly_above
@@ -579,7 +624,15 @@ def raise_k4_connectivity(real):
 
 def reverse_nesting(real):
     # negated entries: a strictly smaller neighbourhood now needs a smaller entry
-    return lambda g, x, u, v: real(g, -x, u, v)
+    return lambda adj, x: real(adj, -x)
+
+
+def perturb_one_vector(real):
+    def fault(stack):  # the last row's first entry, 1e-6 relative too high
+        rho, x = real(stack)
+        x[-1, 0] *= 1 + 1e-6
+        return rho, x
+    return fault
 
 
 def drop_last_edge(real):
@@ -628,8 +681,11 @@ def cold_class_tables():
 
 @pytest.mark.parametrize("name, fault, failing", [
     fault_case("perron_stack", scale_one_rho, "spectra_and_cut_oracle", "closed_forms"),
-    fault_case("edge_connectivity", raise_k4_connectivity, "spectra_and_cut_oracle"),
-    fault_case("_order_holds", reverse_nesting, "perron_entry_order"),
+    fault_case("perron_stack", perturb_one_vector, "spectra_and_cut_oracle",
+               "perron_entry_order", "bridge_grid_and_identities"),
+    fault_case("edge_connectivity", raise_k4_connectivity,
+               "spectra_and_cut_oracle", "cut_side_orders"),
+    fault_case("_entry_order", reverse_nesting, "perron_entry_order"),
     fault_case("graph6_decode", drop_last_edge, "graph6_roundtrip"),
     fault_case("bridge_graph_tilde", add_hub_edge, "bridge_grid_and_identities"),
     fault_case("is_kpq", never_kpq, "extremal_theorem", "bridge_grid_and_identities"),
@@ -642,3 +698,34 @@ def test_injected_fault_fails_its_suite(monkeypatch, cold_class_tables, name, fa
     monkeypatch.setattr(dsr.verify, name, fault(getattr(dsr.verify, name)))
     failures = {r.name: r.failures for r in run_all_suites(seed=0, max_n=6)}
     assert {suite for suite, count in failures.items() if count} == failing, failures
+
+
+def test_cut_sides_fails_a_table_connectivity_above_min_degree(monkeypatch, cold_class_tables):
+    # the order-8 r = 1 runner-up has minimum degree 1; a table edge
+    # connectivity of 2 for it is impossible, and only this suite reads both
+    search = extremal_search(8, 1)
+    table = class_table(8)
+    [target] = [g for g, lam, rho in zip(table.graphs, table.lam, table.rho)
+                if lam == 1 and rho == search.runner_up_rho]
+    assert min_degree(target) == 1
+    real = dsr.verify.edge_connectivity
+
+    def one_too_high(g):
+        cert = real(g)
+        return dataclasses.replace(cert, size=cert.size + 1) if g == target else cert
+
+    monkeypatch.setattr(dsr.verify, "edge_connectivity", one_too_high)
+    class_table.cache_clear()
+    result = suite_cut_sides(8, [])
+    assert result.instances == sum(len(class_table(n).graphs) for n in range(2, 9))
+    assert result.failures == 1
+
+
+def test_report_shape_matches_the_benchmark_reference(monkeypatch):
+    # the benchmark pins each suite's name and instance count at max_n 8, so
+    # a change to the report's shape fails here first
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    oracles = importlib.import_module("oracles")
+    results = run_all_suites(seed=0, max_n=8)
+    assert [(r.name, r.instances) for r in results] == oracles.verify_reference(0)
+    assert all(r.ok for r in results), results
