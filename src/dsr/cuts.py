@@ -14,8 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import (STACK_ENTRIES, DisconnectedGraphError, Graph, _bits, distance_stack,
-                     is_connected)
+from .graphs import (DisconnectedGraphError, Graph, _bits, distance_stack, is_connected,
+                     stack_chunks)
 
 logger = logging.getLogger(__name__)
 
@@ -122,16 +122,15 @@ def brute_force_min_cut(n: int, graphs: Iterable[Graph]) -> list[CutCertificate]
     """Minimum cuts of connected order-n graphs, 2 <= n <= 12: every side
     S over vertices 0..n-2 of every graph at once, its cut the neighbours in
     S of each vertex outside it, by one float32 product SA (exact: every
-    value is an integer of at most 144), in chunks of at most ``STACK_ENTRIES``
-    entries.  The least side of minimum cut is the certificate."""
+    value is an integer of at most 144), one ``stack_chunks`` chunk of
+    temporaries at a time.  The least side of minimum cut is the certificate."""
     if not 2 <= n <= 12:
         raise ValueError(f"bipartition scan needs 2 <= n <= 12, got {n}")
     graphs = list(graphs)
     adj = (distance_stack(n, graphs) == 1).astype(np.float32)
     side = (np.arange(1, 1 << (n - 1))[:, None] >> np.arange(n) & 1).astype(np.float32)
-    chunk = max(1, STACK_ENTRIES // side.size)
     certs = []
-    for start in range(0, len(graphs), chunk):
-        cut = np.einsum("kmj,mj->km", side @ adj[start:start + chunk], 1 - side)
-        certs += map(_certificate, graphs[start:start + chunk], (cut.argmin(axis=1) + 1).tolist())
+    for chunk in stack_chunks(len(graphs), side.size):
+        cut = np.einsum("kmj,mj->km", side @ adj[chunk], 1 - side)
+        certs += map(_certificate, graphs[chunk], (cut.argmin(axis=1) + 1).tolist())
     return certs

@@ -15,11 +15,18 @@ from dataclasses import dataclass, field
 from .graphs import MAX_VERTICES, Graph
 
 
+def _clique_rows(offset: int, size: int, total: int) -> list[int]:
+    block = ((1 << size) - 1) << offset
+    rows = [0] * total
+    for v in range(offset, offset + size):
+        rows[v] = block ^ (1 << v)
+    return rows
+
+
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph(n, tuple(_clique_rows(0, n, n)))
 
 
 def kpq(p: int, q: int) -> Graph:
@@ -29,12 +36,10 @@ def kpq(p: int, q: int) -> Graph:
     """
     if q < 1 or q > p:
         raise ValueError(f"need 1 <= q <= p, got p={p}, q={q}")
-    full = (1 << p) - 1
-    attach = (1 << q) - 1
-    rows = [full ^ (1 << v) for v in range(p)]
+    rows = _clique_rows(0, p, p + 1)
     for v in range(q):
         rows[v] |= 1 << p
-    rows.append(attach)
+    rows[p] = (1 << q) - 1
     return Graph(p + 1, tuple(rows))
 
 
@@ -108,14 +113,6 @@ def random_cross_edges(
     pair list."""
     picks = rng.sample(range(max(n1 - 1, 0) * max(n2, 0)), r - t)
     return tuple(sorted((2 + k // n2, 1 + k % n2) for k in picks))
-
-
-def _clique_rows(offset: int, size: int, total: int) -> list[int]:
-    block = ((1 << size) - 1) << offset
-    rows = [0] * total
-    for v in range(offset, offset + size):
-        rows[v] = block ^ (1 << v)
-    return rows
 
 
 def bridge_graph(params: BridgeFamilyParams) -> Graph:

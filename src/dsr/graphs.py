@@ -15,9 +15,8 @@ import numpy as np
 
 MAX_VERTICES = 64
 
-# entries per chunk of a stacked kernel (distance_stack, one np.linalg.eigh
-# call in spectra.perron_stack, one temporary of cuts.brute_force_min_cut):
-# 256 order-8 matrices; larger chunks raise peak memory and gain no speed
+# entries per chunk of a stacked kernel (see stack_chunks): 256 order-8
+# matrices; larger chunks raise peak memory and gain no speed
 STACK_ENTRIES = 1 << 14
 
 
@@ -169,20 +168,32 @@ def is_connected(g: Graph) -> bool:
     return _reach(g.rows, 1, (1 << g.n) - 1) == (1 << g.n) - 1
 
 
-def distance_stack(n: int, graphs: Iterable[Graph]) -> np.ndarray:
-    """(k, n, n) int8 hop counts of k connected order-n graphs, from all their
-    breadth-first searches at once, in chunks of at most ``STACK_ENTRIES``
-    entries: each level grows every reached set by its neighbours with one
-    float32 matmul (sums of at most 64 terms of 0 or 1, so exact), and each
-    entry counts the levels at which its vertex was not yet reached.  Raises
-    on disconnected input."""
+def stack_chunks(k: int, entries: int) -> Iterator[slice]:
+    """The chunks of every stacked kernel: slices of a k-row stack, at least
+    one row and at most ``STACK_ENTRIES`` entries at ``entries`` per row."""
+    step = max(1, STACK_ENTRIES // entries)
+    return (slice(start, start + step) for start in range(0, k, step))
+
+
+def adjacency_stack(n: int, graphs: Sequence[Graph]) -> np.ndarray:
+    """(k, n, n) boolean adjacency matrices of k order-n graphs, unpacked
+    from their bit rows at their ``matrix_width(n) // 8``-byte width."""
     rows = np.array([g.rows for g in graphs], dtype=f"<u{matrix_width(n) // 8}")
-    dist = np.zeros((len(rows), n, n), dtype=np.int8)  # hop counts stay below n <= 64
-    chunk = max(1, STACK_ENTRIES // (n * n))
-    for start in range(0, len(rows), chunk):
-        adj = np.unpackbits(rows[start:start + chunk].reshape(-1, n, 1).view(np.uint8),
-                            axis=2, count=n, bitorder="little").astype(np.float32)
-        part = dist[start:start + chunk]
+    return np.unpackbits(rows.reshape(-1, n, 1).view(np.uint8),
+                         axis=2, count=n, bitorder="little").view(bool)
+
+
+def distance_stack(n: int, graphs: Sequence[Graph]) -> np.ndarray:
+    """(k, n, n) int8 hop counts of k connected order-n graphs, from all their
+    breadth-first searches at once, one ``stack_chunks`` chunk at a time:
+    each level grows every reached set by its neighbours with one float32
+    matmul (sums of at most 64 terms of 0 or 1, so exact), and each entry
+    counts the levels at which its vertex was not yet reached.  Raises on
+    disconnected input."""
+    dist = np.zeros((len(graphs), n, n), dtype=np.int8)  # hop counts stay below n <= 64
+    for chunk in stack_chunks(len(graphs), n * n):
+        adj = adjacency_stack(n, graphs[chunk]).astype(np.float32)
+        part = dist[chunk]
         reach = np.eye(n, dtype=bool)  # the first level broadcasts it over the chunk
         for _ in range(n - 1):  # no hop count exceeds n - 1
             if reach.all():

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import STACK_ENTRIES
+from .graphs import stack_chunks
+
+# a certified order-n Perron pair has infinity-norm residual <= this * n
+RESIDUAL_PER_VERTEX = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -47,13 +50,13 @@ def perron(d: np.ndarray) -> PerronPair:
 
     Starts from the uniform vector, estimates the eigenvalue by Rayleigh
     quotient each step, and stops once the infinity-norm residual drops to
-    1e-12 * n.  Non-convergence raises instead of returning a bad pair.
+    RESIDUAL_PER_VERTEX * n.  Non-convergence raises, never a bad pair.
     """
     n = len(d)
     if n == 1:
         return PerronPair(0.0, np.ones(1), 0.0, 0)
     a = d.astype(np.float64)
-    tol = 1e-12 * n
+    tol = RESIDUAL_PER_VERTEX * n
     max_iter = int(100 * n * math.log(1.0 / tol))
     x = np.full(n, 1.0 / math.sqrt(n))
     y = np.empty(n)
@@ -76,32 +79,31 @@ def perron_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Perron pairs of a (k, n, n) stack of distance matrices of connected
     order-n graphs.
 
-    The stack is solved by ``np.linalg.eigh`` in chunks of at most
-    ``STACK_ENTRIES`` entries.  Each top eigenvector is taken in absolute
-    value and normalized, its Rayleigh quotient is recomputed, and every row
-    must have an infinity-norm residual at most 1e-12 * n and strictly
+    The stack is solved by ``np.linalg.eigh``, one ``stack_chunks`` chunk at
+    a time.  Each top eigenvector is taken in absolute value and normalized,
+    its Rayleigh quotient is recomputed, and every row must have an
+    infinity-norm residual at most RESIDUAL_PER_VERTEX * n and strictly
     positive entries, or ``ConvergenceError`` is raised.  Returns ``(rho, x)``
     of shapes (k,) and (k, n).
     """
     k, n, _ = mats.shape
     rho = np.empty(k)
     x = np.empty((k, n))
-    chunk = max(1, STACK_ENTRIES // (n * n))
-    for start in range(0, k, chunk):
-        a = mats[start:start + chunk].astype(np.float64)
+    for chunk in stack_chunks(k, n * n):
+        a = mats[chunk].astype(np.float64)
         vecs = np.abs(np.linalg.eigh(a)[1][:, :, -1])
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         y = np.matmul(a, vecs[:, :, None])[:, :, 0]
         values = np.einsum("ki,ki->k", vecs, y)
         res = np.max(np.abs(y - values[:, None] * vecs), axis=1)
-        bad = (res > 1e-12 * n) | ~(vecs > 0).all(axis=1)
+        bad = (res > RESIDUAL_PER_VERTEX * n) | ~(vecs > 0).all(axis=1)
         if bad.any():
             first = int(np.flatnonzero(bad)[0])
             raise ConvergenceError(
-                f"stacked solve of matrix {start + first} (order {n}) not "
+                f"stacked solve of matrix {chunk.start + first} (order {n}) not "
                 f"certified: residual {res[first]:.3e}, min entry "
                 f"{vecs[first].min():.3e}"
             )
-        rho[start:start + chunk] = values
-        x[start:start + chunk] = vecs
+        rho[chunk] = values
+        x[chunk] = vecs
     return rho, x

@@ -33,9 +33,11 @@ from .graph6 import graph6_decode, graph6_encode
 from .graphs import (
     Graph,
     _reach,
+    adjacency_stack,
     distance_stack,
     from_edge_list,
     is_connected,
+    stack_chunks,
 )
 from .isomorphism import canonical_form
 from .spectra import perron_stack
@@ -67,24 +69,21 @@ class CorpusError(ValueError):
     no graph with the requested edge connectivity."""
 
 
-def _stacked_solve(
-    graphs: Sequence[Graph],
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Distance matrices and certified Perron pairs of connected graphs of
-    any mix of orders: one ``distance_stack`` and one ``perron_stack`` call
-    per order.  Returns ``(mats, rho, x)``, row i for ``graphs[i]``; ``x``
-    rows are zero past the order of their graph."""
-    k = len(graphs)
-    mats = [None] * k
-    rho = np.empty(k)
-    x = np.zeros((k, max((g.n for g in graphs), default=0)))
+def _solve(n: int, graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one distance-to-Perron step: the (k, n, n) distance stack of
+    connected order-n graphs and its certified Perron pairs, ``(d, rho, x)``."""
+    d = distance_stack(n, graphs)
+    return (d, *perron_stack(d))
+
+
+def _stacked_solve(graphs: Sequence[Graph]) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """One ``(d, rho, x)`` record per connected graph of any mix of orders,
+    in input order, from one ``_solve`` per order."""
+    solved = {}
     for n in sorted({g.n for g in graphs}):
-        rows = [i for i, g in enumerate(graphs) if g.n == n]
-        stack = distance_stack(n, [graphs[i] for i in rows])
-        rho[rows], x[rows, :n] = perron_stack(stack)
-        for i, d in zip(rows, stack):
-            mats[i] = d
-    return mats, rho, x
+        d, rho, x = _solve(n, [g for g in graphs if g.n == n])
+        solved[n] = zip(d, rho.tolist(), x)
+    return [next(solved[g.n]) for g in graphs]
 
 
 def _strictly_above(lhs: float, rhs: float) -> bool:
@@ -159,7 +158,7 @@ def _build_table(n: int, graphs: Iterable[Graph]) -> ClassTable:
     lam = np.array(
         [edge_connectivity(g).size if n >= 2 else 0 for g in graphs], dtype=np.int64
     )
-    return ClassTable(graphs, lam, *perron_stack(distance_stack(n, graphs)))
+    return ClassTable(graphs, lam, *_solve(n, graphs)[1:])
 
 
 @lru_cache(maxsize=None)
@@ -238,13 +237,11 @@ def bridge_claims(grid: Sequence[BridgeFamilyParams]) -> list[list[LemmaVerdict]
     graphs = []
     for params in grid:
         graphs += [bridge_graph(params), bridge_graph_tilde(params)]
-    mats, rho, x = _stacked_solve(graphs)
+    records = _stacked_solve(graphs)
     out = []
-    for k, params in enumerate(grid):
+    for params, tilde, (dg, lhs, _), (dt, rhs, xt) in zip(grid, graphs[1::2],
+                                                          records[::2], records[1::2]):
         n1, n2, r, n = params.n1, params.n2, params.r, params.order
-        dg, dt = mats[2 * k], mats[2 * k + 1]
-        lhs, rhs = float(rho[2 * k]), float(rho[2 * k + 1])
-        xt = x[2 * k + 1, :n]
         # the hub is the single vertex 0; the other two levels are its
         # non-neighbours and its neighbours
         _, mid, near = tilde_level_groups(params)
@@ -254,7 +251,7 @@ def bridge_claims(grid: Sequence[BridgeFamilyParams]) -> list[list[LemmaVerdict]
         flattens = (
             _strictly_above(lhs, rhs)
             and max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
-            and is_kpq(graphs[2 * k + 1], r)
+            and is_kpq(tilde, r)
         )
         claims = [LemmaVerdict("bridge_flattening_decreases_radius", label,
                                lhs, rhs, lhs - rhs, None, flattens)]
@@ -345,9 +342,9 @@ def suite_closed_forms() -> SuiteResult:
         (from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 2.0 + np.sqrt(10.0), 1e-9),
         (kpq(3, 1), float(max(np.roots([1.0, -1.0, -11.0, -7.0]).real)), 1e-9),
     ]
-    rho = _stacked_solve([g for g, _, _ in targets])[1]
+    records = _stacked_solve([g for g, _, _ in targets])
     return _tally("closed_forms", (
-        abs(value - expected) <= tol for value, (_, expected, tol) in zip(rho, targets)
+        abs(rho - expected) <= tol for (_, rho, _), (_, expected, tol) in zip(records, targets)
     ))
 
 
@@ -358,21 +355,38 @@ def suite_graph6_roundtrip(max_n: int) -> SuiteResult:
     ))
 
 
+def _shortest_paths(adj: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per graph of a stack of adjacency and hop-count matrices, whether d
+    solves d_vv = 0 and d_uv = 1 + min d_wv over the neighbours w of u, as
+    on a connected graph only its distances do (Bellman's equations)."""
+    k, n, _ = d.shape
+    holds = np.empty(k, dtype=bool)
+    for chunk in stack_chunks(k, n ** 3):  # (n, n, n) temporaries per graph
+        # least d_wv over the neighbours w of u, n where u has none
+        nearest = np.where(adj[chunk, :, :, None], d[chunk, None], n).min(axis=2)
+        bellman = np.where(np.eye(n, dtype=bool), 0, nearest + 1)
+        holds[chunk] = (d[chunk] == bellman).all(axis=(1, 2))
+    return holds
+
+
 def suite_spectra_oracle(max_n: int) -> SuiteResult:
-    """Over every class, one order's stack at a time: the table's radius
-    within the band of a dense symmetric eigensolver's and of both ends of
-    the Collatz-Wielandt enclosure min/max (Dx)_i/x_i of its own vector
-    x > 0 (Horn & Johnson 8.1; an entry <= 0 makes them NaN and fails), and
-    the table's cut sizes equal to the bipartition scan's."""
+    """Over every class, one order's stack at a time: a rebuilt distance
+    stack certified by the Bellman equations on the graphs' bit rows, the
+    table's radius within the band of a dense symmetric eigensolver's on it
+    and of both ends of the Collatz-Wielandt enclosure min/max (Dx)_i/x_i of
+    its own vector x > 0 (Horn & Johnson 8.1; an entry <= 0 makes them NaN
+    and fails), and the table's cut sizes equal to the bipartition scan's."""
     verdicts = []
     for n in range(1, max_n + 1):
         table = class_table(n)
-        d = distance_stack(n, table.graphs).astype(float)
+        hops = distance_stack(n, table.graphs)
+        d = hops.astype(float)
         dense = np.linalg.eigvalsh(d)[:, -1]
         x = np.where(table.x > 0, table.x, np.nan)
         ratios = (d @ x[:, :, None])[:, :, 0] / x
         bounds = np.stack([dense, ratios.min(axis=1), ratios.max(axis=1)])
         holds = (np.abs(table.rho - bounds) <= 1e-8 * np.maximum(1.0, np.abs(dense))).all(0)
+        holds &= _shortest_paths(adjacency_stack(n, table.graphs), hops)
         if n >= 2:
             holds &= table.lam == [cert.size for cert in brute_force_min_cut(n, table.graphs)]
         verdicts += holds.tolist()
@@ -423,8 +437,8 @@ def suite_edge_monotonicity(seed: int) -> SuiteResult:
             graphs += [g, g.with_edge(*rng.choice(non_edges))]
         if deletable:
             graphs += [g.without_edge(*rng.choice(deletable)), g]
-    rho = _stacked_solve(graphs)[1].tolist()
-    return _tally("edge_monotonicity", map(_strictly_above, rho[::2], rho[1::2]))
+    radii = [rho for _, rho, _ in _stacked_solve(graphs)]
+    return _tally("edge_monotonicity", map(_strictly_above, radii[::2], radii[1::2]))
 
 
 def _entry_order(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -448,7 +462,7 @@ def suite_perron_order(max_n: int) -> SuiteResult:
     for n in range(2, max_n + 1):
         table = class_table(n)
         u, v = np.triu_indices(n, 1)
-        holds = _entry_order(distance_stack(n, table.graphs) == 1, table.x)
+        holds = _entry_order(adjacency_stack(n, table.graphs), table.x)
         verdicts += holds[:, u, v].ravel().tolist()
     return _tally("perron_entry_order", verdicts)
 

@@ -112,8 +112,8 @@ def test_criterion_3_closed_form_spot_values():
         ("P4", path_graph(4), 2 + math.sqrt(10), 1e-9),
         ("kpq(3,1)", kpq(3, 1), cubic_root, 1e-9),
     ]
-    rho = _stacked_solve([g for _, g, _, _ in spots])[1]
-    bad = [name for (name, _, expected, tol), value in zip(spots, rho)
+    records = _stacked_solve([g for _, g, _, _ in spots])
+    bad = [name for (name, _, expected, tol), (_, value, _) in zip(spots, records)
            if abs(value - expected) > tol]
     assert len(spots) == 14
     report(3, not bad, f"14 spot values, failures: {bad or 'none'}")

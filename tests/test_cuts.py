@@ -1,6 +1,7 @@
 import logging
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +21,11 @@ from dsr import (
     min_degree,
     enumerate_connected,
 )
-import dsr.cuts
+import dsr.graphs
 from dsr.cuts import _diameter_at_most_2
 from dsr.verify import bridge_grid
-from helpers import crossing_edges, cycle_graph, path_graph, random_connected, reference_min_cut
+from helpers import (count_calls, crossing_edges, cycle_graph, path_graph, random_connected,
+                     reference_min_cut)
 
 
 def assert_valid_certificate(g, cert):
@@ -108,11 +110,15 @@ class TestBruteForceMinCut:
         assert brute_force_min_cut(5, []) == []
 
     def test_chunks_match_one_graph_scans(self, monkeypatch):
-        # a chunk of two graphs at order 6 splits the 112 classes 56 ways
+        # one product per chunk: the default chunk holds 88 order-6 graphs,
+        # so the 112 classes take two; a chunk of two graphs takes 56
         graphs = list(enumerate_connected(6))
+        scans = count_calls(monkeypatch, np, "einsum")
         whole = brute_force_min_cut(6, graphs)
-        monkeypatch.setattr(dsr.cuts, "STACK_ENTRIES", 2 * 31 * 6)
+        assert len(scans) == 2
+        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 2 * 31 * 6)
         assert brute_force_min_cut(6, graphs) == whole
+        assert len(scans) == 2 + 56
         assert whole == [brute_force_min_cut(6, [g])[0] for g in graphs]
 
 

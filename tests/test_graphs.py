@@ -17,7 +17,8 @@ from dsr import (
     is_connected,
     kpq,
 )
-from dsr.graphs import _reach, bit_transpose, distance_stack, matrix_width
+from dsr.graphs import (_reach, adjacency_stack, bit_transpose, distance_stack, matrix_width,
+                        stack_chunks)
 from helpers import (
     count_calls,
     cycle_graph,
@@ -270,6 +271,25 @@ def test_distance_stack_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5e6
+
+
+def test_stack_chunks_cover_the_stack_in_order(monkeypatch):
+    monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 12)
+    rows = list(range(7))
+    assert [rows[c] for c in stack_chunks(7, 4)] == [[0, 1, 2], [3, 4, 5], [6]]
+    assert [rows[c] for c in stack_chunks(2, 13)] == [[0], [1]]  # one row at least
+    assert list(stack_chunks(0, 4)) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 64])
+def test_adjacency_stack_matches_edge_tests(n):
+    rng = random.Random(n)
+    graphs = [random_graph(rng, n, rng.random()) for _ in range(3)]
+    adj = adjacency_stack(n, graphs)
+    assert adj.dtype == bool and adj.shape == (3, n, n)
+    for g, a in zip(graphs, adj):
+        assert a.tolist() == [[g.has_edge(u, v) for v in range(n)] for u in range(n)]
+    assert adjacency_stack(n, []).shape == (0, n, n)
 
 
 class TestChunkedDistanceStack:

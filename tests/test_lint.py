@@ -8,9 +8,11 @@ iteration, one-graph distance matrices, minimum cuts, isomorphism,
 canonical forms and the canonical search behind them) are called only
 where they are needed, ``dsr compute`` alone solving one graph at a time,
 the bipartition scan is called only by the spectra suite's oracle,
-stacked solves are grouped by order in one place, and graph6 files are
-read in one place (the CLI loader is the only caller of the decoder besides
-the round-trip suite).  The bridge grid and ``dsr check``'s placements are
+stacked solves are grouped by order in one place and go through one
+distance-to-Perron step, graph6 files are read in one place (the CLI loader
+is the only caller of the decoder besides the round-trip suite), and
+``dsr.graphs`` alone decides how a stack is chunked and unpacked from bit
+rows.  The bridge grid and ``dsr check``'s placements are
 each drawn in one place, and ``run_all_suites`` sets every suite parameter;
 neither it nor any suite has a parameter default.  The benchmark's tracer must also install on the
 package, since it wraps public names by their import path."""
@@ -163,17 +165,21 @@ def test_all_lists_exactly_the_imported_names():
 # for ``dsr compute``'s iterations column; the spectra suite checks the class
 # table's stacks with a dense eigensolver and the Collatz-Wielandt bounds,
 # and its stacked bipartition scan is the one caller of ``brute_force_min_cut``.
-# ``perron_stack`` takes one order's stack: ``_stacked_solve``, the one
-# place that groups graphs by order, and the one-order class table call it.
+# ``perron_stack`` takes one order's stack and has one caller, the
+# distance-to-Perron step ``_solve`` that the class table and
+# ``_stacked_solve`` (the one place that groups graphs by order) share.
+# Bit rows are unpacked in one place, ``adjacency_stack``.
 # ``isomorphic`` stays public but is called nowhere in the package, since
 # ``families.is_kpq`` recognizes kpq and canonical forms key enumeration and
 # the search's runner-up; the canonical search itself, which also returns
 # automorphism generators, is internal to isomorphism and enumeration.
 # The input reader is pinned too: every graph6 file, ``compute``'s source and
 # ``search --corpus``, goes through ``cli._load_graphs``, the one caller of
-# ``graph6_decode`` outside the codec's round-trip suite.  Minimum cuts are
-# computed once and shared: one per graph in ``dsr compute``, one per class
-# in the class table, and ``suite_cut_sides``'s certificates.  Each random
+# ``graph6_decode`` outside the codec's round-trip suite.  Minimum cuts come
+# from three places: one per graph in ``dsr compute``, one per class in the
+# class table, and ``suite_cut_sides``, which needs the certificate's sides
+# and so cuts each class with δ > λ a second time (50 classes of order <= 8)
+# plus every grid instance.  Each random
 # input is drawn once: ``run_all_suites`` draws the bridge grid that both grid
 # suites read, and ``dsr check`` keeps the placements that ``main`` drew to
 # validate its parameters.
@@ -183,7 +189,8 @@ SLOW_CALLERS = {
     "brute_force_min_cut": {("verify.py", "suite_spectra_oracle")},
     "edge_connectivity": {("cli.py", "cmd_compute"), ("verify.py", "_build_table"),
                           ("verify.py", "suite_cut_sides")},
-    "perron_stack": {("verify.py", "_stacked_solve"), ("verify.py", "_build_table")},
+    "perron_stack": {("verify.py", "_solve")},
+    "unpackbits": {("graphs.py", "adjacency_stack")},
     "isomorphic": set(),
     "canonical_form": {"isomorphism.py", "enumeration.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", "enumeration.py"},
@@ -217,6 +224,28 @@ def test_slow_paths_only_where_allowed(name):
         if called == name and module not in allowed and (module, owner) not in allowed
     ]
     assert not stray, f"{name}( called outside {sorted(map(str, allowed))}: {stray}"
+
+
+def test_stack_entries_named_only_in_graphs():
+    # every stacked kernel takes its chunks from ``graphs.stack_chunks``, so
+    # patching ``dsr.graphs.STACK_ENTRIES`` resizes them all
+    stray = [module for module in MODULES
+             if module != "graphs.py" and "STACK_ENTRIES" in references(TREES[module])]
+    assert not stray, f"STACK_ENTRIES named outside graphs.py: {stray}"
+
+
+def test_adjacency_from_distances_only_in_the_cut_scan():
+    # ``distance_stack(...) == 1`` runs a full breadth-first search for what
+    # ``adjacency_stack`` reads off the bit rows; the bipartition scan keeps
+    # it because the search is what rejects a disconnected stack
+    found = []
+    for module in MODULES:
+        for top in TREES[module].body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                        and getattr(node.left.func, "id", None) == "distance_stack"):
+                    found.append((module, getattr(top, "name", None)))
+    assert found == [("cuts.py", "brute_force_min_cut")]
 
 
 def test_run_all_suites_sets_every_suite_parameter():

@@ -80,23 +80,22 @@ class TestPerron:
 
 
 def assert_pairs_match_oracles(graphs, rho, x):
-    """Stacked Perron pairs of ``graphs`` against eigvalsh and power
-    iteration, row by row, each with its eigen-residual recomputed; ``x``
-    rows are zero past their graph's order."""
-    width = max(g.n for g in graphs)
-    assert rho.shape == (len(graphs),)
-    assert x.shape == (len(graphs), width)
-    for i, g in enumerate(graphs):
+    """Stacked Perron pairs of ``graphs``, one radius ``rho[i]`` and one
+    order-long vector ``x[i]`` each, against eigvalsh and power iteration,
+    graph by graph, each with its eigen-residual recomputed."""
+    assert len(rho) == len(x) == len(graphs)
+    for g, rho_i, x_i in zip(graphs, rho, x):
         n = g.n
         d = distance_matrix(g)
         dense = float(np.linalg.eigvalsh(d.astype(float))[-1])
         power = perron(d)
-        assert abs(rho[i] - dense) <= 1e-8 * max(1.0, dense)
-        assert abs(rho[i] - power.rho) <= 1e-8 * max(1.0, dense)
-        assert np.abs(x[i, :n] - power.x).max() <= 1e-8
-        assert (x[i, :n] > 0).all() and not x[i, n:].any()
-        assert abs(np.linalg.norm(x[i]) - 1.0) <= 1e-12
-        assert np.abs(d @ x[i, :n] - rho[i] * x[i, :n]).max() <= 1e-12 * n
+        assert x_i.shape == (n,)
+        assert abs(rho_i - dense) <= 1e-8 * max(1.0, dense)
+        assert abs(rho_i - power.rho) <= 1e-8 * max(1.0, dense)
+        assert np.abs(x_i - power.x).max() <= 1e-8
+        assert (x_i > 0).all()
+        assert abs(np.linalg.norm(x_i) - 1.0) <= 1e-12
+        assert np.abs(d @ x_i - rho_i * x_i).max() <= 1e-12 * n
 
 
 class TestPerronStack:
@@ -109,15 +108,13 @@ class TestPerronStack:
         assert rho.tolist() == [0.0] and x.tolist() == [[1.0]]
         rho, x = perron_stack(np.zeros((0, 3, 3)))
         assert rho.shape == (0,) and x.shape == (0, 3)
-        mats, rho, x = _stacked_solve([])
-        assert mats == [] and rho.shape == (0,) and x.shape == (0, 0)
+        assert _stacked_solve([]) == []
 
     def test_chunked_stack(self, monkeypatch):
-        import dsr.spectra
+        import dsr.graphs
 
-        stack = distance_stack(5, enumerate_connected(5))  # 21 matrices
-        # perron_stack reads its own binding of dsr.graphs.STACK_ENTRIES
-        monkeypatch.setattr(dsr.spectra, "STACK_ENTRIES", 3 * 25)  # three per chunk
+        stack = distance_stack(5, list(enumerate_connected(5)))  # 21 matrices
+        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 3 * 25)  # three per chunk
         solves = count_calls(monkeypatch, np.linalg, "eigh")
         rho, x = perron_stack(stack)
         assert len(solves) == 7
@@ -147,9 +144,10 @@ class TestPerronStack:
 def test_stacked_solve_mixed_orders_match_oracles(orders, p, seed):
     rng = random.Random(seed)
     graphs = [random_connected(rng, n, p) for n in orders]
-    mats, rho, x = _stacked_solve(graphs)
-    for g, d in zip(graphs, mats):
-        assert (d == distance_matrix(g)).all()
+    records = _stacked_solve(graphs)
+    for g, (d, rho, _) in zip(graphs, records, strict=True):
+        assert (d == distance_matrix(g)).all() and type(rho) is float
+    _, rho, x = zip(*records)
     assert_pairs_match_oracles(graphs, rho, x)
 
 

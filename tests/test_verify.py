@@ -3,7 +3,7 @@ import importlib
 import json
 import math
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from dsr import (
     random_cross_edges,
     tilde_level_groups,
 )
+import dsr.graphs
 import dsr.verify
 from dsr.cli import main
 from dsr.verify import (
@@ -42,6 +43,7 @@ from dsr.verify import (
     STRICT_MARGIN,
     UNIQUENESS_GAP,
     _entry_order,
+    _shortest_paths,
     bridge_claims,
     bridge_grid,
     random_connected_graph,
@@ -67,6 +69,28 @@ ROOT = Path(__file__).resolve().parent.parent
 def entry_order(g, x) -> np.ndarray:
     """``_entry_order``'s (n, n) verdicts for one graph and vector."""
     return _entry_order(adjacency(g)[None], np.asarray(x)[None])[0]
+
+
+class TestShortestPaths:
+    """The Bellman certificate that the spectra suite puts on the distance
+    stack it solves against."""
+
+    def test_holds_on_every_class_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 1000)  # 2 order-7 graphs a chunk
+        for n in range(1, 8):
+            graphs = list(enumerate_connected(n))
+            d = np.array([distance_matrix(g) for g in graphs], dtype=np.int8)
+            adj = np.array([adjacency(g) for g in graphs]).reshape(-1, n, n)
+            assert _shortest_paths(adj, d).all()
+
+    def test_every_one_entry_step_fails(self):
+        steps = list(product(range(5), range(5), (1, -1)))
+        for g in enumerate_connected(5):
+            d = np.repeat(distance_matrix(g).astype(np.int8)[None], len(steps), axis=0)
+            for faulty, (u, v, step) in zip(d, steps):
+                faulty[u, v] += step
+            adj = np.repeat(adjacency(g)[None], len(steps), axis=0)
+            assert not _shortest_paths(adj, d).any()
 
 
 class TestOrderHolds:
@@ -523,9 +547,10 @@ def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
     solve = dsr.verify._stacked_solve
 
     def hub_above_bound(graphs):
-        mats, rho, x = solve(graphs)
-        x[1::2, 0] += 10.0  # each flattened hub: x1 now exceeds r*x3 + 2(n2-r)*x2
-        return mats, rho, x
+        records = solve(graphs)
+        for _, _, x in records[1::2]:
+            x[0] += 10.0  # each flattened hub: x1 now exceeds r*x3 + 2(n2-r)*x2
+        return records
 
     monkeypatch.setattr(dsr.verify, "_stacked_solve", hub_above_bound)
     p = BridgeFamilyParams(4, 4, 2, 2)
@@ -635,6 +660,15 @@ def perturb_one_vector(real):
     return fault
 
 
+def one_hop_too_many(real):
+    def fault(n, graphs):  # in each stack of >= 100 graphs, the last one's d_00
+        d = real(n, graphs)
+        if len(d) >= 100:
+            d[-1, 0, 0] += 1
+        return d
+    return fault
+
+
 def drop_last_edge(real):
     def fault(data):
         g = real(data)
@@ -683,6 +717,8 @@ def cold_class_tables():
     fault_case("perron_stack", scale_one_rho, "spectra_and_cut_oracle", "closed_forms"),
     fault_case("perron_stack", perturb_one_vector, "spectra_and_cut_oracle",
                "perron_entry_order", "bridge_grid_and_identities"),
+    fault_case("distance_stack", one_hop_too_many,
+               "spectra_and_cut_oracle", "perron_entry_order"),
     fault_case("edge_connectivity", raise_k4_connectivity,
                "spectra_and_cut_oracle", "cut_side_orders"),
     fault_case("_entry_order", reverse_nesting, "perron_entry_order"),
