@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import logging
 import os
@@ -28,17 +29,16 @@ from dataclasses import MISSING, asdict, fields
 
 from .cuts import edge_connectivity
 from .enumeration import MAX_BUILTIN_ORDER
-from .families import BridgeFamilyParams, random_cross_edges
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .spectra import ConvergenceError, perron
 from .verify import (
-    PLACEMENTS,
     CorpusError,
     ExtremalReport,
     LemmaVerdict,
     SuiteResult,
     bridge_claims,
+    bridge_instances,
     extremal_search,
     run_all_suites,
 )
@@ -232,22 +232,6 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _bridge_params(args) -> list[BridgeFamilyParams]:
-    """The hub-only instance, or with 1 <= t < r PLACEMENTS cross-edge
-    placements, each drawn from its own seed --seed, --seed+1, ....  Bad
-    parameters raise BridgeFamilyParams's ValueError before any placement is
-    drawn."""
-    if not 1 <= args.t < args.r:
-        return [BridgeFamilyParams(args.n1, args.n2, args.r, args.t)]
-    BridgeFamilyParams(args.n1, args.n2, args.r, args.r)  # validates n1, n2 and r
-    return [
-        BridgeFamilyParams(args.n1, args.n2, args.r, args.t,
-                           random_cross_edges(args.n1, args.n2, args.r, args.t,
-                                              random.Random(seed)))
-        for seed in range(args.seed, args.seed + PLACEMENTS)
-    ]
-
-
 def cmd_check(args) -> int:
     # main validated the parameters by drawing them, and kept the draw
     records = [_record(c) for claims in bridge_claims(args.params) for c in claims]
@@ -380,7 +364,8 @@ def main(argv=None) -> int:
         parser.error(f"--max-n must be in 1..{MAX_BUILTIN_ORDER}, got {args.max_n}")
     if args.command == "check":
         try:
-            args.params = _bridge_params(args)
+            args.params = bridge_instances(args.n1, args.n2, args.r, args.t,
+                                           map(random.Random, itertools.count(args.seed)))
         except ValueError as exc:
             parser.error(str(exc))
     try:

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import (DisconnectedGraphError, Graph, _bits, distance_stack, is_connected,
+from .graphs import (DisconnectedGraphError, Graph, _bits, adjacency_stack, is_connected,
                      stack_chunks)
 
 logger = logging.getLogger(__name__)
@@ -123,14 +123,19 @@ def brute_force_min_cut(n: int, graphs: Iterable[Graph]) -> list[CutCertificate]
     S over vertices 0..n-2 of every graph at once, its cut the neighbours in
     S of each vertex outside it, by one float32 product SA (exact: every
     value is an integer of at most 144), one ``stack_chunks`` chunk of
-    temporaries at a time.  The least side of minimum cut is the certificate."""
+    temporaries at a time.  The least side of minimum cut is the certificate.
+    A graph with a cut of 0 is disconnected and raises: each component
+    without vertex n-1 is one of the sides."""
     if not 2 <= n <= 12:
         raise ValueError(f"bipartition scan needs 2 <= n <= 12, got {n}")
     graphs = list(graphs)
-    adj = (distance_stack(n, graphs) == 1).astype(np.float32)
+    adj = adjacency_stack(n, graphs).astype(np.float32)
     side = (np.arange(1, 1 << (n - 1))[:, None] >> np.arange(n) & 1).astype(np.float32)
     certs = []
     for chunk in stack_chunks(len(graphs), side.size):
         cut = np.einsum("kmj,mj->km", side @ adj[chunk], 1 - side)
+        zero = np.flatnonzero(cut.min(axis=1) == 0)
+        if zero.size:
+            raise DisconnectedGraphError(f"stack graph {chunk.start + zero[0]} is disconnected")
         certs += map(_certificate, graphs[chunk], (cut.argmin(axis=1) + 1).tolist())
     return certs

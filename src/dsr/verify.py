@@ -12,7 +12,7 @@ import logging
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -242,11 +242,8 @@ def bridge_claims(grid: Sequence[BridgeFamilyParams]) -> list[list[LemmaVerdict]
     for params, tilde, (dg, lhs, _), (dt, rhs, xt) in zip(grid, graphs[1::2],
                                                           records[::2], records[1::2]):
         n1, n2, r, n = params.n1, params.n2, params.r, params.order
-        # the hub is the single vertex 0; the other two levels are its
-        # non-neighbours and its neighbours
-        _, mid, near = tilde_level_groups(params)
-        m1 = float(xt[0])
-        (m2, d2), (m3, d3) = (_level(xt[list(idx)]) for idx in (mid, near))
+        (m1, _), (m2, d2), (m3, d3) = (_level(xt[list(idx)])
+                                       for idx in tilde_level_groups(params))
         label = f"n1={n1} n2={n2} r={r} t={params.t} cross={list(params.cross_edges)}"
         flattens = (
             _strictly_above(lhs, rhs)
@@ -290,22 +287,26 @@ def random_connected_graph(rng: random.Random) -> Graph:
             return g
 
 
+def bridge_instances(n1: int, n2: int, r: int, t: int,
+                     rngs: Iterable[random.Random]) -> list[BridgeFamilyParams]:
+    """The hub-only instance, or with 1 <= t < r PLACEMENTS cross-edge
+    placements, the i-th drawn with the i-th of ``rngs``.  Bad parameters
+    raise BridgeFamilyParams's ValueError before any placement is drawn."""
+    if not 1 <= t < r:
+        return [BridgeFamilyParams(n1, n2, r, t)]
+    BridgeFamilyParams(n1, n2, r, r)  # validates n1, n2 and r
+    return [BridgeFamilyParams(n1, n2, r, t, random_cross_edges(n1, n2, r, t, rng))
+            for rng in islice(rngs, PLACEMENTS)]
+
+
 def bridge_grid(seed: int, r_max: int) -> Iterator[BridgeFamilyParams]:
-    """Deterministic parameter grid over the bridge family for r = 1..r_max;
-    hub-only cases get one instance, mixed cases get PLACEMENTS seeded
-    cross-edge samples."""
-    rng = random.Random(seed)
+    """Deterministic parameter grid over the bridge family for r = 1..r_max,
+    every placement drawn from one stream seeded with ``seed``."""
+    rngs = repeat(random.Random(seed))
     for r in range(1, r_max + 1):
-        for t in range(1, r + 1):
-            for n1 in (r + o for o in GRID_OFFSETS):
-                for n2 in (r + o for o in GRID_OFFSETS):
-                    if t == r:
-                        yield BridgeFamilyParams(n1, n2, r, t)
-                    else:
-                        for _ in range(PLACEMENTS):
-                            yield BridgeFamilyParams(
-                                n1, n2, r, t, random_cross_edges(n1, n2, r, t, rng)
-                            )
+        cliques = [r + o for o in GRID_OFFSETS]
+        for t, n1, n2 in product(range(1, r + 1), cliques, cliques):
+            yield from bridge_instances(n1, n2, r, t, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +358,23 @@ def suite_graph6_roundtrip(max_n: int) -> SuiteResult:
 
 def _shortest_paths(adj: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Per graph of a stack of adjacency and hop-count matrices, whether d
-    solves d_vv = 0 and d_uv = 1 + min d_wv over the neighbours w of u, as
-    on a connected graph only its distances do (Bellman's equations)."""
+    has the level sets that on a connected graph only its distances have:
+    d is 0 on the diagonal and positive off it, and for each L < n-1,
+    [d <= L+1] = I | (A·[d <= L] > 0), one exact float32 product a level."""
     k, n, _ = d.shape
-    holds = np.empty(k, dtype=bool)
-    for chunk in stack_chunks(k, n ** 3):  # (n, n, n) temporaries per graph
-        # least d_wv over the neighbours w of u, n where u has none
-        nearest = np.where(adj[chunk, :, :, None], d[chunk, None], n).min(axis=2)
-        bellman = np.where(np.eye(n, dtype=bool), 0, nearest + 1)
-        holds[chunk] = (d[chunk] == bellman).all(axis=(1, 2))
+    eye = np.eye(n, dtype=bool)
+    holds = np.where(eye, d == 0, d > 0).all(axis=(1, 2))
+    for chunk in stack_chunks(k, n * n):
+        a, part = adj[chunk].astype(np.float32), d[chunk]
+        for level in range(n - 1):
+            grown = eye | (a @ (part <= level).astype(np.float32) > 0)
+            holds[chunk] &= ((part <= level + 1) == grown).all(axis=(1, 2))
     return holds
 
 
 def suite_spectra_oracle(max_n: int) -> SuiteResult:
     """Over every class, one order's stack at a time: a rebuilt distance
-    stack certified by the Bellman equations on the graphs' bit rows, the
+    stack certified by its level sets on the graphs' bit rows, the
     table's radius within the band of a dense symmetric eigensolver's on it
     and of both ends of the Collatz-Wielandt enclosure min/max (Dx)_i/x_i of
     its own vector x > 0 (Horn & Johnson 8.1; an entry <= 0 makes them NaN

@@ -2,12 +2,14 @@
 independent of the production code paths they check."""
 
 import math
+import random
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from dsr import ConvergenceError, CutCertificate, Graph, Graph6Error, from_edge_list
+from dsr import (BridgeFamilyParams, ConvergenceError, CutCertificate, Graph, Graph6Error,
+                 from_edge_list, random_cross_edges)
 from dsr.isomorphism import canonical_form
 from dsr.spectra import PerronPair
 
@@ -172,6 +174,35 @@ def reference_min_cut(g: Graph) -> CutCertificate:
     side_a = best_mask if best_mask & 1 else full ^ best_mask
     return CutCertificate(best_size, tuple(v for v in range(g.n) if side_a >> v & 1),
                           tuple(v for v in range(g.n) if not side_a >> v & 1))
+
+
+def reference_shortest_paths(adj: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per graph of a stack of adjacency and hop-count matrices, whether d
+    solves Bellman's equations d_vv = 0 and d_uv = 1 + min d_wv over the
+    neighbours w of u (n where u has none), with (n, n, n) temporaries per
+    graph."""
+    n = d.shape[1]
+    nearest = np.where(adj[:, :, :, None], d[:, None], n).min(axis=2)
+    bellman = np.where(np.eye(n, dtype=bool), 0, nearest + 1)
+    return (d == bellman).all(axis=(1, 2))
+
+
+def reference_bridge_grid(seed: int, r_max: int):
+    """The bridge grid as nested loops over r, t, n1 and n2 (clique orders
+    r+2..r+6): a hub-only cell yields one instance, a mixed cell five, their
+    cross edges drawn in turn from one stream seeded with ``seed``."""
+    rng = random.Random(seed)
+    for r in range(1, r_max + 1):
+        for t in range(1, r + 1):
+            for n1 in range(r + 2, r + 7):
+                for n2 in range(r + 2, r + 7):
+                    if t == r:
+                        yield BridgeFamilyParams(n1, n2, r, t)
+                    else:
+                        for _ in range(5):
+                            yield BridgeFamilyParams(
+                                n1, n2, r, t, random_cross_edges(n1, n2, r, t, rng)
+                            )
 
 
 def reference_transpose(packed: int, w: int) -> int:

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import math
+import random
 import re
 import typing
 
@@ -13,7 +14,7 @@ import pytest
 
 import dsr.cli
 import dsr.verify
-from dsr import enumerate_connected, graph6_encode, kpq
+from dsr import enumerate_connected, graph6_encode, kpq, random_cross_edges
 from dsr.cli import (
     CHECK_RECORD_SCHEMA,
     SEARCH_REPORT_SCHEMA,
@@ -259,7 +260,7 @@ class TestCheck:
         assert out.splitlines()[0] == ",".join(columns)
 
     def test_mixed_runs_five_placements(self, monkeypatch, capsys):
-        draws = count_calls(monkeypatch, dsr.cli, "random_cross_edges")
+        draws = count_calls(monkeypatch, dsr.verify, "random_cross_edges")
         code, out, _ = run(capsys, "check", "--n1", "5", "--n2", "4",
                            "--r", "2", "--t", "1")
         assert code == 0
@@ -267,6 +268,16 @@ class TestCheck:
         flattenings = [r for r in records if r["claim"].startswith("bridge_")]
         # the placements main drew to validate are the ones checked
         assert len(flattenings) == len(draws) == PLACEMENTS == 5
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_placement_i_is_drawn_from_seed_plus_i(self, capsys, seed):
+        code, out, _ = run(capsys, "check", "--n1", "6", "--n2", "5", "--r", "3",
+                           "--t", "1", "--seed", str(seed))
+        assert code == 0
+        labels = [rec["params"] for rec in json.loads(out)
+                  if rec["claim"] == "bridge_flattening_decreases_radius"]
+        draws = [random_cross_edges(6, 5, 3, 1, random.Random(seed + i)) for i in range(5)]
+        assert labels == [f"n1=6 n2=5 r=3 t=1 cross={list(cross)}" for cross in draws]
 
     @pytest.mark.parametrize("t, placements", [(2, 1), (1, 5)])
     def test_solves_each_flattened_pair_once(self, monkeypatch, capsys, t, placements):

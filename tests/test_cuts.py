@@ -1,5 +1,6 @@
 import logging
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -109,6 +110,22 @@ class TestBruteForceMinCut:
     def test_empty_stack(self):
         assert brute_force_min_cut(5, []) == []
 
+    @pytest.mark.parametrize("g", [
+        from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # vertex 4 alone
+        from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 1)]),  # vertex 0 alone
+        from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),  # two triangles
+    ], ids=["last-isolated", "first-isolated", "two-triangles"])
+    def test_zero_cut_names_the_graph(self, g):
+        stack = [complete_graph(g.n), g]
+        with pytest.raises(DisconnectedGraphError, match="stack graph 1 is disconnected"):
+            brute_force_min_cut(g.n, stack)
+
+    def test_zero_cut_in_a_later_chunk(self, monkeypatch):
+        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 2 * 15 * 5)  # two a chunk
+        stack = [complete_graph(5)] * 3 + [from_edge_list(5, [(0, 1), (2, 3), (3, 4)])]
+        with pytest.raises(DisconnectedGraphError, match="stack graph 3 is disconnected"):
+            brute_force_min_cut(5, stack)
+
     def test_chunks_match_one_graph_scans(self, monkeypatch):
         # one product per chunk: the default chunk holds 88 order-6 graphs,
         # so the 112 classes take two; a chunk of two graphs takes 56
@@ -154,6 +171,21 @@ def test_bipartition_scan_matches_per_mask_loop(n):
     # oracle: the least mask of minimum cut, one mask and one row at a time
     graphs = list(enumerate_connected(n))
     assert brute_force_min_cut(n, graphs) == [reference_min_cut(g) for g in graphs]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_zero_cut_exactly_on_disconnected_labelled_graphs(n):
+    # every labelled order-n graph: the scan raises on each disconnected one
+    # alone, and certifies the connected ones as the per-mask loop does
+    pairs = list(combinations(range(n), 2))
+    graphs = [from_edge_list(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+              for mask in range(1 << len(pairs))]
+    connected = [g for g in graphs if is_connected(g)]
+    assert brute_force_min_cut(n, connected) == [reference_min_cut(g) for g in connected]
+    for g in graphs:
+        if not is_connected(g):
+            with pytest.raises(DisconnectedGraphError):
+                brute_force_min_cut(n, [g])
 
 
 @settings(max_examples=40, deadline=None, database=None)

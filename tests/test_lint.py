@@ -12,10 +12,12 @@ stacked solves are grouped by order in one place and go through one
 distance-to-Perron step, graph6 files are read in one place (the CLI loader
 is the only caller of the decoder besides the round-trip suite), and
 ``dsr.graphs`` alone decides how a stack is chunked and unpacked from bit
-rows.  The bridge grid and ``dsr check``'s placements are
-each drawn in one place, and ``run_all_suites`` sets every suite parameter;
-neither it nor any suite has a parameter default.  The benchmark's tracer must also install on the
-package, since it wraps public names by their import path."""
+rows, which no module reads off a distance stack.  The bridge grid and
+``dsr check``'s placements are each drawn in one place, through one drawer
+of bridge instances, and ``run_all_suites`` sets every suite parameter;
+neither it nor any suite has a parameter default.  The benchmark's tracer
+must also install on the package, since it wraps public names by their
+import path."""
 
 import ast
 import json
@@ -182,7 +184,9 @@ def test_all_lists_exactly_the_imported_names():
 # plus every grid instance.  Each random
 # input is drawn once: ``run_all_suites`` draws the bridge grid that both grid
 # suites read, and ``dsr check`` keeps the placements that ``main`` drew to
-# validate its parameters.
+# validate its parameters.  Both draw through ``bridge_instances``, the one
+# caller of ``random_cross_edges``: the grid with one stream, ``dsr check``
+# with one stream per placement.
 SLOW_CALLERS = {
     "perron": {("cli.py", "cmd_compute")},
     "distance_matrix": {("cli.py", "cmd_compute")},
@@ -196,7 +200,8 @@ SLOW_CALLERS = {
     "_canonical_search": {"isomorphism.py", "enumeration.py"},
     "graph6_decode": {("cli.py", "_load_graphs"), ("verify.py", "suite_graph6_roundtrip")},
     "bridge_grid": {("verify.py", "run_all_suites")},
-    "_bridge_params": {("cli.py", "main")},
+    "bridge_instances": {("verify.py", "bridge_grid"), ("cli.py", "main")},
+    "random_cross_edges": {("verify.py", "bridge_instances")},
 }
 
 
@@ -234,18 +239,17 @@ def test_stack_entries_named_only_in_graphs():
     assert not stray, f"STACK_ENTRIES named outside graphs.py: {stray}"
 
 
-def test_adjacency_from_distances_only_in_the_cut_scan():
+def test_no_adjacency_from_distances():
     # ``distance_stack(...) == 1`` runs a full breadth-first search for what
-    # ``adjacency_stack`` reads off the bit rows; the bipartition scan keeps
-    # it because the search is what rejects a disconnected stack
-    found = []
-    for module in MODULES:
-        for top in TREES[module].body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
-                        and getattr(node.left.func, "id", None) == "distance_stack"):
-                    found.append((module, getattr(top, "name", None)))
-    assert found == [("cuts.py", "brute_force_min_cut")]
+    # ``adjacency_stack`` reads off the bit rows
+    found = [
+        f"{module}:{node.lineno}"
+        for module in MODULES for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+        and getattr(node.left.func, "id", None) == "distance_stack"
+        and any(isinstance(op, ast.Eq) for op in node.ops)
+    ]
+    assert not found, f"adjacency read from distance_stack: {found}"
 
 
 def test_run_all_suites_sets_every_suite_parameter():

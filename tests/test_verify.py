@@ -60,7 +60,9 @@ from helpers import (
     count_slow_paths,
     cycle_graph,
     path_graph,
+    reference_bridge_grid,
     reference_order_holds,
+    reference_shortest_paths,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,11 +74,11 @@ def entry_order(g, x) -> np.ndarray:
 
 
 class TestShortestPaths:
-    """The Bellman certificate that the spectra suite puts on the distance
+    """The level-set certificate that the spectra suite puts on the distance
     stack it solves against."""
 
     def test_holds_on_every_class_in_chunks(self, monkeypatch):
-        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 1000)  # 2 order-7 graphs a chunk
+        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 2 * 7 * 7)  # 2 order-7 graphs a chunk
         for n in range(1, 8):
             graphs = list(enumerate_connected(n))
             d = np.array([distance_matrix(g) for g in graphs], dtype=np.int8)
@@ -91,6 +93,28 @@ class TestShortestPaths:
                 faulty[u, v] += step
             adj = np.repeat(adjacency(g)[None], len(steps), axis=0)
             assert not _shortest_paths(adj, d).any()
+
+    def test_matches_the_bellman_form_on_every_small_fault(self):
+        # oracle: Bellman's equations, one (n, n, n) temporary per graph.
+        # Every entry, and every symmetric pair of entries, of every class of
+        # orders 2..5 moved by +-1, +-2 and +-3: diagonal steps below 0 need
+        # the sign test, and no fault may pass either form
+        faults = 0
+        for n in range(2, 6):
+            entries = [((u, v),) for u in range(n) for v in range(n)]
+            entries += [((u, v), (v, u)) for u, v in combinations(range(n), 2)]
+            moves = list(product(entries, (1, -1, 2, -2, 3, -3)))
+            for g in enumerate_connected(n):
+                d = np.repeat(distance_matrix(g).astype(np.int8)[None], len(moves) + 1, axis=0)
+                for faulty, (cells, step) in zip(d[1:], moves):
+                    for cell in cells:
+                        faulty[cell] += step
+                adj = np.repeat(adjacency(g)[None], len(d), axis=0)
+                verdicts = _shortest_paths(adj, d)
+                assert verdicts.tolist() == reference_shortest_paths(adj, d).tolist()
+                assert verdicts[0] and not verdicts[1:].any()
+                faults += len(moves)
+        assert faults == 5376
 
 
 class TestOrderHolds:
@@ -367,6 +391,11 @@ def test_bridge_grid_deterministic():
     assert a == b
     # hub-only cells yield one instance, mixed cells five
     assert len(a) == 25 + 25 + 125
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_bridge_grid_draws_every_placement_from_one_stream(seed):
+    assert list(bridge_grid(seed, 4)) == list(reference_bridge_grid(seed, 4))
 
 
 class TestClassTable:
