@@ -11,15 +11,16 @@ class P, and growing P back by w's neighbours gives a candidate that passes
 (McKay, *Isomorph-free exhaustive generation*, J. Algorithms 26, 1998).
 
 Each parent P tries only the least attachment set of each orbit under the
-group generated by the automorphisms its canonical search met.  For any
-automorphism gamma of P, P + S and P + gamma(S) are isomorphic by gamma
-extended to fix v, so v passes the rule in one iff it passes in the other,
-and the completeness argument above holds for the orbits of any subgroup of
-Aut(P).  Missing generators only cost duplicates, never a class; a bogus
-generator could drop one, so each generator is checked to map P's rows onto
-themselves before it prunes anything.  Duplicates that remain (ties of the
-key, small subgroups) are removed by a set of canonical forms, and the
-classes are emitted sorted by canonical rows.
+group generated by the automorphisms that its own canonical search meets,
+on P's rows; none outlives the loop over parents.  For any automorphism
+gamma of P, P + S and P + gamma(S) are isomorphic by gamma extended to fix
+v, so v passes the rule in one iff it passes in the other, and the
+completeness argument above holds for the orbits of any subgroup of Aut(P).
+Missing generators only cost duplicates, never a class; a bogus generator
+could drop one, so each is checked to map P's rows onto themselves before it
+prunes anything.  Duplicates that remain (ties of the key, small subgroups)
+are removed by a set of canonical forms, and the classes are emitted sorted
+by canonical rows.
 """
 
 from __future__ import annotations
@@ -117,22 +118,19 @@ def _orbit_representatives(prow: Sequence[int], generators: Sequence[Perm]) -> S
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[Perm, ...], ...]]:
-    """The order-n classes sorted by canonical rows, and for each the
-    generators of a subgroup of its automorphism group on the canonical
-    labeling."""
+def _classes(n: int) -> tuple[Graph, ...]:
+    """The order-n classes sorted by canonical rows."""
     if n == 1:
-        return (Graph(1, (0,)),), ((),)
-    parents, parent_generators = _classes(n - 1)
+        return (Graph(1, (0,)),)
+    parents = _classes(n - 1)
     start = time.perf_counter()
     new_bit = 1 << (n - 1)
-    reps: dict[tuple[int, ...], tuple[Perm, ...]] = {}
-    shared: dict[tuple[Perm, ...], tuple[Perm, ...]] = {}  # few distinct sets recur
+    codes: set[tuple[int, ...]] = set()
     tried = chosen = 0
-    for parent, generators in zip(parents, parent_generators):
+    for parent in parents:
         prow = parent.rows
         is_chosen = _chosen_removal_test(prow)
-        subs = _orbit_representatives(prow, generators)
+        subs = _orbit_representatives(prow, _canonical_search(n - 1, prow)[1])
         tried += len(subs)
         for sub in subs:
             if not is_chosen(sub):
@@ -141,10 +139,7 @@ def _classes(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[Perm, ...], ...]]:
             rows = tuple(
                 prow[i] | new_bit if sub >> i & 1 else prow[i] for i in range(n - 1)
             ) + (sub,)
-            code, gens = _canonical_search(n, rows)
-            if code not in reps:
-                reps[code] = shared.setdefault(gens, gens)
-    codes = sorted(reps)
+            codes.add(_canonical_search(n, rows)[0])
     logger.info(
         "enumerated %d connected classes of order %d (%d candidates, "
         "%d orbit representatives, %d canonicalized) in %.3f s",
@@ -153,7 +148,7 @@ def _classes(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[Perm, ...], ...]]:
     )
     # relabeling keeps any asymmetry, so validating the canonical rows checks
     # the candidates too
-    return tuple(Graph(n, code) for code in codes), tuple(reps[code] for code in codes)
+    return tuple(Graph(n, code) for code in sorted(codes))
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -163,4 +158,4 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
         raise ValueError(
             f"built-in enumeration supports 1 <= n <= {MAX_BUILTIN_ORDER}, got {n}"
         )
-    yield from _classes(n)[0]
+    yield from _classes(n)

@@ -20,8 +20,9 @@ matching on 64 vertices, take minutes instead of a fraction of a second.
 
 The automorphisms met on the way, the leaf automorphisms and the
 transposition of each twin pair skipped, come back from ``_canonical_search``
-as generators of a subgroup of the canonical graph's automorphism group;
-enumeration uses them to try attachment sets once per orbit.
+as found, on the labeling of the rows it searched: they generate a subgroup
+of that graph's automorphism group, and enumeration searches each parent to
+try its attachment sets once per orbit.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def _canonical_search(
     n: int, rows: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Adjacency rows of the canonical relabeling, and the automorphisms the
-    search met, each a tuple gamma with gamma[v] the image of canonical vertex
-    v; ``rows`` are not validated."""
+    search met, each a tuple gamma with gamma[v] the image of vertex v of
+    ``rows``; ``rows`` are not validated."""
     nbrs = [list(_bits(row)) for row in rows]
     best_code = best_colors = best_path = None
     automorphisms: list[tuple[int, ...]] = []
@@ -131,15 +132,7 @@ def _canonical_search(
         swap = list(range(n))
         swap[u], swap[v] = v, u
         automorphisms.append(tuple(swap))
-    # relabel each automorphism onto the canonical labeling: vertex v has
-    # canonical label best_colors[v]
-    generators = []
-    for gamma in automorphisms:
-        image = [0] * n
-        for v, pos in enumerate(best_colors):
-            image[pos] = best_colors[gamma[v]]
-        generators.append(tuple(image))
-    return best_code, tuple(generators)
+    return best_code, tuple(automorphisms)
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:

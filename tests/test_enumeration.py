@@ -17,6 +17,7 @@ from dsr import (
 )
 from dsr.enumeration import _chosen_removal_test, _classes, _orbit_representatives
 from dsr.graphs import Graph
+from dsr.isomorphism import _canonical_search
 from helpers import (
     automorphism_count,
     count_calls,
@@ -107,7 +108,9 @@ def test_each_candidate_validated_once(monkeypatch):
     """Order 5 grows each of the 6 order-4 classes by 15 attachment sets; of
     those 90, the 44 least members of their parent's automorphism orbits are
     tried, and the 21 whose new vertex is a chosen removal are canonicalized.
-    Only the 21 classes build a Graph, and the others build none."""
+    The canonical search runs once per parent, for its generators, and once
+    per canonicalized candidate.  Only the 21 classes build a Graph, and the
+    others build none."""
     expected = tuple(enumerate_connected(5))  # fills the cache up to order 5
     built = []
 
@@ -118,8 +121,10 @@ def test_each_candidate_validated_once(monkeypatch):
 
     monkeypatch.setattr(dsr.enumeration, "Graph", CountingGraph)
     canonicalized = count_calls(monkeypatch, dsr.enumeration, "_canonical_search")
-    classes, _ = _classes.__wrapped__(5)  # order 4 comes from the cache
-    assert len(canonicalized) == 21
+    classes = _classes.__wrapped__(5)  # order 4 comes from the cache
+    assert len(canonicalized) == 27
+    assert [rows for m, rows in canonicalized if m == 4] == [
+        g.rows for g in enumerate_connected(4)]
     assert len(built) == 21
     assert [g.rows for g in classes] == [g.rows for g in expected]
 
@@ -199,9 +204,10 @@ def _relabeled(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_orbit_representatives_match_full_automorphism_group(n):
-    """For every class, the orbits the kept generators give equal the orbits
-    of attachment sets under every automorphism found by brute force."""
-    for g, generators in zip(*_classes(n)):
+    """For every class, the orbits its search's generators give equal the
+    orbits of attachment sets under every automorphism found by brute force."""
+    for g in enumerate_connected(n):
+        generators = _canonical_search(n, g.rows)[1]
         group = [p for p in permutations(range(n)) if _relabeled(g.rows, p) == g.rows]
         brute = [
             s for s in range(1, 1 << n)
@@ -213,20 +219,19 @@ def test_orbit_representatives_match_full_automorphism_group(n):
 def test_bogus_generator_raises(monkeypatch):
     """A permutation passed in as a generator that is no automorphism of its
     class is refused before it prunes anything."""
-    graphs, generators = _classes(4)
-    path = next(i for i, g in enumerate(graphs) if g.num_edges() == 3 and max(
-        row.bit_count() for row in g.rows) == 2)  # P4, automorphism group of order 2
-    assert generators[path]
-    bogus = [*generators]
-    bogus[path] = ((1, 0, 2, 3),)  # swaps an end with a middle vertex
-    assert _relabeled(graphs[path].rows, (1, 0, 2, 3)) != graphs[path].rows
-    real = dsr.enumeration._classes
-    monkeypatch.setattr(
-        dsr.enumeration, "_classes",
-        lambda n: (graphs, tuple(bogus)) if n == 4 else real(n),
-    )
+    [path] = [g for g in _classes(4) if g.num_edges() == 3 and max(
+        row.bit_count() for row in g.rows) == 2]  # P4, automorphism group of order 2
+    assert _canonical_search(4, path.rows)[1]
+    bogus = (1, 0, 2, 3)  # swaps an end with a middle vertex
+    assert _relabeled(path.rows, bogus) != path.rows
+
+    def search(n, rows):
+        code, generators = _canonical_search(n, rows)
+        return code, (bogus,) if rows == path.rows else generators
+
+    monkeypatch.setattr(dsr.enumeration, "_canonical_search", search)
     with pytest.raises(RuntimeError, match="not an automorphism"):
-        real.__wrapped__(5)
+        _classes.__wrapped__(5)
 
 
 # labeled connected graphs on 1..8 vertices (OEIS A001187)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dsr import complete_graph, enumerate_connected, from_edge_list, isomorphic, kpq
 from dsr.isomorphism import _canonical_search, canonical_form
 from helpers import (
+    automorphism_count,
     cycle_graph,
     path_graph,
     perm_canonical,
@@ -127,14 +128,54 @@ def is_automorphism(rows, gamma):
 def test_search_generators_are_automorphisms_of_the_canonical_rows(n):
     """Searched from a relabeled copy of every class, each generator the
     canonical search returns is a non-identity permutation that maps the
-    canonical rows onto themselves."""
+    searched rows, not the canonical ones, onto themselves, and the code is
+    still the class's canonical rows."""
     rng = random.Random(n)
     for g in enumerate_connected(n):
-        code, generators = _canonical_search(n, shuffled(g, rng).rows)
+        rows = shuffled(g, rng).rows
+        code, generators = _canonical_search(n, rows)
         assert code == g.rows
         for gamma in generators:
             assert sorted(gamma) == list(range(n)) and gamma != tuple(range(n))
-            assert is_automorphism(code, gamma), (code, gamma)
+            assert is_automorphism(rows, gamma), (rows, gamma)
+
+
+def generated_order(n, generators):
+    """Order of the permutation group the tables generate, by closing the
+    identity under composition with each generator."""
+    identity = tuple(range(n))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        sigma = stack.pop()
+        for gamma in generators:
+            tau = tuple(gamma[sigma[v]] for v in range(n))
+            if tau not in group:
+                group.add(tau)
+                stack.append(tau)
+    return len(group)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_search_generators_generate_the_full_automorphism_group(n):
+    """Enumeration prunes each parent's attachment sets by the group its own
+    search's generators generate, so at every order that has children (up to
+    7) that group must be all of Aut, on the class rows and on a relabeling
+    of them; the backtracking count is independent of the search."""
+    rng = random.Random(n)
+    for g in enumerate_connected(n):
+        want = automorphism_count(g)
+        for h in (g, shuffled(g, rng)):
+            assert generated_order(n, _canonical_search(n, h.rows)[1]) == want, h.rows
+
+
+def test_dropping_a_generator_fails_the_full_group_check():
+    """The full-group check catches a search that loses a generator: P4's
+    group has order 2, and without its one generator the closure is trivial."""
+    g = path_graph(4)
+    generators = _canonical_search(4, g.rows)[1]
+    assert len(generators) == 1 and automorphism_count(g) == 2
+    assert generated_order(4, generators[1:]) != automorphism_count(g)
 
 
 @pytest.mark.parametrize("g", [

@@ -172,9 +172,11 @@ def test_all_lists_exactly_the_imported_names():
 # ``_stacked_solve`` (the one place that groups graphs by order) share.
 # Bit rows are unpacked in one place, ``adjacency_stack``.
 # ``isomorphic`` stays public but is called nowhere in the package, since
-# ``families.is_kpq`` recognizes kpq and canonical forms key enumeration and
-# the search's runner-up; the canonical search itself, which also returns
-# automorphism generators, is internal to isomorphism and enumeration.
+# ``families.is_kpq`` recognizes kpq and canonical forms key the search's
+# runner-up.  The canonical search itself, which also returns automorphism
+# generators, is internal to isomorphism and to ``enumeration._classes``,
+# which searches each parent for its generators and each candidate for its
+# canonical rows.
 # The input reader is pinned too: every graph6 file, ``compute``'s source and
 # ``search --corpus``, goes through ``cli._load_graphs``, the one caller of
 # ``graph6_decode`` outside the codec's round-trip suite.  Minimum cuts come
@@ -196,8 +198,8 @@ SLOW_CALLERS = {
     "perron_stack": {("verify.py", "_solve")},
     "unpackbits": {("graphs.py", "adjacency_stack")},
     "isomorphic": set(),
-    "canonical_form": {"isomorphism.py", "enumeration.py", ("verify.py", "extremal_search")},
-    "_canonical_search": {"isomorphism.py", "enumeration.py"},
+    "canonical_form": {"isomorphism.py", ("verify.py", "extremal_search")},
+    "_canonical_search": {"isomorphism.py", ("enumeration.py", "_classes")},
     "graph6_decode": {("cli.py", "_load_graphs"), ("verify.py", "suite_graph6_roundtrip")},
     "bridge_grid": {("verify.py", "run_all_suites")},
     "bridge_instances": {("verify.py", "bridge_grid"), ("cli.py", "main")},
