@@ -1,11 +1,11 @@
-"""Exhaustive streams of connected graphs, one canonical representative per
+"""Exhaustive streams of connected graphs, one representative per
 isomorphism class.
 
 Order n is grown from the connected order-(n-1) classes by adding a vertex
 v joined to a nonempty attachment set S of the old ones.  A candidate is
-canonicalized only if v is a chosen removal: no vertex whose deletion leaves
-the graph connected has a larger key (degree, sorted neighbour degrees) than
-v.  The key is an isomorphism invariant, so every class is still reached:
+kept only if v is a chosen removal: no vertex whose deletion leaves the
+graph connected has a larger key (degree, sorted neighbour degrees) than v.
+The key is an isomorphism invariant, so every class is still reached:
 deleting its non-cut vertex w of largest key leaves a connected order-(n-1)
 class P, and growing P back by w's neighbours gives a candidate that passes
 (McKay, *Isomorph-free exhaustive generation*, J. Algorithms 26, 1998).
@@ -14,13 +14,19 @@ Each parent P tries only the least attachment set of each orbit under the
 group generated by the automorphisms that its own canonical search meets,
 on P's rows; none outlives the loop over parents.  For any automorphism
 gamma of P, P + S and P + gamma(S) are isomorphic by gamma extended to fix
-v, so v passes the rule in one iff it passes in the other, and the
-completeness argument above holds for the orbits of any subgroup of Aut(P).
-Missing generators only cost duplicates, never a class; a bogus generator
-could drop one, so each is checked to map P's rows onto themselves before it
-prunes anything.  Duplicates that remain (ties of the key, small subgroups)
-are removed by a set of canonical forms, and the classes are emitted sorted
-by canonical rows.
+v, so v passes the rule in one iff it passes in the other.
+
+A kept candidate is unique when v is the only non-cut vertex of the top
+key, and tied when another non-cut vertex shares v's key.  A unique
+candidate is a new class as built: an isomorphism between two of them maps
+v to v', so it is an automorphism of their common parent P mapping S to S',
+and S = S' as both are least in their orbit.  Being unique is itself an
+invariant, so no unique candidate is isomorphic to a tied one; only the
+tied ones are canonicalized, and a set of canonical rows removes their
+duplicates.  This needs generators of all of Aut(P): a missing one emits a
+class twice, and a bogus one could drop a class, so each is checked to map
+P's rows onto themselves before it prunes anything.  The classes are
+emitted sorted by rows, the tied ones' rows canonical.
 """
 
 from __future__ import annotations
@@ -40,11 +46,16 @@ MAX_BUILTIN_ORDER = 8
 Perm = tuple[int, ...]
 
 
-def _chosen_removal_test(prow: Sequence[int]) -> Callable[[int], bool]:
-    """For a connected parent P with rows ``prow``, a test of attachment sets:
-    True iff the new vertex v of P + v, joined to the mask ``sub``, is a
-    chosen removal, so that no vertex whose deletion leaves P + v connected
-    has a larger key than v.  Degrees are compared first; neighbour degrees
+# verdicts of the chosen-removal test on one candidate
+_REJECTED, _TIED, _UNIQUE = "rejected", "tied", "unique"
+
+
+def _chosen_removal_test(prow: Sequence[int]) -> Callable[[int], str]:
+    """For a connected parent P with rows ``prow``, a test of attachment sets
+    that judges the new vertex v of P + v, joined to the mask ``sub``,
+    against the vertices whose deletion leaves P + v connected: _REJECTED if
+    one of them has a larger key than v, _TIED if none does but one has v's
+    key, _UNIQUE otherwise.  Degrees are compared first; neighbour degrees
     only on a tie.  P + v - w is connected iff ``sub`` meets every component
     of P - w, which are found once per parent."""
     m = len(prow)
@@ -63,9 +74,10 @@ def _chosen_removal_test(prow: Sequence[int]) -> Callable[[int], bool]:
             rest ^= comp
         components.append(comps)
 
-    def chosen(sub: int) -> bool:
+    def verdict(sub: int) -> str:
         dv = sub.bit_count()
         v_nbr_degs = None
+        tied = False
         for w in by_degree:
             if deg[w] + 1 < dv:
                 break
@@ -73,19 +85,24 @@ def _chosen_removal_test(prow: Sequence[int]) -> Callable[[int], bool]:
             dw = deg[w] + joined
             if dw < dv:
                 continue
-            if dw == dv:
+            larger = dw > dv
+            if not larger:
                 if v_nbr_degs is None:
                     v_nbr_degs = sorted([deg[u] + 1 for u in _bits(sub)])
                 w_nbr_degs = [deg[u] + (sub >> u & 1) for u in nbrs[w]]
                 if joined:
                     w_nbr_degs.append(dv)
-                if sorted(w_nbr_degs) <= v_nbr_degs:
+                w_nbr_degs.sort()
+                if w_nbr_degs < v_nbr_degs:
                     continue
+                larger = w_nbr_degs > v_nbr_degs
             if all(sub & comp for comp in components[w]):
-                return False
-        return True
+                if larger:
+                    return _REJECTED
+                tied = True
+        return _TIED if tied else _UNIQUE
 
-    return chosen
+    return verdict
 
 
 def _orbit_representatives(prow: Sequence[int], generators: Sequence[Perm]) -> Sequence[int]:
@@ -119,41 +136,45 @@ def _orbit_representatives(prow: Sequence[int], generators: Sequence[Perm]) -> S
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[Graph, ...]:
-    """The order-n classes sorted by canonical rows."""
+    """The order-n classes sorted by rows."""
     if n == 1:
         return (Graph(1, (0,)),)
     parents = _classes(n - 1)
     start = time.perf_counter()
     new_bit = 1 << (n - 1)
-    codes: set[tuple[int, ...]] = set()
-    tried = chosen = 0
+    classes: set[tuple[int, ...]] = set()
+    tried = chosen = canonicalized = 0
     for parent in parents:
         prow = parent.rows
-        is_chosen = _chosen_removal_test(prow)
+        judge = _chosen_removal_test(prow)
         subs = _orbit_representatives(prow, _canonical_search(n - 1, prow)[1])
         tried += len(subs)
         for sub in subs:
-            if not is_chosen(sub):
+            verdict = judge(sub)
+            if verdict == _REJECTED:
                 continue
             chosen += 1
             rows = tuple(
                 prow[i] | new_bit if sub >> i & 1 else prow[i] for i in range(n - 1)
             ) + (sub,)
-            codes.add(_canonical_search(n, rows)[0])
+            if verdict == _TIED:
+                canonicalized += 1
+                rows = _canonical_search(n, rows)[0]
+            classes.add(rows)
     logger.info(
         "enumerated %d connected classes of order %d (%d candidates, "
-        "%d orbit representatives, %d canonicalized) in %.3f s",
-        len(codes), n, len(parents) * (new_bit - 1), tried, chosen,
+        "%d orbit representatives, %d chosen, %d canonicalized) in %.3f s",
+        len(classes), n, len(parents) * (new_bit - 1), tried, chosen, canonicalized,
         time.perf_counter() - start,
     )
-    # relabeling keeps any asymmetry, so validating the canonical rows checks
-    # the candidates too
-    return tuple(Graph(n, code) for code in sorted(codes))
+    # relabeling keeps any asymmetry, so validating a tied class's canonical
+    # rows checks its candidate too
+    return tuple(Graph(n, rows) for rows in sorted(classes))
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
-    """Connected graphs of order n, one canonical representative per
-    isomorphism class, sorted by adjacency rows."""
+    """Connected graphs of order n, one representative per isomorphism
+    class, sorted by rows; tied classes canonical."""
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(
             f"built-in enumeration supports 1 <= n <= {MAX_BUILTIN_ORDER}, got {n}"

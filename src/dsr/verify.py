@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, product, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -139,7 +139,8 @@ class ClassTable:
 
     Row i describes ``graphs[i]``: ``lam`` its edge connectivity (0 for a
     single vertex), ``rho`` and ``x`` its Perron pair, certified when it was
-    solved.  ``x`` is one (k, n) array, not an object per graph.
+    solved.  ``x`` is one (k, n) array, not an object per graph.  The
+    adjacency stack is unpacked on first read and shared by later readers.
     """
 
     graphs: tuple[Graph, ...]
@@ -151,6 +152,12 @@ class ClassTable:
         # cached tables are shared by every caller in the process
         for column in (self.lam, self.rho, self.x):
             column.setflags(write=False)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        adj = adjacency_stack(self.x.shape[1], self.graphs)
+        adj.setflags(write=False)
+        return adj
 
 
 def _build_table(n: int, graphs: Iterable[Graph]) -> ClassTable:
@@ -389,7 +396,7 @@ def suite_spectra_oracle(max_n: int) -> SuiteResult:
         ratios = (d @ x[:, :, None])[:, :, 0] / x
         bounds = np.stack([dense, ratios.min(axis=1), ratios.max(axis=1)])
         holds = (np.abs(table.rho - bounds) <= 1e-8 * np.maximum(1.0, np.abs(dense))).all(0)
-        holds &= _shortest_paths(adjacency_stack(n, table.graphs), hops)
+        holds &= _shortest_paths(table.adjacency, hops)
         if n >= 2:
             holds &= table.lam == [cert.size for cert in brute_force_min_cut(n, table.graphs)]
         verdicts += holds.tolist()
@@ -465,7 +472,7 @@ def suite_perron_order(max_n: int) -> SuiteResult:
     for n in range(2, max_n + 1):
         table = class_table(n)
         u, v = np.triu_indices(n, 1)
-        holds = _entry_order(adjacency_stack(n, table.graphs), table.x)
+        holds = _entry_order(table.adjacency, table.x)
         verdicts += holds[:, u, v].ravel().tolist()
     return _tally("perron_entry_order", verdicts)
 

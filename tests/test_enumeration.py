@@ -15,9 +15,10 @@ from dsr import (
     isomorphic,
     kpq,
 )
-from dsr.enumeration import _chosen_removal_test, _classes, _orbit_representatives
+from dsr.enumeration import (_REJECTED, _TIED, _UNIQUE, _chosen_removal_test, _classes,
+                             _orbit_representatives)
 from dsr.graphs import Graph
-from dsr.isomorphism import _canonical_search
+from dsr.isomorphism import _canonical_search, canonical_form
 from helpers import (
     automorphism_count,
     count_calls,
@@ -107,10 +108,11 @@ def test_all_emitted_connected():
 def test_each_candidate_validated_once(monkeypatch):
     """Order 5 grows each of the 6 order-4 classes by 15 attachment sets; of
     those 90, the 44 least members of their parent's automorphism orbits are
-    tried, and the 21 whose new vertex is a chosen removal are canonicalized.
-    The canonical search runs once per parent, for its generators, and once
-    per canonicalized candidate.  Only the 21 classes build a Graph, and the
-    others build none."""
+    tried, and the 21 whose new vertex is a chosen removal are kept.  The
+    canonical search runs once per parent, for its generators, and once per
+    kept candidate whose new vertex ties another non-cut vertex's key: 17
+    of them, whose canonical rows are classes.  Only the 21 classes build a
+    Graph, and the others build none."""
     expected = tuple(enumerate_connected(5))  # fills the cache up to order 5
     built = []
 
@@ -122,9 +124,11 @@ def test_each_candidate_validated_once(monkeypatch):
     monkeypatch.setattr(dsr.enumeration, "Graph", CountingGraph)
     canonicalized = count_calls(monkeypatch, dsr.enumeration, "_canonical_search")
     classes = _classes.__wrapped__(5)  # order 4 comes from the cache
-    assert len(canonicalized) == 27
+    assert len(canonicalized) == 23
     assert [rows for m, rows in canonicalized if m == 4] == [
         g.rows for g in enumerate_connected(4)]
+    tied = [_canonical_search(5, rows)[0] for m, rows in canonicalized if m == 5]
+    assert len(tied) == len(set(tied)) == 17 and set(tied) <= {g.rows for g in classes}
     assert len(built) == 21
     assert [g.rows for g in classes] == [g.rows for g in expected]
 
@@ -136,19 +140,50 @@ def test_log_counts_candidates_and_canonical_forms(caplog):
     [message] = caplog.messages
     assert re.fullmatch(
         r"enumerated 21 connected classes of order 5 \(90 candidates, "
-        r"44 orbit representatives, 21 canonicalized\) in \d+\.\d{3} s",
+        r"44 orbit representatives, 21 chosen, 17 canonicalized\) in \d+\.\d{3} s",
         message,
     ), message
 
 
-def test_emitted_sorted_by_canonical_rows():
+def test_emitted_sorted_by_rows():
     rows = [g.rows for g in enumerate_connected(6)]
     assert rows == sorted(rows)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_same_classes_as_unfiltered_augmentation(n):
-    assert {g.rows for g in enumerate_connected(n)} == unfiltered_classes(n)
+    classes = list(enumerate_connected(n))
+    forms = {canonical_form(g).rows for g in classes}
+    assert forms == unfiltered_classes(n)
+    assert len(classes) == len(forms)
+
+
+def _distinct_forms(classes) -> int:
+    return len({canonical_form(g).rows for g in classes})
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_no_class_emitted_twice(n):
+    """Unique-key candidates skip canonicalization, so only the parents' full
+    automorphism groups keep one class from being emitted twice: the
+    emitted classes' canonical forms are pairwise distinct."""
+    classes = list(enumerate_connected(n))
+    assert _distinct_forms(classes) == len(classes) == EXPECTED_COUNTS[n]
+
+
+def test_dropped_parent_generators_emit_a_class_twice(monkeypatch):
+    """The duplicate guard above catches a parent whose search loses its
+    generators: the first order-7 class with a nontrivial automorphism group,
+    grown with every attachment set, yields some class twice."""
+    victim = next(g for g in _classes(7) if automorphism_count(g) > 1)
+
+    def search(n, rows):
+        code, generators = _canonical_search(n, rows)
+        return code, () if rows == victim.rows else generators
+
+    monkeypatch.setattr(dsr.enumeration, "_canonical_search", search)
+    classes = _classes.__wrapped__(8)  # order 7 comes from the cache
+    assert _distinct_forms(classes) == EXPECTED_COUNTS[8] < len(classes)
 
 
 def _without(g: Graph, w: int) -> tuple[tuple[int, ...], int]:
@@ -163,36 +198,42 @@ def _without(g: Graph, w: int) -> tuple[tuple[int, ...], int]:
 def test_every_class_has_a_chosen_removal(n):
     """The rule's completeness invariant: every class has a non-cut vertex w
     that passes the rule as the new vertex of (g - w) + w, so growing the
-    class without w back by w's neighbours yields a canonicalized candidate."""
+    class without w back by w's neighbours yields a kept candidate."""
     for g in enumerate_connected(n):
         assert any(
-            is_connected(Graph(n - 1, prow)) and _chosen_removal_test(prow)(sub)
+            is_connected(Graph(n - 1, prow)) and _chosen_removal_test(prow)(sub) != _REJECTED
             for prow, sub in (_without(g, w) for w in range(n))
         ), graph6_encode(g)
 
 
-def _chosen_removal_oracle(n: int, rows: tuple[int, ...]) -> bool:
+def _chosen_removal_oracle(n: int, rows: tuple[int, ...]) -> str:
     """The rule on a whole candidate, with one connectivity test per rival."""
     def key(v):
         degs = [rows[u].bit_count() for u in range(n) if rows[v] >> u & 1]
         return rows[v].bit_count(), sorted(degs)
-    return not any(
-        key(w) > key(n - 1) and is_connected(Graph(n - 1, _without(Graph(n, rows), w)[0]))
-        for w in range(n - 1)
-    )
+    rivals = [key(w) for w in range(n - 1)
+              if is_connected(Graph(n - 1, _without(Graph(n, rows), w)[0]))]
+    if any(k > key(n - 1) for k in rivals):
+        return _REJECTED
+    return _TIED if key(n - 1) in rivals else _UNIQUE
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_chosen_removal_test_matches_whole_graph_rule(n):
-    """The per-parent test agrees with the rule applied to each candidate."""
+    """The per-parent test gives each candidate the whole-graph rule's
+    verdict, and every verdict occurs from order 5 on."""
     new_bit = 1 << (n - 1)
+    seen = set()
     for parent in enumerate_connected(n - 1):
         chosen = _chosen_removal_test(parent.rows)
         for sub in range(1, new_bit):
             rows = tuple(
                 row | new_bit if sub >> i & 1 else row for i, row in enumerate(parent.rows)
             ) + (sub,)
-            assert chosen(sub) == _chosen_removal_oracle(n, rows), (parent.rows, sub)
+            verdict = _chosen_removal_oracle(n, rows)
+            assert chosen(sub) == verdict, (parent.rows, sub)
+            seen.add(verdict)
+    assert n < 5 or seen == {_REJECTED, _TIED, _UNIQUE}
 
 
 def _relabeled(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -129,12 +129,12 @@ def test_search_generators_are_automorphisms_of_the_canonical_rows(n):
     """Searched from a relabeled copy of every class, each generator the
     canonical search returns is a non-identity permutation that maps the
     searched rows, not the canonical ones, onto themselves, and the code is
-    still the class's canonical rows."""
+    still the class's canonical form."""
     rng = random.Random(n)
     for g in enumerate_connected(n):
         rows = shuffled(g, rng).rows
         code, generators = _canonical_search(n, rows)
-        assert code == g.rows
+        assert code == canonical_form(g).rows
         for gamma in generators:
             assert sorted(gamma) == list(range(n)) and gamma != tuple(range(n))
             assert is_automorphism(rows, gamma), (rows, gamma)

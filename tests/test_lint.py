@@ -175,8 +175,8 @@ def test_all_lists_exactly_the_imported_names():
 # ``families.is_kpq`` recognizes kpq and canonical forms key the search's
 # runner-up.  The canonical search itself, which also returns automorphism
 # generators, is internal to isomorphism and to ``enumeration._classes``,
-# which searches each parent for its generators and each candidate for its
-# canonical rows.
+# which searches each parent for its generators and each key-tied candidate
+# for its canonical rows.
 # The input reader is pinned too: every graph6 file, ``compute``'s source and
 # ``search --corpus``, goes through ``cli._load_graphs``, the one caller of
 # ``graph6_decode`` outside the codec's round-trip suite.  Minimum cuts come

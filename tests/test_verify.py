@@ -24,6 +24,7 @@ from dsr import (
     extremal_search,
     from_edge_list,
     graph6_decode,
+    graph6_encode,
     is_connected,
     isomorphic,
     kpq,
@@ -35,6 +36,7 @@ from dsr import (
 import dsr.graphs
 import dsr.verify
 from dsr.cli import main
+from dsr.isomorphism import canonical_form
 from dsr.verify import (
     ENTRY_EQ_TOL,
     GROUP_DEV_TOL,
@@ -52,6 +54,7 @@ from dsr.verify import (
     suite_cut_sides,
     suite_edge_monotonicity,
     suite_perron_order,
+    suite_spectra_oracle,
     suite_theorem,
 )
 from helpers import (
@@ -355,6 +358,18 @@ class TestExtremalSearch:
         assert rep.uniqueness_gap == pytest.approx(plain.uniqueness_gap, abs=1e-12)
         assert rep.uniqueness_gap == pytest.approx(0.2593, abs=1e-4)
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_kpq_representative_is_canonical(self, n):
+        # enumeration keeps a class whose new vertex has the only top key as
+        # built, but kpq(n-1, r) always comes from a key tie (its r hubs for
+        # r >= 2; its clique vertices for r = 1, whose hub is a cut vertex),
+        # so the minimizer's graph6 is that of its canonical form
+        rows = {g.rows for g in class_table(n).graphs}
+        for r in range(1, n - 1):
+            form = canonical_form(kpq(n - 1, r))
+            assert form.rows in rows, (n, r)
+            assert extremal_search(n, r).minimizer_graph6 == graph6_encode(form).decode()
+
     def test_single_class_has_no_runner_up(self):
         rep = extremal_search(3, 1)
         assert rep.class_size == 1
@@ -411,6 +426,19 @@ class TestClassTable:
             assert lam == (edge_connectivity(g).size if n >= 2 else 0)
             assert rho == pytest.approx(perron(d).rho, abs=1e-9)
             assert (x > 0).all() and np.abs(d @ x - rho * x).max() <= 1e-12 * n
+
+    def test_adjacency_unpacked_once_per_order_read(self, monkeypatch, cold_class_tables):
+        # the spectra oracle and the entry-order suite share each order's
+        # stack, and the order-8 table, which neither reads, unpacks none
+        unpacks = count_calls(monkeypatch, dsr.verify, "adjacency_stack")
+        class_table(8)
+        assert suite_spectra_oracle(7).ok and suite_perron_order(7).ok
+        assert [n for n, _ in unpacks] == list(range(1, 8))
+        table = class_table(7)
+        assert table.adjacency is table.adjacency
+        assert np.array_equal(table.adjacency, [adjacency(g) for g in table.graphs])
+        with pytest.raises(ValueError):
+            table.adjacency[0, 0, 1] = False
 
     def test_built_once_per_order_and_read_only(self):
         table = class_table(5)
