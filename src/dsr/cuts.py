@@ -2,20 +2,18 @@
 
 The production path returns a minimum-degree star when the diameter is at
 most 2 and otherwise runs maximum-adjacency phases with Nagamochi-Ibaraki
-contraction; ``brute_force_min_cut`` scans every bipartition of a
-same-order stack at once and is the spectra suite's independent oracle.
+contraction; ``brute_force_min_cut``, the spectra suite's independent
+oracle, scans every bipartition of an adjacency stack for its cut sizes.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .graphs import (DisconnectedGraphError, Graph, _bits, adjacency_stack, is_connected,
-                     stack_chunks)
+from .graphs import DisconnectedGraphError, Graph, _bits, is_connected, stack_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -118,24 +116,23 @@ def edge_connectivity(g: Graph) -> CutCertificate:
     return _certificate(g, best_mask)
 
 
-def brute_force_min_cut(n: int, graphs: Iterable[Graph]) -> list[CutCertificate]:
-    """Minimum cuts of connected order-n graphs, 2 <= n <= 12: every side
-    S over vertices 0..n-2 of every graph at once, its cut the neighbours in
-    S of each vertex outside it, by one float32 product SA (exact: every
-    value is an integer of at most 144), one ``stack_chunks`` chunk of
-    temporaries at a time.  The least side of minimum cut is the certificate.
-    A graph with a cut of 0 is disconnected and raises: each component
-    without vertex n-1 is one of the sides."""
+def brute_force_min_cut(adj: np.ndarray) -> np.ndarray:
+    """Int64 minimum-cut sizes of a (k, n, n) boolean adjacency stack of
+    connected graphs, 2 <= n <= 12: every side S over vertices 0..n-2 of
+    every graph at once, its cut the neighbours in S of each vertex outside
+    it, by one float32 product SA (exact: every value is an integer of at
+    most 144), one ``stack_chunks`` chunk of temporaries at a time.  A graph
+    with a cut of 0 is disconnected and raises, naming its stack index: each
+    component without vertex n-1 is one of the sides."""
+    k, n = adj.shape[:2]
     if not 2 <= n <= 12:
         raise ValueError(f"bipartition scan needs 2 <= n <= 12, got {n}")
-    graphs = list(graphs)
-    adj = adjacency_stack(n, graphs).astype(np.float32)
     side = (np.arange(1, 1 << (n - 1))[:, None] >> np.arange(n) & 1).astype(np.float32)
-    certs = []
-    for chunk in stack_chunks(len(graphs), side.size):
-        cut = np.einsum("kmj,mj->km", side @ adj[chunk], 1 - side)
-        zero = np.flatnonzero(cut.min(axis=1) == 0)
+    sizes = np.empty(k, dtype=np.int64)
+    for chunk in stack_chunks(k, side.size):
+        cut = np.einsum("kmj,mj->km", side @ adj[chunk].astype(np.float32), 1 - side)
+        sizes[chunk] = cut.min(axis=1)
+        zero = np.flatnonzero(sizes[chunk] == 0)
         if zero.size:
             raise DisconnectedGraphError(f"stack graph {chunk.start + zero[0]} is disconnected")
-        certs += map(_certificate, graphs[chunk], (cut.argmin(axis=1) + 1).tolist())
-    return certs
+    return sizes

@@ -24,6 +24,7 @@ from dsr import (
     perron,
 )
 from dsr.cli import main
+from dsr.graphs import adjacency_stack
 from dsr.verify import (
     MONOTONICITY_CASES,
     MONOTONICITY_MAX_ORDER,
@@ -74,7 +75,7 @@ def test_criterion_1_oracle_completeness():
                 bad.append((graph6_encode(g), "rho", rho, dense))
             if n >= 2:
                 fast = edge_connectivity(g).size
-                slow = brute_force_min_cut(n, [g])[0].size
+                slow = brute_force_min_cut(adjacency_stack(n, [g]))[0]
                 if fast != slow:
                     bad.append((graph6_encode(g), "cut", fast, slow))
     elapsed = time.perf_counter() - start

@@ -14,7 +14,7 @@ import pytest
 
 import dsr.cli
 import dsr.verify
-from dsr import enumerate_connected, graph6_encode, kpq, random_cross_edges
+from dsr import ConvergenceError, enumerate_connected, graph6_encode, kpq, random_cross_edges
 from dsr.cli import (
     CHECK_RECORD_SCHEMA,
     SEARCH_REPORT_SCHEMA,
@@ -121,6 +121,36 @@ class TestCompute:
         code, out, err = run(capsys, "compute", str(src))
         assert code == 2 and not out
         assert "line 2: graph is disconnected" in err
+
+    @pytest.mark.parametrize("edges, message", [
+        ("0-1-2", "bad edge token '0-1-2', expected like 0-1"),
+        ("a-b", "bad edge token 'a-b', expected integers"),
+        (",", "no edges given"),
+    ], ids=["three-parts", "not-integers", "no-edges"])
+    def test_malformed_inline_edges_exit_2(self, capsys, edges, message):
+        code, out, err = run(capsys, "compute", "--edges", edges)
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
+
+    def test_empty_edge_tokens_are_skipped(self, capsys):
+        code, out, _ = run(capsys, "compute", "--edges", "0-1,,1-2")
+        assert code == 0 and out == run(capsys, "compute", "--edges", "0-1,1-2")[1]
+
+    def test_blank_graph6_file_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.g6"
+        src.write_text("\n  \n\t\n")
+        code, out, err = run(capsys, "compute", str(src))
+        assert code == 2 and not out
+        assert err == f"error: {src}: no graphs found\n"
+
+    def test_convergence_error_exit_4(self, monkeypatch, capsys):
+        def stuck(dm):
+            raise ConvergenceError("no convergence after 9 iterations")
+
+        monkeypatch.setattr(dsr.cli, "perron", stuck)
+        code, out, err = run(capsys, "compute", "--edges", "0-1,1-2")
+        assert code == 4 and not out
+        assert err == "internal error: no convergence after 9 iterations\n"
 
     def test_disconnected_inline_edges_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--edges", "0-1,2-3")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dsr import (
     BridgeFamilyParams,
+    CutCertificate,
     DisconnectedGraphError,
     Graph,
     bridge_graph,
@@ -24,6 +25,7 @@ from dsr import (
 )
 import dsr.graphs
 from dsr.cuts import _diameter_at_most_2
+from dsr.graphs import adjacency_stack
 from dsr.verify import bridge_grid
 from helpers import (count_calls, crossing_edges, cycle_graph, path_graph, random_connected,
                      reference_min_cut)
@@ -52,6 +54,11 @@ def assert_valid_certificate(g, cert):
                     reach.add(w)
                     frontier.append(w)
         assert reach == set(side)
+
+
+def scan(n, graphs):
+    """The bipartition scan's cut sizes of order-n graphs, as a list."""
+    return brute_force_min_cut(adjacency_stack(n, graphs)).tolist()
 
 
 class TestEdgeConnectivity:
@@ -84,31 +91,32 @@ class TestEdgeConnectivity:
 
 class TestBruteForceMinCut:
     def test_p4_bridge(self):
-        assert brute_force_min_cut(4, [path_graph(4)])[0].size == 1
+        assert scan(4, [path_graph(4)]) == [1]
 
     def test_k4(self):
-        assert brute_force_min_cut(4, [complete_graph(4)])[0].size == 3
+        assert scan(4, [complete_graph(4)]) == [3]
 
     def test_bridge_graph_sides_are_cliques(self):
-        [cert] = brute_force_min_cut(8, [bridge_graph(BridgeFamilyParams(4, 4, 2, 2))])
-        assert cert.size == 2
-        assert cert.side_a == (0, 1, 2, 3)
-        assert cert.side_b == (4, 5, 6, 7)
+        g = bridge_graph(BridgeFamilyParams(4, 4, 2, 2))
+        assert scan(8, [g]) == [2]
+        # the least side of minimum cut, by the per-mask loop, is one clique
+        assert reference_min_cut(g) == CutCertificate(2, (0, 1, 2, 3), (4, 5, 6, 7))
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="n <= 12"):
-            brute_force_min_cut(13, [complete_graph(13)])
+            scan(13, [complete_graph(13)])
 
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError, match="2 <= n"):
-            brute_force_min_cut(1, [Graph(1, (0,))])
+            scan(1, [Graph(1, (0,))])
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            brute_force_min_cut(4, [complete_graph(4), from_edge_list(4, [(0, 1), (2, 3)])])
+            scan(4, [complete_graph(4), from_edge_list(4, [(0, 1), (2, 3)])])
 
     def test_empty_stack(self):
-        assert brute_force_min_cut(5, []) == []
+        sizes = brute_force_min_cut(adjacency_stack(5, []))
+        assert sizes.shape == (0,) and sizes.dtype == np.int64
 
     @pytest.mark.parametrize("g", [
         from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # vertex 4 alone
@@ -118,25 +126,25 @@ class TestBruteForceMinCut:
     def test_zero_cut_names_the_graph(self, g):
         stack = [complete_graph(g.n), g]
         with pytest.raises(DisconnectedGraphError, match="stack graph 1 is disconnected"):
-            brute_force_min_cut(g.n, stack)
+            scan(g.n, stack)
 
     def test_zero_cut_in_a_later_chunk(self, monkeypatch):
         monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 2 * 15 * 5)  # two a chunk
         stack = [complete_graph(5)] * 3 + [from_edge_list(5, [(0, 1), (2, 3), (3, 4)])]
         with pytest.raises(DisconnectedGraphError, match="stack graph 3 is disconnected"):
-            brute_force_min_cut(5, stack)
+            scan(5, stack)
 
     def test_chunks_match_one_graph_scans(self, monkeypatch):
         # one product per chunk: the default chunk holds 88 order-6 graphs,
         # so the 112 classes take two; a chunk of two graphs takes 56
         graphs = list(enumerate_connected(6))
         scans = count_calls(monkeypatch, np, "einsum")
-        whole = brute_force_min_cut(6, graphs)
+        whole = scan(6, graphs)
         assert len(scans) == 2
         monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 2 * 31 * 6)
-        assert brute_force_min_cut(6, graphs) == whole
+        assert scan(6, graphs) == whole
         assert len(scans) == 2 + 56
-        assert whole == [brute_force_min_cut(6, [g])[0] for g in graphs]
+        assert whole == [scan(6, [g])[0] for g in graphs]
 
 
 class TestMinDegree:
@@ -149,12 +157,11 @@ class TestMinDegree:
 @pytest.mark.parametrize("n", range(2, 9))
 def test_phase_contraction_matches_brute_force(n):
     graphs = list(enumerate_connected(n))
-    for g, slow in zip(graphs, brute_force_min_cut(n, graphs), strict=True):
+    for g, slow in zip(graphs, scan(n, graphs), strict=True):
         fast = edge_connectivity(g)
-        assert fast.size == slow.size
+        assert fast.size == slow
         assert fast.size <= min_degree(g)
         assert_valid_certificate(g, fast)
-        assert_valid_certificate(g, slow)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -162,30 +169,34 @@ def test_phase_contraction_matches_brute_force(n):
 def test_phase_contraction_matches_brute_force_random(n, p, seed):
     g = random_connected(random.Random(seed), n, p)
     cert = edge_connectivity(g)
-    assert cert.size == brute_force_min_cut(n, [g])[0].size
+    assert cert.size == scan(n, [g])[0]
     assert_valid_certificate(g, cert)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_bipartition_scan_matches_per_mask_loop(n):
-    # oracle: the least mask of minimum cut, one mask and one row at a time
+    # oracle: the least mask of minimum cut, one mask and one row at a time,
+    # whose sides are the two components left when its cut edges go
     graphs = list(enumerate_connected(n))
-    assert brute_force_min_cut(n, graphs) == [reference_min_cut(g) for g in graphs]
+    refs = [reference_min_cut(g) for g in graphs]
+    assert scan(n, graphs) == [ref.size for ref in refs]
+    for g, ref in zip(graphs, refs):
+        assert_valid_certificate(g, ref)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_zero_cut_exactly_on_disconnected_labelled_graphs(n):
     # every labelled order-n graph: the scan raises on each disconnected one
-    # alone, and certifies the connected ones as the per-mask loop does
+    # alone, and sizes the connected ones as the per-mask loop does
     pairs = list(combinations(range(n), 2))
     graphs = [from_edge_list(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
               for mask in range(1 << len(pairs))]
     connected = [g for g in graphs if is_connected(g)]
-    assert brute_force_min_cut(n, connected) == [reference_min_cut(g) for g in connected]
+    assert scan(n, connected) == [reference_min_cut(g).size for g in connected]
     for g in graphs:
         if not is_connected(g):
             with pytest.raises(DisconnectedGraphError):
-                brute_force_min_cut(n, [g])
+                scan(n, [g])
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -193,7 +204,7 @@ def test_zero_cut_exactly_on_disconnected_labelled_graphs(n):
 def test_bipartition_scan_matches_per_mask_loop_random(n, p, seed):
     rng = random.Random(seed)
     graphs = [random_connected(rng, n, p) for _ in range(3)]
-    assert brute_force_min_cut(n, graphs) == [reference_min_cut(g) for g in graphs]
+    assert scan(n, graphs) == [reference_min_cut(g).size for g in graphs]
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])

@@ -23,7 +23,7 @@ from dsr import (
     random_cross_edges,
     tilde_level_groups,
 )
-from dsr.graphs import MAX_VERTICES
+from dsr.graphs import MAX_VERTICES, adjacency_stack
 from dsr.isomorphism import canonical_form
 from helpers import crossing_edges
 
@@ -161,7 +161,8 @@ class TestBridgeGraph:
         assert g.n == 8
         assert g.num_edges() == 14
         assert int(distance_matrix(g).max()) == 3
-        [cert] = brute_force_min_cut(8, [g])
+        assert brute_force_min_cut(adjacency_stack(8, [g])).tolist() == [2]
+        cert = edge_connectivity(g)
         assert cert.size == 2
         assert cert.side_a == (0, 1, 2, 3) and cert.side_b == (4, 5, 6, 7)
 

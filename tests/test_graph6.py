@@ -93,6 +93,10 @@ class TestDecodeErrors:
         with pytest.raises(Graph6Error):
             graph6_decode("C" + chr(30))
 
+    def test_order_zero(self):
+        with pytest.raises(Graph6Error, match="^order-0 graph not representable$"):
+            graph6_decode(b"?")
+
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(n=st.integers(1, 62), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))

@@ -59,6 +59,10 @@ class TestFromEdgeList:
         with pytest.raises(ValueError):
             Graph(65, (0,) * 65)
 
+    def test_row_count_must_match_order(self):
+        with pytest.raises(ValueError, match="row count does not match vertex count"):
+            Graph(2, (1,))
+
     def test_asymmetric_rows_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             Graph(2, (0b10, 0b00))

@@ -12,7 +12,8 @@ stacked solves are grouped by order in one place and go through one
 distance-to-Perron step, graph6 files are read in one place (the CLI loader
 is the only caller of the decoder besides the round-trip suite), and
 ``dsr.graphs`` alone decides how a stack is chunked and unpacked from bit
-rows, which no module reads off a distance stack.  The bridge grid and
+rows, which no module reads off a distance stack and only ``dsr.graphs`` and
+``dsr.verify`` unpack.  The bridge grid and
 ``dsr check``'s placements are each drawn in one place, through one drawer
 of bridge instances, and ``run_all_suites`` sets every suite parameter;
 neither it nor any suite has a parameter default.  The benchmark's tracer
@@ -170,7 +171,9 @@ def test_all_lists_exactly_the_imported_names():
 # ``perron_stack`` takes one order's stack and has one caller, the
 # distance-to-Perron step ``_solve`` that the class table and
 # ``_stacked_solve`` (the one place that groups graphs by order) share.
-# Bit rows are unpacked in one place, ``adjacency_stack``.
+# Bit rows are unpacked in one place, ``adjacency_stack``, which only
+# ``dsr.graphs`` and the class table's cached stack in ``dsr.verify`` call;
+# the bipartition scan takes that stack rather than unpacking its own.
 # ``isomorphic`` stays public but is called nowhere in the package, since
 # ``families.is_kpq`` recognizes kpq and canonical forms key the search's
 # runner-up.  The canonical search itself, which also returns automorphism
@@ -197,6 +200,7 @@ SLOW_CALLERS = {
                           ("verify.py", "suite_cut_sides")},
     "perron_stack": {("verify.py", "_solve")},
     "unpackbits": {("graphs.py", "adjacency_stack")},
+    "adjacency_stack": {"graphs.py", "verify.py"},
     "isomorphic": set(),
     "canonical_form": {"isomorphism.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", ("enumeration.py", "_classes")},

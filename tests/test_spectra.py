@@ -46,6 +46,12 @@ class TestPerron:
         pp = perron(distance_matrix(complete_graph(1)))
         assert pp.rho == 0.0 and pp.x.tolist() == [1.0]
 
+    def test_rotation_never_converges(self):
+        # a quarter turn has no real dominant eigenvector: the iterate keeps
+        # turning and the residual never falls, so the iteration cap raises
+        with pytest.raises(ConvergenceError, match="no convergence after 5387 iterations"):
+            perron(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_pair_invariants_over_stream(self, n):
         for g in enumerate_connected(n):
