@@ -22,31 +22,54 @@ The automorphisms met on the way, the leaf automorphisms and the
 transposition of each twin pair skipped, come back from ``_canonical_search``
 as found, on the labeling of the rows it searched: they generate a subgroup
 of that graph's automorphism group, and enumeration searches each parent to
-try its attachment sets once per orbit.
+try its attachment sets once per orbit.  The search's first coloring,
+``_root_colors``, is an isomorphism invariant of each vertex, and
+enumeration reads it to settle most key ties without a search.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from .graphs import Graph, _bits
 
 
-def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
-    """Coarsest equitable coloring finer than ``colors``.
+def _pickers(rows: Sequence[int]) -> list[itemgetter]:
+    """Per vertex, a getter of its neighbors' colors from a coloring with
+    two sentinel slots of color -2 appended, so that every pick is a tuple
+    and the sentinels sort first in every signature alike."""
+    n = len(rows)
+    return [itemgetter(*_bits(row), n, n + 1) for row in rows]
+
+
+def _refine(pickers: list[itemgetter], colors: list[int]) -> list[int]:
+    """Coarsest equitable coloring finer than ``colors``, with ``pickers``
+    from ``_pickers``.
 
     New colors are ranks of (color, sorted neighbor colors) signatures, so
     they depend on the structure only, never on the vertex labels, and keep
     the relative order of the old colors.
     """
     ncolors = len(set(colors))
+    vertices = range(len(colors))
     while True:
-        sigs = [(c, tuple(sorted([colors[u] for u in nb]))) for c, nb in zip(colors, nbrs)]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == ncolors:
+        padded = colors + [-2, -2]
+        sigs = [(c, sorted(pick(padded))) for c, pick in zip(colors, pickers)]
+        order = sorted(vertices, key=sigs.__getitem__)
+        colors = [0] * len(sigs)
+        for u, v in zip(order, order[1:]):
+            colors[v] = colors[u] + (sigs[v] != sigs[u])
+        count = colors[order[-1]] + 1
+        if count == ncolors:
             return colors
-        ncolors = len(rank)
+        ncolors = count
+
+
+def _root_colors(rows: Sequence[int]) -> list[int]:
+    """The equitable coloring that the canonical search of the graph with
+    rows ``rows`` starts from: an isomorphism invariant of each vertex."""
+    return _refine(_pickers(rows), [0] * len(rows))
 
 
 def _orbit(v: int, generators: Sequence[Sequence[int]]) -> set[int]:
@@ -75,6 +98,7 @@ def _canonical_search(
     search met, each a tuple gamma with gamma[v] the image of vertex v of
     ``rows``; ``rows`` are not validated."""
     nbrs = [list(_bits(row)) for row in rows]
+    pickers = _pickers(rows)
     best_code = best_colors = best_path = None
     automorphisms: list[tuple[int, ...]] = []
     twins: dict[tuple[int, int], None] = {}  # insertion-ordered set
@@ -121,13 +145,13 @@ def _canonical_search(
             tried.append(v)
             child = [2 * c for c in colors]
             child[v] -= 1
-            search(_refine(nbrs, child), path + [v])
+            search(_refine(pickers, child), path + [v])
             if unwind_to >= 0:
                 if unwind_to < len(path):
                     return
                 unwind_to = -1
 
-    search(_refine(nbrs, [0] * n), [])
+    search(_refine(pickers, [0] * n), [])
     for u, v in twins:
         swap = list(range(n))
         swap[u], swap[v] = v, u

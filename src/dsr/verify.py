@@ -189,10 +189,11 @@ def extremal_search(
     isomorphism verdict against kpq(n-1, r).
 
     The minimizer is the least (rho, graph6) pair, so only the graphs whose
-    rho equals the minimum exactly are encoded.  The runner-up rho is the
-    least rho of a graph not isomorphic to the minimizer, so a list that
-    holds one class twice cannot fake a tie, and a true tie between two
-    classes shows as a zero gap.
+    rho equals the minimum exactly are encoded; the built-in table's is
+    named by its canonical form, a corpus minimizer by its own line.  The
+    runner-up rho is the least rho of a graph not isomorphic to the
+    minimizer, so a list that holds one class twice cannot fake a tie, and
+    a true tie between two classes shows as a zero gap.
     """
     if not 1 <= r <= n - 2:
         raise ValueError(f"need 1 <= r <= n-2, got n={n}, r={r}")
@@ -208,6 +209,10 @@ def extremal_search(
         (graph6_encode(table.graphs[i]).decode("ascii"), i) for i in kept[rho == min_rho]
     )
     best = canonical_form(table.graphs[min_i])
+    if graphs is None:
+        # enumeration keeps most classes' rows as built, so the built-in
+        # table's minimizer is named by its canonical form
+        min_g6 = graph6_encode(best).decode("ascii")
     runner = next((
         float(table.rho[i]) for i in kept[np.argsort(rho)]
         if i != min_i and canonical_form(table.graphs[i]) != best

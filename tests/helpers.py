@@ -93,6 +93,21 @@ def relabel(g: Graph, perm) -> Graph:
     return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def reference_refine(g: Graph, colors: list[int]) -> list[int]:
+    """Coarsest equitable coloring of g finer than ``colors``: each pass
+    ranks the distinct (color, sorted neighbor colors) signatures through a
+    set, a sort and a dict, until the number of colors stops growing."""
+    nbrs = [[u for u in range(g.n) if row >> u & 1] for row in g.rows]
+    ncolors = len(set(colors))
+    while True:
+        sigs = [(c, tuple(sorted(colors[u] for u in nb))) for c, nb in zip(colors, nbrs)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == ncolors:
+            return colors
+        ncolors = len(rank)
+
+
 @lru_cache(maxsize=None)
 def unfiltered_classes(n: int) -> frozenset:
     """Canonical rows of the connected order-n classes, grown from the

@@ -15,16 +15,17 @@ from dsr import (
     isomorphic,
     kpq,
 )
-from dsr.enumeration import (_REJECTED, _TIED, _UNIQUE, _chosen_removal_test, _classes,
-                             _orbit_representatives)
-from dsr.graphs import Graph
-from dsr.isomorphism import _canonical_search, canonical_form
+from dsr.enumeration import (_CANONICAL, _COLOUR_KEPT, _OUTCOLOURED, _TWINS,
+                             _chosen_removal_test, _classes, _orbit_representatives, _settle_tie)
+from dsr.graphs import Graph, _bits
+from dsr.isomorphism import _canonical_search, _root_colors, canonical_form
 from helpers import (
     automorphism_count,
     count_calls,
     cycle_graph,
     path_graph,
     perm_canonical,
+    reference_refine,
     relabel,
     star_graph,
     unfiltered_classes,
@@ -110,7 +111,7 @@ def test_each_candidate_validated_once(monkeypatch):
     those 90, the 44 least members of their parent's automorphism orbits are
     tried, and the 21 whose new vertex is a chosen removal are kept.  The
     canonical search runs once per parent, for its generators, and once per
-    kept candidate whose new vertex ties another non-cut vertex's key: 17
+    kept candidate whose key tie neither twins nor root colours settle: 4
     of them, whose canonical rows are classes.  Only the 21 classes build a
     Graph, and the others build none."""
     expected = tuple(enumerate_connected(5))  # fills the cache up to order 5
@@ -124,11 +125,11 @@ def test_each_candidate_validated_once(monkeypatch):
     monkeypatch.setattr(dsr.enumeration, "Graph", CountingGraph)
     canonicalized = count_calls(monkeypatch, dsr.enumeration, "_canonical_search")
     classes = _classes.__wrapped__(5)  # order 4 comes from the cache
-    assert len(canonicalized) == 23
+    assert len(canonicalized) == 10
     assert [rows for m, rows in canonicalized if m == 4] == [
         g.rows for g in enumerate_connected(4)]
     tied = [_canonical_search(5, rows)[0] for m, rows in canonicalized if m == 5]
-    assert len(tied) == len(set(tied)) == 17 and set(tied) <= {g.rows for g in classes}
+    assert len(tied) == len(set(tied)) == 4 and set(tied) <= {g.rows for g in classes}
     assert len(built) == 21
     assert [g.rows for g in classes] == [g.rows for g in expected]
 
@@ -140,7 +141,23 @@ def test_log_counts_candidates_and_canonical_forms(caplog):
     [message] = caplog.messages
     assert re.fullmatch(
         r"enumerated 21 connected classes of order 5 \(90 candidates, "
-        r"44 orbit representatives, 21 chosen, 17 canonicalized\) in \d+\.\d{3} s",
+        r"44 orbit representatives, 21 chosen, 13 kept as twins, 0 rejected by colour, "
+        r"0 kept by colour, 4 canonicalized\) in \d+\.\d{3} s",
+        message,
+    ), message
+
+
+def test_log_counts_order_8_ties(caplog):
+    """Of the 11,987 key-chosen order-8 candidates, 4,424 tie another
+    non-cut vertex's key; twins and root colours settle all but 1,105."""
+    tuple(enumerate_connected(7))  # order 7 comes from the cache
+    with caplog.at_level(logging.INFO, logger="dsr.enumeration"):
+        _classes.__wrapped__(8)
+    [message] = caplog.messages
+    assert re.fullmatch(
+        r"enumerated 11117 connected classes of order 8 \(108331 candidates, "
+        r"67141 orbit representatives, 11987 chosen, 1738 kept as twins, "
+        r"846 rejected by colour, 735 kept by colour, 1105 canonicalized\) in \d+\.\d{3} s",
         message,
     ), message
 
@@ -194,46 +211,112 @@ def _without(g: Graph, w: int) -> tuple[tuple[int, ...], int]:
     return tuple(drop(row) for v, row in enumerate(g.rows) if v != w), drop(g.rows[w])
 
 
+REJECTED, UNIQUE = "rejected", "unique"
+
+
+def _grown(prow: tuple[int, ...], sub: int) -> tuple[int, ...]:
+    """Rows of P + v, with v joined to the mask ``sub``."""
+    new_bit = 1 << len(prow)
+    return tuple(row | new_bit if sub >> i & 1 else row for i, row in enumerate(prow)) + (sub,)
+
+
+def _rule(judge, prow: tuple[int, ...], sub: int) -> str:
+    """The enumeration's whole rule on P + v, as ``_classes`` applies it:
+    ``judge`` is ``_chosen_removal_test(prow)``."""
+    rivals = judge(sub)
+    if rivals is None:
+        return REJECTED
+    return _settle_tie(_grown(prow, sub), rivals) if rivals else UNIQUE
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_class_has_a_chosen_removal(n):
     """The rule's completeness invariant: every class has a non-cut vertex w
-    that passes the rule as the new vertex of (g - w) + w, so growing the
-    class without w back by w's neighbours yields a kept candidate."""
+    that passes the whole rule, key, twins and root colour, as the new
+    vertex of (g - w) + w, so growing the class without w back by w's
+    neighbours yields a kept candidate."""
     for g in enumerate_connected(n):
         assert any(
-            is_connected(Graph(n - 1, prow)) and _chosen_removal_test(prow)(sub) != _REJECTED
+            is_connected(Graph(n - 1, prow))
+            and _rule(_chosen_removal_test(prow), prow, sub) not in (REJECTED, _OUTCOLOURED)
             for prow, sub in (_without(g, w) for w in range(n))
         ), graph6_encode(g)
 
 
 def _chosen_removal_oracle(n: int, rows: tuple[int, ...]) -> str:
-    """The rule on a whole candidate, with one connectivity test per rival."""
+    """The rule on a whole candidate: its key, with one connectivity test per
+    old vertex, then twins from neighbour sets, then the reference refinement's
+    root colours, then twins again among the rivals of v's colour."""
+    g = Graph(n, rows)
+    nbrs = [{u for u in range(n) if row >> u & 1} for row in rows]
+
     def key(v):
-        degs = [rows[u].bit_count() for u in range(n) if rows[v] >> u & 1]
-        return rows[v].bit_count(), sorted(degs)
-    rivals = [key(w) for w in range(n - 1)
-              if is_connected(Graph(n - 1, _without(Graph(n, rows), w)[0]))]
-    if any(k > key(n - 1) for k in rivals):
-        return _REJECTED
-    return _TIED if key(n - 1) in rivals else _UNIQUE
+        return len(nbrs[v]), sorted(len(nbrs[u]) for u in nbrs[v])
+
+    def twin(w):
+        return nbrs[w] - {v} == nbrs[v] - {w}
+
+    v = n - 1
+    noncut = [w for w in range(n - 1) if is_connected(Graph(n - 1, _without(g, w)[0]))]
+    if any(key(w) > key(v) for w in noncut):
+        return REJECTED
+    tied = [w for w in noncut if key(w) == key(v)]
+    if not tied:
+        return UNIQUE
+    if all(map(twin, tied)):
+        return _TWINS
+    colors = reference_refine(g, [0] * n)
+    if any(colors[w] > colors[v] for w in tied):
+        return _OUTCOLOURED
+    return _COLOUR_KEPT if all(twin(w) for w in tied if colors[w] == colors[v]) else _CANONICAL
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_chosen_removal_test_matches_whole_graph_rule(n):
-    """The per-parent test gives each candidate the whole-graph rule's
-    verdict, and every verdict occurs from order 5 on."""
-    new_bit = 1 << (n - 1)
+    """The per-parent key test and the tie rule give each candidate the
+    whole-graph rule's verdict.  Key rejections, unique keys, twin ties and
+    canonicalized ties all occur from order 5 on, colour verdicts from 6."""
     seen = set()
     for parent in enumerate_connected(n - 1):
-        chosen = _chosen_removal_test(parent.rows)
-        for sub in range(1, new_bit):
-            rows = tuple(
-                row | new_bit if sub >> i & 1 else row for i, row in enumerate(parent.rows)
-            ) + (sub,)
-            verdict = _chosen_removal_oracle(n, rows)
-            assert chosen(sub) == verdict, (parent.rows, sub)
+        judge = _chosen_removal_test(parent.rows)
+        for sub in range(1, 1 << (n - 1)):
+            verdict = _chosen_removal_oracle(n, _grown(parent.rows, sub))
+            assert _rule(judge, parent.rows, sub) == verdict, (parent.rows, sub)
             seen.add(verdict)
-    assert n < 5 or seen == {_REJECTED, _TIED, _UNIQUE}
+    every = {REJECTED, UNIQUE, _TWINS, _CANONICAL, _OUTCOLOURED, _COLOUR_KEPT}
+    assert seen == every if n >= 6 else n < 5 or seen == every - {_OUTCOLOURED, _COLOUR_KEPT}
+
+
+def _keep_every_tie(rows, rivals):
+    return _TWINS
+
+
+def _reject_on_equal_colour(rows, rivals):
+    how = _settle_tie(rows, rivals)
+    if how == _TWINS:
+        return how
+    colors = _root_colors(rows)
+    return _OUTCOLOURED if any(colors[w] >= colors[-1] for w in _bits(rivals)) else how
+
+
+def _skip_twins_of_equal_colour(rows, rivals):
+    how = _settle_tie(rows, rivals)
+    return _COLOUR_KEPT if how == _CANONICAL else how
+
+
+@pytest.mark.parametrize("mutant, n, emitted", [
+    (_keep_every_tie, 6, 114),
+    (_reject_on_equal_colour, 6, 83),
+    (_skip_twins_of_equal_colour, 7, 854),
+], ids=["keep-every-tie", "reject-on-equal-colour", "skip-twins-of-equal-colour"])
+def test_faulty_tie_rule_is_caught(monkeypatch, mutant, n, emitted):
+    """Each fault in the tie rule, applied to one order grown from the
+    correct classes below it, fails the class-count or distinct-forms
+    check: kept ties emit a class twice, a rejected one drops a class."""
+    monkeypatch.setattr(dsr.enumeration, "_settle_tie", mutant)
+    classes = _classes.__wrapped__(n)  # order n - 1 comes from the cache
+    assert len(classes) == emitted != EXPECTED_COUNTS[n]
+    assert _distinct_forms(classes) == min(emitted, EXPECTED_COUNTS[n])
 
 
 def _relabeled(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsr import complete_graph, enumerate_connected, from_edge_list, isomorphic, kpq
-from dsr.isomorphism import _canonical_search, canonical_form
+from dsr.isomorphism import _canonical_search, _pickers, _refine, _root_colors, canonical_form
 from helpers import (
     automorphism_count,
     cycle_graph,
     path_graph,
     perm_canonical,
     random_graph,
+    reference_refine,
+    relabel,
     star_graph,
     upper_triangle_pairs,
 )
@@ -115,6 +117,36 @@ def test_canonical_form_invariant_under_relabeling(n, p, seed):
     rng = random.Random(seed)
     g = random_graph(rng, n, p)
     assert canonical_form(shuffled(g, rng)) == canonical_form(g)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_refine_matches_reference(n):
+    """From the all-equal coloring and from each vertex individualized in
+    the root coloring, as the search starts and branches, every class's
+    refinement equals the reference's; so does that of two graphs with
+    isolated vertices, whose picks hold only the sentinels."""
+    graphs = list(enumerate_connected(n)) + [
+        from_edge_list(n, []), from_edge_list(n, [(u, u + 1) for u in range(0, n - 1, 2)])]
+    for g in graphs:
+        pickers = _pickers(g.rows)
+        root = _refine(pickers, [0] * n)
+        assert root == reference_refine(g, [0] * n) == _root_colors(g.rows), g.rows
+        for v in range(n):
+            child = [2 * c for c in root]
+            child[v] -= 1
+            assert _refine(pickers, child) == reference_refine(g, child), (g.rows, v)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_root_colors_are_invariant(n):
+    """Relabeling a graph relabels its root colors alike, the invariance the
+    enumeration's colour tie-break rests on."""
+    rng = random.Random(n)
+    for g in enumerate_connected(n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        colors = _root_colors(relabel(g, perm).rows)
+        assert [colors[perm[v]] for v in range(n)] == _root_colors(g.rows), g.rows
 
 
 def is_automorphism(rows, gamma):

@@ -204,6 +204,7 @@ SLOW_CALLERS = {
     "isomorphic": set(),
     "canonical_form": {"isomorphism.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", ("enumeration.py", "_classes")},
+    "_root_colors": {"isomorphism.py", ("enumeration.py", "_settle_tie")},
     "graph6_decode": {("cli.py", "_load_graphs"), ("verify.py", "suite_graph6_roundtrip")},
     "bridge_grid": {("verify.py", "run_all_suites")},
     "bridge_instances": {("verify.py", "bridge_grid"), ("cli.py", "main")},

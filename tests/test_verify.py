@@ -26,6 +26,7 @@ from dsr import (
     graph6_decode,
     graph6_encode,
     is_connected,
+    is_kpq,
     isomorphic,
     kpq,
     min_degree,
@@ -361,15 +362,24 @@ class TestExtremalSearch:
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_kpq_representative_is_canonical(self, n):
-        # enumeration keeps a class whose new vertex has the only top key as
-        # built, but kpq(n-1, r) always comes from a key tie (its r hubs for
-        # r >= 2; its clique vertices for r = 1, whose hub is a cut vertex),
-        # so the minimizer's graph6 is that of its canonical form
-        rows = {g.rows for g in class_table(n).graphs}
+        # enumeration keeps kpq(n-1, r)'s rows as built, as its top-key
+        # vertices are twins (its r hubs for r >= 2, its clique vertices for
+        # r = 1, whose hub is a cut vertex), so the built-in search names its
+        # minimizer by the canonical form
+        graphs = class_table(n).graphs
         for r in range(1, n - 1):
+            assert sum(is_kpq(g, r) for g in graphs) == 1, (n, r)
             form = canonical_form(kpq(n - 1, r))
-            assert form.rows in rows, (n, r)
             assert extremal_search(n, r).minimizer_graph6 == graph6_encode(form).decode()
+
+    def test_corpus_minimizer_keeps_its_line(self):
+        # a corpus search names its minimizer by the graph it was given, not
+        # by the canonical form the built-in search names it by
+        given = kpq(5, 2)
+        assert given != canonical_form(given)
+        corpus = [g for g in enumerate_connected(6) if not is_kpq(g, 2)] + [given]
+        rep = extremal_search(6, 2, corpus)
+        assert rep.holds() and rep.minimizer_graph6 == graph6_encode(given).decode()
 
     def test_single_class_has_no_runner_up(self):
         rep = extremal_search(3, 1)
