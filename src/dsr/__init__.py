@@ -8,7 +8,7 @@ distance spectral radius among connected order-n graphs of edge
 connectivity r.
 """
 
-from .cuts import CutCertificate, brute_force_min_cut, edge_connectivity, min_degree
+from .cuts import CutCertificate, brute_force_min_cut, edge_connectivity, min_cuts, min_degree
 from .enumeration import enumerate_connected
 from .families import (
     BridgeFamilyParams,
@@ -75,6 +75,7 @@ __all__ = [
     "is_kpq",
     "isomorphic",
     "kpq",
+    "min_cuts",
     "min_degree",
     "perron",
     "perron_stack",

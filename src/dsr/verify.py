@@ -11,13 +11,13 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, combinations, islice, product, repeat
+from functools import lru_cache
+from itertools import combinations, islice, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cuts import brute_force_min_cut, edge_connectivity, min_degree
+from .cuts import brute_force_min_cut, min_cuts, min_degree
 from .enumeration import enumerate_connected
 from .families import (
     BridgeFamilyParams,
@@ -137,35 +137,36 @@ class ExtremalReport:
 class ClassTable:
     """Per-graph quantities of connected order-n graphs, one column each.
 
-    Row i describes ``graphs[i]``: ``lam`` its edge connectivity (0 for a
+    Row i describes ``graphs[i]``: ``lam`` its edge connectivity and
+    ``side`` the vertex mask of one side of a minimum cut (both 0 for a
     single vertex), ``rho`` and ``x`` its Perron pair, certified when it was
-    solved.  ``x`` is one (k, n) array, not an object per graph.  The
-    adjacency stack is unpacked on first read and shared by later readers.
+    solved, and ``adjacency`` its (n, n) boolean adjacency matrix.  ``x``
+    and ``adjacency`` are one stacked array each, not an object per graph;
+    the adjacency stack is unpacked once, when the table is built, and read
+    by every later reader.
     """
 
     graphs: tuple[Graph, ...]
     lam: np.ndarray
+    side: np.ndarray
     rho: np.ndarray
     x: np.ndarray
+    adjacency: np.ndarray
 
     def __post_init__(self):
         # cached tables are shared by every caller in the process
-        for column in (self.lam, self.rho, self.x):
+        for column in (self.lam, self.side, self.rho, self.x, self.adjacency):
             column.setflags(write=False)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        adj = adjacency_stack(self.x.shape[1], self.graphs)
-        adj.setflags(write=False)
-        return adj
 
 
 def _build_table(n: int, graphs: Iterable[Graph]) -> ClassTable:
     graphs = tuple(graphs)
-    lam = np.array(
-        [edge_connectivity(g).size if n >= 2 else 0 for g in graphs], dtype=np.int64
-    )
-    return ClassTable(graphs, lam, *_solve(n, graphs)[1:])
+    adj = adjacency_stack(n, graphs)
+    if n >= 2:
+        lam, side = min_cuts(adj)
+    else:
+        lam, side = np.zeros(len(graphs), dtype=np.int64), np.zeros(len(graphs), dtype=np.uint64)
+    return ClassTable(graphs, lam, side, *_solve(n, graphs)[1:], adj)
 
 
 @lru_cache(maxsize=None)
@@ -496,23 +497,29 @@ def suite_bridge_grid(grid: Sequence[BridgeFamilyParams]) -> SuiteResult:
 def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResult:
     """The cut-side lemma: when every degree exceeds the edge connectivity r,
     each side S of a minimum cut has |S|(r+1) <= |S|(|S|-1) + r, so at least
-    r+2 vertices.  Checked on the certified cut of every class up to max_n
-    whose minimum degree exceeds its table edge connectivity, and of every
-    grid instance (which must meet the hypothesis).  A class whose minimum
-    degree is below it fails: a minimum-degree star is a cut."""
+    r+2 vertices, whichever minimum cut is read.  Checked on the table's cut
+    of every class up to max_n whose minimum degree exceeds its table edge
+    connectivity, and on the cut of every grid instance (which must meet the
+    hypothesis), one ``min_cuts`` stack per grid order.  A class whose
+    minimum degree is below it fails: a minimum-degree star is a cut."""
 
-    def sides_clear(g: Graph) -> bool:
-        cert = edge_connectivity(g)
-        return (min_degree(g) > cert.size
-                and min(len(cert.side_a), len(cert.side_b)) >= cert.size + 2)
+    def sides_clear(n: int, degree: int, lam: int, side: int) -> bool:
+        a = side.bit_count()
+        return degree > lam and min(a, n - a) >= lam + 2
 
-    tables = map(class_table, range(2, max_n + 1))
-    classes = (
-        min_degree(g) == lam or min_degree(g) > lam and sides_clear(g)
-        for table in tables for g, lam in zip(table.graphs, table.lam)
-    )
-    bridges = (sides_clear(bridge_graph(params)) for params in grid)
-    return _tally("cut_side_orders", chain(classes, bridges))
+    verdicts = []
+    for n in range(2, max_n + 1):
+        table = class_table(n)
+        for g, lam, side in zip(table.graphs, table.lam.tolist(), table.side.tolist()):
+            degree = min_degree(g)
+            verdicts.append(degree == lam or sides_clear(n, degree, lam, side))
+    bridges = [bridge_graph(params) for params in grid]
+    cuts = {}
+    for n in sorted({g.n for g in bridges}):
+        sizes, sides = min_cuts(adjacency_stack(n, [g for g in bridges if g.n == n]))
+        cuts[n] = zip(sizes.tolist(), sides.tolist())
+    verdicts += [sides_clear(g.n, min_degree(g), *next(cuts[g.n])) for g in bridges]
+    return _tally("cut_side_orders", verdicts)
 
 
 def run_all_suites(seed: int, max_n: int) -> list[SuiteResult]:

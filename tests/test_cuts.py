@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +21,7 @@ from dsr import (
     is_connected,
     kpq,
     distance_matrix,
+    min_cuts,
     min_degree,
     enumerate_connected,
 )
@@ -288,3 +290,109 @@ def test_log_reports_diameter_shortcut(caplog):
         cert = edge_connectivity(kpq(4, 2))
     assert caplog.messages == ["min cut order 5: diameter <= 2, 0 phases, size 2"]
     assert cert.side_b == (4,)
+
+
+def cut_of_mask(g, mask: int) -> int:
+    """The edges leaving a vertex mask, counted from g's bit rows."""
+    return sum((g.rows[v] & ~mask).bit_count() for v in range(g.n) if mask >> v & 1)
+
+
+def kernel(n, graphs):
+    """The Stoer-Wagner kernel's sizes and side masks of order-n graphs, as lists."""
+    sizes, sides = min_cuts(adjacency_stack(n, graphs))
+    assert sizes.dtype == np.int64 and sides.dtype == np.uint64
+    return sizes.tolist(), sides.tolist()
+
+
+def assert_certified_sides(graphs, sizes, sides):
+    """Every side mask is a nonempty proper vertex set whose cut, counted
+    from the bit rows, is the reported size."""
+    for g, size, side in zip(graphs, sizes, sides, strict=True):
+        assert 0 < side < (1 << g.n) - 1, (g, side)
+        assert cut_of_mask(g, side) == size, (g, side)
+
+
+class TestMinCuts:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_class_matches_both_per_graph_paths(self, n):
+        graphs = list(enumerate_connected(n))
+        sizes, sides = kernel(n, graphs)
+        assert sizes == [edge_connectivity(g).size for g in graphs]
+        assert sizes == scan(n, graphs)
+        assert_certified_sides(graphs, sizes, sides)
+
+    @pytest.mark.parametrize("regime", ["diameter <= 2", "diameter >= 3"])
+    def test_matches_networkx_in_both_diameter_regimes(self, regime):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(17 if regime == "diameter <= 2" else 37)
+        by_order = {}
+        while sum(map(len, by_order.values())) < 30:
+            n = rng.randint(9, 40)
+            g = two_blobs(rng, n) if n >= 12 and rng.random() < 0.3 else random_connected(
+                rng, n, rng.choice([0.05, 0.15, 0.3, 0.6]))
+            if (distance_matrix(g).max() <= 2) == (regime == "diameter <= 2"):
+                by_order.setdefault(n, []).append(g)
+        below_degree = 0
+        for n, graphs in by_order.items():
+            sizes, sides = kernel(n, graphs)
+            assert sizes == [nx.edge_connectivity(nx.Graph(g.edges())) for g in graphs]
+            assert_certified_sides(graphs, sizes, sides)
+            below_degree += sum(size < min_degree(g) for g, size in zip(graphs, sizes))
+        assert (below_degree > 0) == (regime == "diameter >= 3")
+
+    def test_chunks_give_identical_output(self, monkeypatch):
+        graphs = list(enumerate_connected(7))
+        whole = kernel(7, graphs)
+        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 3 * 7 * 7)  # three a chunk
+        assert kernel(7, graphs) == whole
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_zero_cut_names_the_graph(self, position):
+        split = from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        stack = [complete_graph(6)] * 3
+        stack.insert(0 if position == "first" else 3, split)
+        index = 0 if position == "first" else 3
+        with pytest.raises(DisconnectedGraphError, match=f"stack graph {index} is disconnected"):
+            kernel(6, stack)
+
+    def test_zero_cut_in_a_later_chunk(self, monkeypatch):
+        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 2 * 5 * 5)  # two a chunk
+        stack = [complete_graph(5)] * 4 + [from_edge_list(5, [(0, 1), (2, 3), (3, 4)])]
+        with pytest.raises(DisconnectedGraphError, match="stack graph 4 is disconnected"):
+            kernel(5, stack)
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_order_64_side_holds_the_top_bit(self, r):
+        # kpq(63, r): the last vertex, of degree r, is the one side of least cut
+        g = kpq(63, r)
+        sizes, sides = kernel(64, [complete_graph(64), g])
+        assert sizes == [63, r]
+        assert sides[1] == 1 << 63
+        assert_certified_sides([complete_graph(64), g], sizes, sides)
+
+    @pytest.mark.parametrize("n", [0, 1, 65])
+    def test_order_outside_2_to_64_rejected(self, n):
+        with pytest.raises(ValueError, match="2 <= n <= 64"):
+            min_cuts(np.zeros((1, n, n), dtype=bool))
+
+    def test_empty_stack(self):
+        sizes, sides = min_cuts(adjacency_stack(5, []))
+        assert sizes.shape == sides.shape == (0,)
+
+    def test_log_line_per_call(self, caplog, monkeypatch):
+        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 2 * 6 * 6)  # two a chunk
+        with caplog.at_level(logging.DEBUG, logger="dsr.cuts"):
+            kernel(6, [complete_graph(6), path_graph(6), cycle_graph(6)])
+        [message] = caplog.messages
+        assert re.fullmatch(r"min cuts order 6: 3 graphs, 2 chunks, 5 phases each, "
+                            r"\d+\.\d{3} s", message), message
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(2, 10), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_min_cuts_match_per_mask_loop_random(n, p, seed):
+    rng = random.Random(seed)
+    graphs = [random_connected(rng, n, p) for _ in range(3)]
+    sizes, sides = kernel(n, graphs)
+    assert sizes == [reference_min_cut(g).size for g in graphs]
+    assert_certified_sides(graphs, sizes, sides)

@@ -172,8 +172,9 @@ def test_all_lists_exactly_the_imported_names():
 # distance-to-Perron step ``_solve`` that the class table and
 # ``_stacked_solve`` (the one place that groups graphs by order) share.
 # Bit rows are unpacked in one place, ``adjacency_stack``, which only
-# ``dsr.graphs`` and the class table's cached stack in ``dsr.verify`` call;
-# the bipartition scan takes that stack rather than unpacking its own.
+# ``dsr.graphs`` and, in ``dsr.verify``, the class table (once per order) and
+# the cut-side suite's grid stacks call; the bipartition scan and the cut
+# kernel take the table's stack rather than unpacking their own.
 # ``isomorphic`` stays public but is called nowhere in the package, since
 # ``families.is_kpq`` recognizes kpq and canonical forms key the search's
 # runner-up.  The canonical search itself, which also returns automorphism
@@ -183,10 +184,10 @@ def test_all_lists_exactly_the_imported_names():
 # The input reader is pinned too: every graph6 file, ``compute``'s source and
 # ``search --corpus``, goes through ``cli._load_graphs``, the one caller of
 # ``graph6_decode`` outside the codec's round-trip suite.  Minimum cuts come
-# from three places: one per graph in ``dsr compute``, one per class in the
-# class table, and ``suite_cut_sides``, which needs the certificate's sides
-# and so cuts each class with δ > λ a second time (50 classes of order <= 8)
-# plus every grid instance.  Each random
+# from two paths: one maximum-adjacency run per graph in ``dsr compute``, and
+# the stacked Stoer-Wagner kernel, once per order in the class table (whose
+# side masks ``suite_cut_sides`` reads) and once per grid order in
+# ``suite_cut_sides``.  Each random
 # input is drawn once: ``run_all_suites`` draws the bridge grid that both grid
 # suites read, and ``dsr check`` keeps the placements that ``main`` drew to
 # validate its parameters.  Both draw through ``bridge_instances``, the one
@@ -196,8 +197,8 @@ SLOW_CALLERS = {
     "perron": {("cli.py", "cmd_compute")},
     "distance_matrix": {("cli.py", "cmd_compute")},
     "brute_force_min_cut": {("verify.py", "suite_spectra_oracle")},
-    "edge_connectivity": {("cli.py", "cmd_compute"), ("verify.py", "_build_table"),
-                          ("verify.py", "suite_cut_sides")},
+    "edge_connectivity": {("cli.py", "cmd_compute")},
+    "min_cuts": {("verify.py", "_build_table"), ("verify.py", "suite_cut_sides")},
     "perron_stack": {("verify.py", "_solve")},
     "unpackbits": {("graphs.py", "adjacency_stack")},
     "adjacency_stack": {"graphs.py", "verify.py"},

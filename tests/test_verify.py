@@ -12,7 +12,6 @@ import pytest
 from dsr import (
     BridgeFamilyParams,
     CorpusError,
-    CutCertificate,
     bridge_graph,
     bridge_graph_tilde,
     brute_force_min_cut,
@@ -34,6 +33,7 @@ from dsr import (
     random_cross_edges,
     tilde_level_groups,
 )
+import dsr.cuts
 import dsr.graphs
 import dsr.verify
 from dsr.cli import main
@@ -293,25 +293,37 @@ class TestCutSideLemma:
                     assert min(a, n - a) >= lam + 2, (g, mask)
         assert counts == [0, 0, 0, 0, 1, 5, 44]
 
-    def test_suite_fails_on_a_one_vertex_side(self, monkeypatch):
+    def fails_once_with_side(self, monkeypatch, side_of) -> None:
+        """With the kernel's side mask of one eligible order-8 class replaced
+        by ``side_of(lam)`` at the right size, the suite fails exactly once."""
         def two_cliques(g, side):
-            rest = [v for v in range(g.n) if v not in side]
-            return all(g.has_edge(u, v) for part in (side, rest)
+            inside = [v for v in range(g.n) if side >> v & 1]
+            rest = [v for v in range(g.n) if not side >> v & 1]
+            return all(g.has_edge(u, v) for part in (inside, rest)
                        for u, v in combinations(part, 2))
 
-        real = dsr.verify.edge_connectivity
+        table = class_table(8)
+        sides = dict(zip(table.graphs, table.side.tolist()))
         target, lam = next((g, lam) for g, lam in self.eligible(8)
-                           if not two_cliques(g, real(g).side_a))
+                           if not two_cliques(g, sides[g]))
 
-        def bad(g):
-            if g != target:
-                return real(g)
-            # the right size, but one side is a single vertex
-            return CutCertificate(lam, (0,), tuple(range(1, g.n)))
+        def bad(real):
+            def fault(adj):
+                sizes, masks = real(adj)
+                return sizes, np.where(rows_of(target, adj), np.uint64(side_of(lam)), masks)
+            return fault
 
-        monkeypatch.setattr(dsr.verify, "edge_connectivity", bad)
+        monkeypatch.setattr(dsr.verify, "min_cuts", bad(dsr.verify.min_cuts))
+        class_table.cache_clear()
         result = suite_cut_sides(8, list(bridge_grid(0, 1)))
         assert result.failures == 1
+
+    def test_suite_fails_on_a_one_vertex_side(self, monkeypatch, cold_class_tables):
+        self.fails_once_with_side(monkeypatch, lambda lam: 1)
+
+    def test_suite_fails_on_a_side_one_vertex_short(self, monkeypatch, cold_class_tables):
+        # r+1 vertices: one short of the lemma's r+2
+        self.fails_once_with_side(monkeypatch, lambda lam: (1 << (lam + 1)) - 1)
 
 
 class TestExtremalSearch:
@@ -438,15 +450,42 @@ class TestClassTable:
             assert rho == pytest.approx(perron(d).rho, abs=1e-9)
             assert (x > 0).all() and np.abs(d @ x - rho * x).max() <= 1e-12 * n
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cut_columns_are_certified_minimum_cuts(self, n):
+        # every class of orders 2..8: lam is the per-graph maximum-adjacency
+        # cut size, and side a nonempty proper vertex set whose cut, counted
+        # from the bit rows, is lam
+        table = class_table(n)
+        assert table.side.dtype == np.uint64
+        full = (1 << n) - 1
+        for g, lam, side in zip(table.graphs, table.lam.tolist(), table.side.tolist()):
+            if n == 1:
+                assert lam == side == 0
+                continue
+            assert lam == edge_connectivity(g).size
+            assert 0 < side < full
+            assert sum((g.rows[v] & ~side).bit_count()
+                       for v in range(n) if side >> v & 1) == lam
+        with pytest.raises(ValueError):
+            table.side[0] = 0
+
     def test_adjacency_unpacked_once_per_order_read(self, monkeypatch, cold_class_tables):
-        # the spectra oracle and the entry-order suite share each order's
-        # stack, and the order-8 table, which neither reads, unpacks none
+        # each order's stack is unpacked once, when its table is built, and
+        # the cut kernel, the spectra oracle and the entry-order suite all
+        # read that same array
         unpacks = count_calls(monkeypatch, dsr.verify, "adjacency_stack")
+        kernel = count_calls(monkeypatch, dsr.verify, "min_cuts")
+        scans = count_calls(monkeypatch, dsr.verify, "brute_force_min_cut")
+        orders = count_calls(monkeypatch, dsr.verify, "_entry_order")
         class_table(8)
         assert suite_spectra_oracle(7).ok and suite_perron_order(7).ok
-        assert [n for n, _ in unpacks] == list(range(1, 8))
+        assert [n for n, _ in unpacks] == [8, *range(1, 8)]
+        stacks = {n: class_table(n).adjacency for n in range(1, 9)}
+        assert all(adj is stacks[n] for (adj,), n in zip(kernel, (8, *range(2, 8)), strict=True))
+        assert all(adj is stacks[n] for (adj,), n in zip(scans, range(2, 8), strict=True))
+        assert all(adj is stacks[n] for (adj, _), n in zip(orders, range(2, 8), strict=True))
+        assert len(unpacks) == 8  # no later reader unpacked its own
         table = class_table(7)
-        assert table.adjacency is table.adjacency
         assert np.array_equal(table.adjacency, [adjacency(g) for g in table.graphs])
         with pytest.raises(ValueError):
             table.adjacency[0, 0, 1] = False
@@ -461,13 +500,17 @@ class TestClassTable:
 class TestSuiteTheorem:
     def test_one_cut_and_one_stack_per_order_no_decodes(self, monkeypatch):
         class_table.cache_clear()
-        cuts = count_calls(monkeypatch, dsr.verify, "edge_connectivity")
+        assert not hasattr(dsr.verify, "edge_connectivity")
+        per_graph = count_calls(monkeypatch, dsr.cuts, "edge_connectivity")
+        cuts = count_calls(monkeypatch, dsr.verify, "min_cuts")
         decodes = count_calls(monkeypatch, dsr.verify, "graph6_decode")
         stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
         distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
         result = suite_theorem(6)
         assert result.ok and result.instances == 2 + 3 + 4
-        assert len(cuts) == 6 + 21 + 112  # one per class of orders 4..6
+        # one kernel call per order 4..6, over all of its classes
+        assert [adj.shape for adj, in cuts] == [(6, 4, 4), (21, 5, 5), (112, 6, 6)]
+        assert not per_graph
         assert not decodes
         assert len(stacks) == 3
         assert [n for n, _ in distances] == [4, 5, 6]
@@ -517,13 +560,18 @@ def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch)
     ]
     assert eligible[-1] == 44  # of the 11,117 order-8 classes
     grid = list(bridge_grid(0, 1))
-    cuts = count_calls(monkeypatch, dsr.verify, "edge_connectivity")
+    per_graph = count_calls(monkeypatch, dsr.cuts, "edge_connectivity")
+    cuts = count_calls(monkeypatch, dsr.verify, "min_cuts")
     result = suite_cut_sides(8, grid)
-    bridges = [bridge_graph(p) for p in grid]  # one cut per grid instance
+    bridges = [bridge_graph(p) for p in grid]
     assert result.ok
     assert result.instances == sum(len(t.graphs) for t in tables) + len(grid)
-    assert len(cuts) == sum(eligible) + len(grid)
-    assert [g for g, in cuts[sum(eligible):]] == bridges
+    # the classes' cuts come from the tables; one kernel call per grid
+    # order holds that order's bridge graphs in grid order
+    orders = sorted({g.n for g in bridges})
+    assert len(cuts) == len(orders) and not per_graph
+    for (adj,), n in zip(cuts, orders):
+        assert np.array_equal(adj, adjacency_stack(n, [g for g in bridges if g.n == n]))
 
 
 def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
@@ -708,11 +756,25 @@ def scale_one_rho(real):
     return fault
 
 
+def rows_of(g, adj: np.ndarray) -> np.ndarray:
+    """Which graphs of an adjacency stack are g, as labelled."""
+    if adj.shape[1:] != (g.n, g.n):
+        return np.zeros(len(adj), dtype=bool)
+    return (adj == adjacency(g)).all(axis=(1, 2))
+
+
+def raise_cut_of(g):
+    """A ``min_cuts`` fault: g's cut size, one edge too large."""
+    def wrap(real):
+        def fault(adj):
+            sizes, sides = real(adj)
+            return sizes + rows_of(g, adj), sides
+        return fault
+    return wrap
+
+
 def raise_k4_connectivity(real):
-    def fault(g):  # K4's cut, one edge too large
-        cert = real(g)
-        return dataclasses.replace(cert, size=cert.size + 1) if g == complete_graph(4) else cert
-    return fault
+    return raise_cut_of(complete_graph(4))(real)
 
 
 def reverse_nesting(real):
@@ -787,7 +849,7 @@ def cold_class_tables():
                "perron_entry_order", "bridge_grid_and_identities"),
     fault_case("distance_stack", one_hop_too_many,
                "spectra_and_cut_oracle", "perron_entry_order"),
-    fault_case("edge_connectivity", raise_k4_connectivity,
+    fault_case("min_cuts", raise_k4_connectivity,
                "spectra_and_cut_oracle", "cut_side_orders"),
     fault_case("_entry_order", reverse_nesting, "perron_entry_order"),
     fault_case("graph6_decode", drop_last_edge, "graph6_roundtrip"),
@@ -812,13 +874,7 @@ def test_cut_sides_fails_a_table_connectivity_above_min_degree(monkeypatch, cold
     [target] = [g for g, lam, rho in zip(table.graphs, table.lam, table.rho)
                 if lam == 1 and rho == search.runner_up_rho]
     assert min_degree(target) == 1
-    real = dsr.verify.edge_connectivity
-
-    def one_too_high(g):
-        cert = real(g)
-        return dataclasses.replace(cert, size=cert.size + 1) if g == target else cert
-
-    monkeypatch.setattr(dsr.verify, "edge_connectivity", one_too_high)
+    monkeypatch.setattr(dsr.verify, "min_cuts", raise_cut_of(target)(dsr.verify.min_cuts))
     class_table.cache_clear()
     result = suite_cut_sides(8, [])
     assert result.instances == sum(len(class_table(n).graphs) for n in range(2, 9))
