@@ -8,7 +8,7 @@ distance spectral radius among connected order-n graphs of edge
 connectivity r.
 """
 
-from .cuts import CutCertificate, brute_force_min_cut, edge_connectivity, min_cuts, min_degree
+from .cuts import brute_force_min_cut, edge_connectivity, min_cuts
 from .enumeration import enumerate_connected
 from .families import (
     BridgeFamilyParams,
@@ -52,7 +52,6 @@ __all__ = [
     "ClassTable",
     "ConvergenceError",
     "CorpusError",
-    "CutCertificate",
     "DisconnectedGraphError",
     "ExtremalReport",
     "Graph",
@@ -76,7 +75,6 @@ __all__ = [
     "isomorphic",
     "kpq",
     "min_cuts",
-    "min_degree",
     "perron",
     "perron_stack",
     "random_cross_edges",

@@ -202,7 +202,7 @@ def cmd_compute(args) -> int:
         t1 = time.perf_counter()
         pp = perron(d)
         t2 = time.perf_counter()
-        conn = edge_connectivity(g).size if g.n >= 2 else None
+        conn = edge_connectivity(g)[0] if g.n >= 2 else None
         t3 = time.perf_counter()
         spent[0] += t1 - t0
         spent[1] += t2 - t1

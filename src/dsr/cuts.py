@@ -1,8 +1,10 @@
 """Global edge connectivity with an explicit minimum-cut certificate.
 
+Every minimum cut here is a pair ``(size, side mask)``: the mask's set bits
+are the vertices on one side, and the cut edges are those leaving them.
 Two production paths.  ``min_cuts`` runs Stoer-Wagner on a whole adjacency
 stack at once, every graph through the same n-1 phases, and gives
-``dsr.verify`` each class's cut size and side from one call per order.
+``dsr.verify`` each class's pair from one call per order.
 ``edge_connectivity`` cuts one graph, for ``dsr compute``: it returns a
 minimum-degree star when the diameter is at most 2 and otherwise runs
 maximum-adjacency phases with Nagamochi-Ibaraki contraction, which on one
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,26 +25,10 @@ from .graphs import DisconnectedGraphError, Graph, _bits, is_connected, stack_ch
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CutCertificate:
-    """A minimum edge cut: its size and vertex bipartition; the cut edges
-    are the edges between the two sides."""
-
-    size: int
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-
-
-def min_degree(g: Graph) -> int:
-    return min(map(int.bit_count, g.rows))
-
-
-def _certificate(g: Graph, side_mask: int) -> CutCertificate:
-    # the size is summed over the side the caller named, a star's one row
-    size = sum((g.rows[v] & ~side_mask).bit_count() for v in _bits(side_mask))
-    full = (1 << g.n) - 1
-    side_a = side_mask if side_mask & 1 else full ^ side_mask  # the side holding vertex 0
-    return CutCertificate(size, tuple(_bits(side_a)), tuple(_bits(full ^ side_a)))
+def _certificate(g: Graph, side_mask: int) -> tuple[int, int]:
+    # the size is counted from the rows of the side the caller named, a
+    # star's one row, so it is a cut of g whatever produced the mask
+    return sum((g.rows[v] & ~side_mask).bit_count() for v in _bits(side_mask)), side_mask
 
 
 def _diameter_at_most_2(rows: tuple[int, ...]) -> bool:
@@ -61,9 +46,10 @@ def _diameter_at_most_2(rows: tuple[int, ...]) -> bool:
     return True
 
 
-def edge_connectivity(g: Graph) -> CutCertificate:
-    """Certified global minimum edge cut via maximum-adjacency (MA) phases
-    with Nagamochi-Ibaraki contraction.
+def edge_connectivity(g: Graph) -> tuple[int, int]:
+    """Certified global minimum edge cut ``(size, side mask)``, the pair of
+    one ``min_cuts`` row, via maximum-adjacency (MA) phases with
+    Nagamochi-Ibaraki contraction.
 
     U starts at the minimum degree (a star).  Each phase grows an MA order
     of the supernodes, ties to the smallest name, lowers U to the cut of the

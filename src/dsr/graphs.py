@@ -183,23 +183,23 @@ def adjacency_stack(n: int, graphs: Sequence[Graph]) -> np.ndarray:
                          axis=2, count=n, bitorder="little").view(bool)
 
 
-def distance_stack(n: int, graphs: Sequence[Graph]) -> np.ndarray:
-    """(k, n, n) int8 hop counts of k connected order-n graphs, from all their
-    breadth-first searches at once, one ``stack_chunks`` chunk at a time:
-    each level grows every reached set by its neighbours with one float32
-    matmul (sums of at most 64 terms of 0 or 1, so exact), and each entry
-    counts the levels at which its vertex was not yet reached.  Raises on
-    disconnected input."""
-    dist = np.zeros((len(graphs), n, n), dtype=np.int8)  # hop counts stay below n <= 64
-    for chunk in stack_chunks(len(graphs), n * n):
-        adj = adjacency_stack(n, graphs[chunk]).astype(np.float32)
-        part = dist[chunk]
+def distance_stack(adj: np.ndarray) -> np.ndarray:
+    """(k, n, n) int8 hop counts of the k connected graphs of a (k, n, n)
+    boolean adjacency stack, from all their breadth-first searches at once,
+    one ``stack_chunks`` chunk at a time: each level grows every reached set
+    by its neighbours with one float32 matmul (sums of at most 64 terms of 0
+    or 1, so exact), and each entry counts the levels at which its vertex
+    was not yet reached.  Raises on disconnected input."""
+    k, n = adj.shape[:2]
+    dist = np.zeros((k, n, n), dtype=np.int8)  # hop counts stay below n <= 64
+    for chunk in stack_chunks(k, n * n):
+        a, part = adj[chunk].astype(np.float32), dist[chunk]
         reach = np.eye(n, dtype=bool)  # the first level broadcasts it over the chunk
         for _ in range(n - 1):  # no hop count exceeds n - 1
             if reach.all():
                 break
             part += ~reach
-            reach = reach | (reach.astype(np.float32) @ adj > 0)
+            reach = reach | (reach.astype(np.float32) @ a > 0)
         # a disconnected graph leaves some vertex unreached from source 0
         if not reach[:, 0].all():
             unreached = np.argwhere(~reach[:, 0])
@@ -212,6 +212,6 @@ def distance_stack(n: int, graphs: Sequence[Graph]) -> np.ndarray:
 def distance_matrix(g: Graph) -> np.ndarray:
     """Read-only (n, n) int64 all-pairs shortest-path matrix; raises on
     disconnected input."""
-    d = distance_stack(g.n, [g])[0].astype(np.int64)
+    d = distance_stack(adjacency_stack(g.n, [g]))[0].astype(np.int64)
     d.setflags(write=False)
     return d

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cuts import brute_force_min_cut, min_cuts, min_degree
+from .cuts import brute_force_min_cut, min_cuts
 from .enumeration import enumerate_connected
 from .families import (
     BridgeFamilyParams,
@@ -69,19 +69,20 @@ class CorpusError(ValueError):
     no graph with the requested edge connectivity."""
 
 
-def _solve(n: int, graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one distance-to-Perron step: the (k, n, n) distance stack of
-    connected order-n graphs and its certified Perron pairs, ``(d, rho, x)``."""
-    d = distance_stack(n, graphs)
+def _solve(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one distance-to-Perron step: the (k, n, n) distance stack of a
+    boolean adjacency stack of connected graphs and its certified Perron
+    pairs, ``(d, rho, x)``."""
+    d = distance_stack(adj)
     return (d, *perron_stack(d))
 
 
 def _stacked_solve(graphs: Sequence[Graph]) -> list[tuple[np.ndarray, float, np.ndarray]]:
     """One ``(d, rho, x)`` record per connected graph of any mix of orders,
-    in input order, from one ``_solve`` per order."""
+    in input order, from one adjacency stack and one ``_solve`` per order."""
     solved = {}
     for n in sorted({g.n for g in graphs}):
-        d, rho, x = _solve(n, [g for g in graphs if g.n == n])
+        d, rho, x = _solve(adjacency_stack(n, [g for g in graphs if g.n == n]))
         solved[n] = zip(d, rho.tolist(), x)
     return [next(solved[g.n]) for g in graphs]
 
@@ -166,7 +167,7 @@ def _build_table(n: int, graphs: Iterable[Graph]) -> ClassTable:
         lam, side = min_cuts(adj)
     else:
         lam, side = np.zeros(len(graphs), dtype=np.int64), np.zeros(len(graphs), dtype=np.uint64)
-    return ClassTable(graphs, lam, side, *_solve(n, graphs)[1:], adj)
+    return ClassTable(graphs, lam, side, *_solve(adj)[1:], adj)
 
 
 @lru_cache(maxsize=None)
@@ -386,8 +387,8 @@ def _shortest_paths(adj: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def suite_spectra_oracle(max_n: int) -> SuiteResult:
-    """Over every class, one order's stack at a time: a rebuilt distance
-    stack certified by its level sets on the graphs' bit rows, the
+    """Over every class, one order's stack at a time: a distance stack
+    rebuilt from the table's adjacency and certified by its level sets, the
     table's radius within the band of a dense symmetric eigensolver's on it
     and of both ends of the Collatz-Wielandt enclosure min/max (Dx)_i/x_i of
     its own vector x > 0 (Horn & Johnson 8.1; an entry <= 0 makes them NaN
@@ -395,7 +396,7 @@ def suite_spectra_oracle(max_n: int) -> SuiteResult:
     verdicts = []
     for n in range(1, max_n + 1):
         table = class_table(n)
-        hops = distance_stack(n, table.graphs)
+        hops = distance_stack(table.adjacency)
         d = hops.astype(float)
         dense = np.linalg.eigvalsh(d)[:, -1]
         x = np.where(table.x > 0, table.x, np.nan)
@@ -434,10 +435,10 @@ def suite_theorem(max_n: int) -> SuiteResult:
 def suite_edge_monotonicity(seed: int) -> SuiteResult:
     """Random connected graphs; one random edge addition and one random
     non-bridge deletion each must move the radius strictly the right way.
-    Every (larger, smaller) radius pair is drawn first, then all are solved
-    in one stacked call."""
+    Every graph is drawn first, each (larger, smaller) radius pair kept as
+    two indices into them, then all are solved once in one stacked call."""
     rng = random.Random(seed)
-    graphs = []
+    graphs, pairs = [], []
     for _ in range(MONOTONICITY_CASES):
         g = random_connected_graph(rng)
         non_edges = [
@@ -449,12 +450,17 @@ def suite_edge_monotonicity(seed: int) -> SuiteResult:
             (u, v) for u, v in g.edges()
             if _reach(g.rows, g.rows[u] ^ 1 << v, full ^ 1 << u) >> v & 1
         ]
+        base = len(graphs)
+        graphs.append(g)
         if non_edges:
-            graphs += [g, g.with_edge(*rng.choice(non_edges))]
+            pairs.append((base, len(graphs)))
+            graphs.append(g.with_edge(*rng.choice(non_edges)))
         if deletable:
-            graphs += [g.without_edge(*rng.choice(deletable)), g]
+            pairs.append((len(graphs), base))
+            graphs.append(g.without_edge(*rng.choice(deletable)))
     radii = [rho for _, rho, _ in _stacked_solve(graphs)]
-    return _tally("edge_monotonicity", map(_strictly_above, radii[::2], radii[1::2]))
+    return _tally("edge_monotonicity",
+                  (_strictly_above(radii[big], radii[small]) for big, small in pairs))
 
 
 def _entry_order(adj: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -494,6 +500,11 @@ def suite_bridge_grid(grid: Sequence[BridgeFamilyParams]) -> SuiteResult:
                   (all(c.holds for c in instance) for instance in claims), notes)
 
 
+def _min_degree(adj: np.ndarray) -> np.ndarray:
+    """Each graph's minimum degree, read off a (k, n, n) adjacency stack."""
+    return adj.sum(axis=2, dtype=np.int16).min(axis=1)
+
+
 def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResult:
     """The cut-side lemma: when every degree exceeds the edge connectivity r,
     each side S of a minimum cut has |S|(r+1) <= |S|(|S|-1) + r, so at least
@@ -503,22 +514,21 @@ def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResu
     hypothesis), one ``min_cuts`` stack per grid order.  A class whose
     minimum degree is below it fails: a minimum-degree star is a cut."""
 
-    def sides_clear(n: int, degree: int, lam: int, side: int) -> bool:
-        a = side.bit_count()
-        return degree > lam and min(a, n - a) >= lam + 2
+    def sides_clear(adj: np.ndarray, lam: np.ndarray, side: np.ndarray,
+                    star_ok: bool) -> list[bool]:
+        n, degree = adj.shape[1], _min_degree(adj)
+        a = np.array([mask.bit_count() for mask in side.tolist()], dtype=np.int64)
+        clear = (degree > lam) & (np.minimum(a, n - a) >= lam + 2)
+        return (clear | star_ok & (degree == lam)).tolist()
 
     verdicts = []
     for n in range(2, max_n + 1):
         table = class_table(n)
-        for g, lam, side in zip(table.graphs, table.lam.tolist(), table.side.tolist()):
-            degree = min_degree(g)
-            verdicts.append(degree == lam or sides_clear(n, degree, lam, side))
+        verdicts += sides_clear(table.adjacency, table.lam, table.side, True)
     bridges = [bridge_graph(params) for params in grid]
-    cuts = {}
     for n in sorted({g.n for g in bridges}):
-        sizes, sides = min_cuts(adjacency_stack(n, [g for g in bridges if g.n == n]))
-        cuts[n] = zip(sizes.tolist(), sides.tolist())
-    verdicts += [sides_clear(g.n, min_degree(g), *next(cuts[g.n])) for g in bridges]
+        adj = adjacency_stack(n, [g for g in bridges if g.n == n])
+        verdicts += sides_clear(adj, *min_cuts(adj), False)
     return _tally("cut_side_orders", verdicts)
 
 

@@ -8,8 +8,8 @@ from itertools import permutations
 
 import numpy as np
 
-from dsr import (BridgeFamilyParams, ConvergenceError, CutCertificate, Graph, Graph6Error,
-                 from_edge_list, random_cross_edges)
+from dsr import (BridgeFamilyParams, ConvergenceError, Graph, Graph6Error, from_edge_list,
+                 random_cross_edges)
 from dsr.isomorphism import canonical_form
 from dsr.spectra import PerronPair
 
@@ -43,10 +43,9 @@ def random_connected(rng, n: int, p: float) -> Graph:
     return from_edge_list(n, tree + random_graph(rng, n, p).edges())
 
 
-def crossing_edges(g: Graph, cert) -> list[tuple[int, int]]:
-    """The edges of g with one end on each side of a cut certificate."""
-    in_a = set(cert.side_a)
-    return [(u, v) for u, v in g.edges() if (u in in_a) != (v in in_a)]
+def crossing_edges(g: Graph, side: int) -> list[tuple[int, int]]:
+    """The edges of g with one end in the vertex mask ``side`` and one out."""
+    return [(u, v) for u, v in g.edges() if (side >> u & 1) != (side >> v & 1)]
 
 
 def perm_canonical(g: Graph) -> tuple:
@@ -175,10 +174,10 @@ def reference_order_holds(g: Graph, x: np.ndarray, u: int, v: int, tol: float) -
     return True
 
 
-def reference_min_cut(g: Graph) -> CutCertificate:
-    """Minimum cut by scanning the sides over vertices 0..n-2 one mask at a
-    time, counting each side's crossing edges row by row; the least mask of
-    minimum cut, its sides named so that side_a holds vertex 0."""
+def reference_min_cut(g: Graph) -> tuple[int, int]:
+    """Minimum cut ``(size, side mask)`` by scanning the sides over vertices
+    0..n-2 one mask at a time, counting each side's crossing edges row by
+    row; the side is the least mask of minimum cut."""
     full = (1 << g.n) - 1
     best_size, best_mask = None, 0
     for mask in range(1, 1 << (g.n - 1)):
@@ -186,9 +185,7 @@ def reference_min_cut(g: Graph) -> CutCertificate:
                        for v in range(g.n) if mask >> v & 1)
         if best_size is None or crossing < best_size:
             best_size, best_mask = crossing, mask
-    side_a = best_mask if best_mask & 1 else full ^ best_mask
-    return CutCertificate(best_size, tuple(v for v in range(g.n) if side_a >> v & 1),
-                          tuple(v for v in range(g.n) if not side_a >> v & 1))
+    return best_size, best_mask
 
 
 def reference_shortest_paths(adj: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dsr import (
     BridgeFamilyParams,
-    CutCertificate,
     DisconnectedGraphError,
     Graph,
     bridge_graph,
@@ -22,7 +21,6 @@ from dsr import (
     kpq,
     distance_matrix,
     min_cuts,
-    min_degree,
     enumerate_connected,
 )
 import dsr.graphs
@@ -33,29 +31,37 @@ from helpers import (count_calls, crossing_edges, cycle_graph, path_graph, rando
                      reference_min_cut)
 
 
-def assert_valid_certificate(g, cert):
-    """Certificate invariants: sides partition V, the size counts the edges
-    between them, and removing those leaves the two sides as components."""
-    assert set(cert.side_a) | set(cert.side_b) == set(range(g.n))
-    assert not set(cert.side_a) & set(cert.side_b)
-    assert cert.side_a and cert.side_b
-    crossing = crossing_edges(g, cert)
-    assert cert.size == len(crossing)
+def assert_valid_certificate(g, cut):
+    """Certificate invariants of a ``(size, side mask)`` pair: the side is a
+    nonempty proper vertex set, the size counts the edges leaving it, and
+    removing those leaves the side and the rest as components."""
+    size, side = cut
+    full = (1 << g.n) - 1
+    assert 0 < side < full
+    crossing = crossing_edges(g, side)
+    assert size == len(crossing)
     stripped = g
     for u, v in crossing:
         stripped = stripped.without_edge(u, v)
     assert not is_connected(stripped)
     # each side is one whole component of the stripped graph
-    for side in (cert.side_a, cert.side_b):
-        reach = {side[0]}
-        frontier = [side[0]]
+    for mask in (side, full ^ side):
+        members = {v for v in range(g.n) if mask >> v & 1}
+        start = min(members)
+        reach = {start}
+        frontier = [start]
         while frontier:
             u = frontier.pop()
             for w in range(g.n):
                 if stripped.has_edge(u, w) and w not in reach:
                     reach.add(w)
                     frontier.append(w)
-        assert reach == set(side)
+        assert reach == members
+
+
+def min_degree(g):
+    """The least degree of g, from its bit rows."""
+    return min(map(g.degree, range(g.n)))
 
 
 def scan(n, graphs):
@@ -66,17 +72,16 @@ def scan(n, graphs):
 class TestEdgeConnectivity:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_complete(self, n):
-        assert edge_connectivity(complete_graph(n)).size == n - 1
+        assert edge_connectivity(complete_graph(n))[0] == n - 1
 
     def test_kpq_isolates_added_vertex(self):
         g = kpq(4, 2)
-        cert = edge_connectivity(g)
-        assert cert.size == 2
-        assert cert.side_b == (4,)
-        assert crossing_edges(g, cert) == [(0, 4), (1, 4)]
+        size, side = edge_connectivity(g)
+        assert (size, side) == (2, 1 << 4)
+        assert crossing_edges(g, side) == [(0, 4), (1, 4)]
 
     def test_c5(self):
-        assert edge_connectivity(cycle_graph(5)).size == 2
+        assert edge_connectivity(cycle_graph(5))[0] == 2
 
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
@@ -87,8 +92,7 @@ class TestEdgeConnectivity:
             edge_connectivity(from_edge_list(4, [(0, 1), (2, 3)]))
 
     def test_k2(self):
-        cert = edge_connectivity(complete_graph(2))
-        assert (cert.size, cert.side_a, cert.side_b) == (1, (0,), (1,))
+        assert edge_connectivity(complete_graph(2)) == (1, 1 << 0)
 
 
 class TestBruteForceMinCut:
@@ -102,7 +106,7 @@ class TestBruteForceMinCut:
         g = bridge_graph(BridgeFamilyParams(4, 4, 2, 2))
         assert scan(8, [g]) == [2]
         # the least side of minimum cut, by the per-mask loop, is one clique
-        assert reference_min_cut(g) == CutCertificate(2, (0, 1, 2, 3), (4, 5, 6, 7))
+        assert reference_min_cut(g) == (2, 0b00001111)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="n <= 12"):
@@ -149,20 +153,13 @@ class TestBruteForceMinCut:
         assert whole == [scan(6, [g])[0] for g in graphs]
 
 
-class TestMinDegree:
-    def test_examples(self):
-        assert min_degree(complete_graph(5)) == 4
-        assert min_degree(kpq(4, 2)) == 2
-        assert min_degree(path_graph(3)) == 1
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_phase_contraction_matches_brute_force(n):
     graphs = list(enumerate_connected(n))
     for g, slow in zip(graphs, scan(n, graphs), strict=True):
         fast = edge_connectivity(g)
-        assert fast.size == slow
-        assert fast.size <= min_degree(g)
+        assert fast[0] == slow
+        assert fast[0] <= min_degree(g)
         assert_valid_certificate(g, fast)
 
 
@@ -171,7 +168,7 @@ def test_phase_contraction_matches_brute_force(n):
 def test_phase_contraction_matches_brute_force_random(n, p, seed):
     g = random_connected(random.Random(seed), n, p)
     cert = edge_connectivity(g)
-    assert cert.size == scan(n, [g])[0]
+    assert cert[0] == scan(n, [g])[0]
     assert_valid_certificate(g, cert)
 
 
@@ -181,7 +178,7 @@ def test_bipartition_scan_matches_per_mask_loop(n):
     # whose sides are the two components left when its cut edges go
     graphs = list(enumerate_connected(n))
     refs = [reference_min_cut(g) for g in graphs]
-    assert scan(n, graphs) == [ref.size for ref in refs]
+    assert scan(n, graphs) == [size for size, _ in refs]
     for g, ref in zip(graphs, refs):
         assert_valid_certificate(g, ref)
 
@@ -194,7 +191,7 @@ def test_zero_cut_exactly_on_disconnected_labelled_graphs(n):
     graphs = [from_edge_list(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
               for mask in range(1 << len(pairs))]
     connected = [g for g in graphs if is_connected(g)]
-    assert scan(n, connected) == [reference_min_cut(g).size for g in connected]
+    assert scan(n, connected) == [reference_min_cut(g)[0] for g in connected]
     for g in graphs:
         if not is_connected(g):
             with pytest.raises(DisconnectedGraphError):
@@ -206,7 +203,7 @@ def test_zero_cut_exactly_on_disconnected_labelled_graphs(n):
 def test_bipartition_scan_matches_per_mask_loop_random(n, p, seed):
     rng = random.Random(seed)
     graphs = [random_connected(rng, n, p) for _ in range(3)]
-    assert scan(n, graphs) == [reference_min_cut(g).size for g in graphs]
+    assert scan(n, graphs) == [reference_min_cut(g)[0] for g in graphs]
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])
@@ -217,7 +214,7 @@ def test_matches_networkx_on_larger_random_graphs(p):
         g = random_connected(rng, rng.randint(13, 40), p)
         cert = edge_connectivity(g)
         ref = nx.Graph(g.edges())
-        assert cert.size == nx.edge_connectivity(ref)
+        assert cert[0] == nx.edge_connectivity(ref)
         assert_valid_certificate(g, cert)
 
 
@@ -245,10 +242,10 @@ def test_matches_networkx_in_both_diameter_regimes(regime):
         if short != (regime == "diameter <= 2"):
             continue
         cert = edge_connectivity(g)
-        assert cert.size == nx.edge_connectivity(nx.Graph(g.edges()))
+        assert cert[0] == nx.edge_connectivity(nx.Graph(g.edges()))
         assert_valid_certificate(g, cert)
         checked += 1
-        below_degree += cert.size < min_degree(g)
+        below_degree += cert[0] < min_degree(g)
     if regime == "diameter <= 2":
         assert below_degree == 0  # Plesnik: lambda = delta
     else:
@@ -264,9 +261,9 @@ def test_bridge_graph_sides_are_the_two_cliques():
         assert distance_matrix(g).max() == 3
         assert min_degree(g) > params.r
         cert = edge_connectivity(g)
-        assert cert.size == params.r
-        assert cert.side_a == tuple(range(params.n1))
-        assert cert.side_b == tuple(range(params.n1, params.order))
+        first, full = (1 << params.n1) - 1, (1 << params.order) - 1
+        assert cert[0] == params.r
+        assert cert[1] in (first, full ^ first)
         assert_valid_certificate(g, cert)
 
 
@@ -281,7 +278,7 @@ def test_log_counts_phases(caplog):
     with caplog.at_level(logging.DEBUG, logger="dsr.cuts"):
         cert = edge_connectivity(g)
     assert caplog.messages == ["min cut order 6: 3 phases, size 1"]
-    assert cert.side_b == (3, 4, 5) and crossing_edges(g, cert) == [(2, 3)]
+    assert cert == (1, 0b111000) and crossing_edges(g, cert[1]) == [(2, 3)]
     assert_valid_certificate(g, cert)
 
 
@@ -289,7 +286,7 @@ def test_log_reports_diameter_shortcut(caplog):
     with caplog.at_level(logging.DEBUG, logger="dsr.cuts"):
         cert = edge_connectivity(kpq(4, 2))
     assert caplog.messages == ["min cut order 5: diameter <= 2, 0 phases, size 2"]
-    assert cert.side_b == (4,)
+    assert cert == (2, 1 << 4)
 
 
 def cut_of_mask(g, mask: int) -> int:
@@ -317,7 +314,7 @@ class TestMinCuts:
     def test_every_class_matches_both_per_graph_paths(self, n):
         graphs = list(enumerate_connected(n))
         sizes, sides = kernel(n, graphs)
-        assert sizes == [edge_connectivity(g).size for g in graphs]
+        assert sizes == [edge_connectivity(g)[0] for g in graphs]
         assert sizes == scan(n, graphs)
         assert_certified_sides(graphs, sizes, sides)
 
@@ -394,5 +391,5 @@ def test_min_cuts_match_per_mask_loop_random(n, p, seed):
     rng = random.Random(seed)
     graphs = [random_connected(rng, n, p) for _ in range(3)]
     sizes, sides = kernel(n, graphs)
-    assert sizes == [reference_min_cut(g).size for g in graphs]
+    assert sizes == [reference_min_cut(g)[0] for g in graphs]
     assert_certified_sides(graphs, sizes, sides)

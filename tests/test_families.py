@@ -67,7 +67,7 @@ class TestKpq:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_edge_connectivity_sweep(self, n):
         for r in range(1, n - 1):
-            assert edge_connectivity(kpq(n - 1, r)).size == r
+            assert edge_connectivity(kpq(n - 1, r))[0] == r
 
 
 class TestIsKpq:
@@ -110,7 +110,7 @@ class TestBridgeFamilyParams:
         # min(3,3) = 3 = r+2, inside the allowed regime
         g = bridge_graph(BridgeFamilyParams(3, 3, 1, 1))
         assert g.num_edges() == 7
-        assert edge_connectivity(g).size == 1
+        assert edge_connectivity(g)[0] == 1
 
     def test_rejects_small_cliques(self):
         with pytest.raises(ValueError, match="r\\+2"):
@@ -162,9 +162,9 @@ class TestBridgeGraph:
         assert g.num_edges() == 14
         assert int(distance_matrix(g).max()) == 3
         assert brute_force_min_cut(adjacency_stack(8, [g])).tolist() == [2]
-        cert = edge_connectivity(g)
-        assert cert.size == 2
-        assert cert.side_a == (0, 1, 2, 3) and cert.side_b == (4, 5, 6, 7)
+        size, side = edge_connectivity(g)
+        assert size == 2
+        assert side in (0b00001111, 0b11110000)
 
     def test_mixed_bridge_accepted(self):
         # one hub edge and one non-hub edge, as in the two-level construction
@@ -172,21 +172,24 @@ class TestBridgeGraph:
         g = bridge_graph(p)
         assert g.has_edge(0, 4)  # hub edge u1-v1
         assert g.has_edge(1, 4)  # cross edge u2-v1
-        assert edge_connectivity(g).size == 2
+        assert edge_connectivity(g)[0] == 2
 
     def test_removing_bridge_edges_leaves_two_cliques(self):
         p = BridgeFamilyParams(5, 4, 2, 1, ((3, 2),))
         g = bridge_graph(p)
-        cert = edge_connectivity(g)
-        crossing = crossing_edges(g, cert)
-        assert cert.size == len(crossing) == p.r
+        size, side = edge_connectivity(g)
+        crossing = crossing_edges(g, side)
+        assert size == len(crossing) == p.r
         stripped = g
         for u, v in crossing:
             stripped = stripped.without_edge(u, v)
         # the two sides are the two cliques, and no edge is left between them
-        assert (len(cert.side_a), len(cert.side_b)) == (p.n1, p.n2)
+        # the side holding vertex 0 first
+        bit = side & 1
+        sides = [[v for v in range(p.order) if (side >> v & 1) == b] for b in (bit, 1 - bit)]
+        assert (len(sides[0]), len(sides[1])) == (p.n1, p.n2)
         assert stripped == from_edge_list(p.order, [
-            pair for side in (cert.side_a, cert.side_b) for pair in combinations(side, 2)
+            pair for members in sides for pair in combinations(members, 2)
         ])
 
     @pytest.mark.parametrize(
@@ -202,7 +205,7 @@ class TestBridgeGraph:
     def test_connectivity_equals_r(self, params):
         g = bridge_graph(params)
         assert is_connected(g)
-        assert edge_connectivity(g).size == params.r
+        assert edge_connectivity(g)[0] == params.r
 
 
 class TestBridgeGraphTilde:

@@ -241,7 +241,7 @@ def test_distance_stack_matches_floyd_warshall_row_by_row(n, k, seed):
     # across the batch would show
     rng = random.Random(seed)
     graphs = [random_connected(rng, n, rng.random()) for _ in range(k)]
-    d = distance_stack(n, graphs)
+    d = distance_stack(adjacency_stack(n, graphs))
     assert d.dtype == np.int8 and d.shape == (k, n, n)
     for g, di in zip(graphs, d):
         assert (di == floyd_warshall(g)).all()
@@ -249,28 +249,29 @@ def test_distance_stack_matches_floyd_warshall_row_by_row(n, k, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 64])
 def test_distance_stack_of_no_graphs(n):
-    d = distance_stack(n, [])
+    d = distance_stack(np.zeros((0, n, n), dtype=bool))
     assert d.shape == (0, n, n) and d.dtype == np.int8
 
 
 def test_distance_stack_of_one_vertex():
-    assert distance_stack(1, [Graph(1, (0,))]).tolist() == [[[0]]]
+    assert distance_stack(adjacency_stack(1, [Graph(1, (0,))])).tolist() == [[[0]]]
 
 
 def test_distance_stack_names_the_disconnected_graph_vertex():
     graphs = [path_graph(4), from_edge_list(4, [(0, 1), (1, 2)]), complete_graph(4)]
     with pytest.raises(DisconnectedGraphError,
                        match="^vertex 3 unreachable from 0; graph is disconnected$"):
-        distance_stack(4, graphs)
+        distance_stack(adjacency_stack(4, graphs))
 
 
 def test_distance_stack_peak_memory():
     # chunks bound the order-8 stack: one float32 pass over all 11,117
-    # graphs peaks near 10 MB, one boolean pass near 2.9 MB
-    graphs = list(enumerate_connected(8))
+    # graphs peaks near 10 MB, one boolean pass near 2.9 MB; the input
+    # stack is built before tracing starts, as the class table builds it
+    adj = adjacency_stack(8, list(enumerate_connected(8)))
     tracemalloc.start()
     try:
-        distance_stack(8, graphs)
+        distance_stack(adj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,21 +299,22 @@ def test_adjacency_stack_matches_edge_tests(n):
 
 class TestChunkedDistanceStack:
     """``distance_stack`` with ``STACK_ENTRIES`` patched to three graphs per
-    chunk."""
+    chunk, each chunk's searches counted by the identity that starts them."""
 
     @pytest.fixture
     def chunks(self, monkeypatch):
         def patch(n):
             monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 3 * n * n)
-            return count_calls(monkeypatch, np, "unpackbits")
+            return count_calls(monkeypatch, np, "eye")
         return patch
 
     @pytest.mark.parametrize("n, k", [(5, 21), (9, 7), (40, 4)])
     def test_rows_match_floyd_warshall(self, chunks, n, k):
         rng = random.Random(n)
         graphs = [random_connected(rng, n, rng.random()) for _ in range(k)]
+        adj = adjacency_stack(n, graphs)
         calls = chunks(n)
-        d = distance_stack(n, graphs)
+        d = distance_stack(adj)
         assert len(calls) == -(-k // 3)
         assert d.dtype == np.int8 and d.shape == (k, n, n)
         for g, di in zip(graphs, d):
@@ -321,11 +323,12 @@ class TestChunkedDistanceStack:
     def test_disconnected_graph_in_second_chunk(self, chunks):
         graphs = [path_graph(5), cycle_graph(5), complete_graph(5), kpq(4, 2),
                   from_edge_list(5, [(0, 1), (1, 2), (3, 4)]), path_graph(5)]
+        adj = adjacency_stack(5, graphs)
         with pytest.raises(DisconnectedGraphError) as whole:
-            distance_stack(5, graphs)
+            distance_stack(adj)
         calls = chunks(5)
         with pytest.raises(DisconnectedGraphError) as chunked:
-            distance_stack(5, graphs)
+            distance_stack(adj)
         assert len(calls) == 2
         assert str(chunked.value) == str(whole.value) == (
             "vertex 3 unreachable from 0; graph is disconnected")

@@ -12,8 +12,11 @@ stacked solves are grouped by order in one place and go through one
 distance-to-Perron step, graph6 files are read in one place (the CLI loader
 is the only caller of the decoder besides the round-trip suite), and
 ``dsr.graphs`` alone decides how a stack is chunked and unpacked from bit
-rows, which no module reads off a distance stack and only ``dsr.graphs`` and
-``dsr.verify`` unpack.  The bridge grid and
+rows, which no module reads off a distance stack and only ``dsr.graphs`` and,
+in ``dsr.verify``, the class table, the order grouping of stacked solves and
+the cut-side suite unpack; every stacked kernel takes an adjacency stack, and
+distance stacks are built only by the distance-to-Perron step, the spectra
+oracle and ``distance_matrix``.  The bridge grid and
 ``dsr check``'s placements are each drawn in one place, through one drawer
 of bridge instances, and ``run_all_suites`` sets every suite parameter;
 neither it nor any suite has a parameter default.  The benchmark's tracer
@@ -172,9 +175,12 @@ def test_all_lists_exactly_the_imported_names():
 # distance-to-Perron step ``_solve`` that the class table and
 # ``_stacked_solve`` (the one place that groups graphs by order) share.
 # Bit rows are unpacked in one place, ``adjacency_stack``, which only
-# ``dsr.graphs`` and, in ``dsr.verify``, the class table (once per order) and
-# the cut-side suite's grid stacks call; the bipartition scan and the cut
-# kernel take the table's stack rather than unpacking their own.
+# ``dsr.graphs`` and, in ``dsr.verify``, the class table (once per order),
+# ``_stacked_solve`` (once per order group) and the cut-side suite's grid
+# stacks call; every stacked kernel (distances, the bipartition scan and
+# the cut kernel) takes a stack rather than unpacking its own.  Distance
+# stacks are built by the distance-to-Perron step ``_solve``, the spectra
+# oracle (from the table's adjacency) and the one-graph ``distance_matrix``.
 # ``isomorphic`` stays public but is called nowhere in the package, since
 # ``families.is_kpq`` recognizes kpq and canonical forms key the search's
 # runner-up.  The canonical search itself, which also returns automorphism
@@ -201,7 +207,10 @@ SLOW_CALLERS = {
     "min_cuts": {("verify.py", "_build_table"), ("verify.py", "suite_cut_sides")},
     "perron_stack": {("verify.py", "_solve")},
     "unpackbits": {("graphs.py", "adjacency_stack")},
-    "adjacency_stack": {"graphs.py", "verify.py"},
+    "adjacency_stack": {"graphs.py", ("verify.py", "_build_table"),
+                        ("verify.py", "_stacked_solve"), ("verify.py", "suite_cut_sides")},
+    "distance_stack": {("verify.py", "_solve"), ("verify.py", "suite_spectra_oracle"),
+                       ("graphs.py", "distance_matrix")},
     "isomorphic": set(),
     "canonical_form": {"isomorphism.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", ("enumeration.py", "_classes")},

@@ -15,7 +15,7 @@ from dsr import (
     perron,
     perron_stack,
 )
-from dsr.graphs import distance_stack
+from dsr.graphs import adjacency_stack, distance_stack
 from dsr.verify import _stacked_solve
 from helpers import cycle_graph, count_calls, path_graph, random_connected, reference_perron
 
@@ -107,7 +107,7 @@ def assert_pairs_match_oracles(graphs, rho, x):
 class TestPerronStack:
     def test_one_order_stack(self):
         graphs = list(enumerate_connected(6))
-        assert_pairs_match_oracles(graphs, *perron_stack(distance_stack(6, graphs)))
+        assert_pairs_match_oracles(graphs, *perron_stack(distance_stack(adjacency_stack(6, graphs))))
 
     def test_single_vertex_and_empty(self):
         rho, x = perron_stack(np.zeros((1, 1, 1)))
@@ -119,7 +119,7 @@ class TestPerronStack:
     def test_chunked_stack(self, monkeypatch):
         import dsr.graphs
 
-        stack = distance_stack(5, list(enumerate_connected(5)))  # 21 matrices
+        stack = distance_stack(adjacency_stack(5, list(enumerate_connected(5))))  # 21 matrices
         monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 3 * 25)  # three per chunk
         solves = count_calls(monkeypatch, np.linalg, "eigh")
         rho, x = perron_stack(stack)

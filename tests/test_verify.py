@@ -28,7 +28,6 @@ from dsr import (
     is_kpq,
     isomorphic,
     kpq,
-    min_degree,
     perron,
     random_cross_edges,
     tilde_level_groups,
@@ -446,7 +445,7 @@ class TestClassTable:
         assert table.x.shape == (k, n)
         for g, lam, rho, x in zip(table.graphs, table.lam, table.rho, table.x):
             d = distance_matrix(g)
-            assert lam == (edge_connectivity(g).size if n >= 2 else 0)
+            assert lam == (edge_connectivity(g)[0] if n >= 2 else 0)
             assert rho == pytest.approx(perron(d).rho, abs=1e-9)
             assert (x > 0).all() and np.abs(d @ x - rho * x).max() <= 1e-12 * n
 
@@ -462,7 +461,7 @@ class TestClassTable:
             if n == 1:
                 assert lam == side == 0
                 continue
-            assert lam == edge_connectivity(g).size
+            assert lam == edge_connectivity(g)[0]
             assert 0 < side < full
             assert sum((g.rows[v] & ~side).bit_count()
                        for v in range(n) if side >> v & 1) == lam
@@ -490,6 +489,19 @@ class TestClassTable:
         with pytest.raises(ValueError):
             table.adjacency[0, 0, 1] = False
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_each_order_unpacked_once(self, monkeypatch, cold_class_tables, n):
+        # building an order's table unpacks its bit rows once, and the cut
+        # kernel and the distance stack both receive that one array
+        unpacks = count_calls(monkeypatch, np, "unpackbits")
+        stacks = count_calls(monkeypatch, dsr.verify, "adjacency_stack")
+        kernel = count_calls(monkeypatch, dsr.verify, "min_cuts")
+        distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
+        table = class_table(n)
+        assert len(unpacks) == len(stacks) == 1
+        [(cut_adj,)], [(distance_adj,)] = kernel, distances
+        assert cut_adj is distance_adj is table.adjacency
+
     def test_built_once_per_order_and_read_only(self):
         table = class_table(5)
         assert class_table(5) is table
@@ -513,7 +525,7 @@ class TestSuiteTheorem:
         assert not per_graph
         assert not decodes
         assert len(stacks) == 3
-        assert [n for n, _ in distances] == [4, 5, 6]
+        assert [adj.shape[1] for adj, in distances] == [4, 5, 6]
 
     def test_notes_lead_with_smallest_gap(self):
         result = suite_theorem(8)
@@ -556,7 +568,8 @@ class TestSuiteTheorem:
 def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch):
     tables = [class_table(n) for n in range(2, 9)]
     eligible = [
-        sum(1 for g, lam in zip(t.graphs, t.lam) if min_degree(g) > lam) for t in tables
+        sum(1 for g, lam in zip(t.graphs, t.lam) if min(map(g.degree, range(g.n))) > lam)
+        for t in tables
     ]
     assert eligible[-1] == 44  # of the 11,117 order-8 classes
     grid = list(bridge_grid(0, 1))
@@ -590,7 +603,7 @@ def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
     orders = sorted({p.order for p in grid})
     assert [len(mats) for mats, in stacks] == [2 * sum(p.order == n for p in grid)
                                                for n in orders]
-    assert [n for n, _ in distances] == orders
+    assert [adj.shape[1] for adj, in distances] == orders
     assert not any(slow)
 
 
@@ -602,7 +615,7 @@ def test_bridge_claims_builds_each_distance_matrix_once(monkeypatch, t):
     bridge_claims(grid)
     # one stack per order, holding the bridge graph and the flattened graph
     # of each instance of that order
-    assert [(n, len(graphs)) for n, graphs in distances] == [
+    assert [(adj.shape[1], len(adj)) for adj, in distances] == [
         (n, 2 * sum(p.order == n for p in grid)) for n in sorted({p.order for p in grid})
     ]
     assert not any(slow)
@@ -657,6 +670,17 @@ def test_edge_monotonicity_matches_power_iteration(monkeypatch):
         assert lhs == pytest.approx(big, rel=1e-10, abs=0)
         assert rhs == pytest.approx(small, rel=1e-10, abs=0)
         assert holds == (big - small > STRICT_MARGIN * max(big, small))
+
+
+@pytest.mark.parametrize("seed, solved, instances", [(0, 586, 386), (5, 589, 389)])
+def test_edge_monotonicity_solves_each_drawn_graph_once(monkeypatch, seed, solved, instances):
+    # a base graph with both a non-edge and a deletable edge is one side of
+    # two pairs, and is still solved once
+    calls = count_calls(monkeypatch, dsr.verify, "_stacked_solve")
+    result = suite_edge_monotonicity(seed)
+    [(graphs,)] = calls
+    assert result.ok and result.instances == instances
+    assert len(graphs) == len({id(g) for g in graphs}) == solved
 
 
 def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
@@ -791,8 +815,8 @@ def perturb_one_vector(real):
 
 
 def one_hop_too_many(real):
-    def fault(n, graphs):  # in each stack of >= 100 graphs, the last one's d_00
-        d = real(n, graphs)
+    def fault(adj):  # in each stack of >= 100 graphs, the last one's d_00
+        d = real(adj)
         if len(d) >= 100:
             d[-1, 0, 0] += 1
         return d
@@ -822,7 +846,7 @@ def swap_arguments(real):
 
 
 def raise_min_degree(real):
-    return lambda g: real(g) + 1
+    return lambda adj: real(adj) + 1
 
 
 def constant_canonical_form(real):
@@ -857,7 +881,7 @@ def cold_class_tables():
     fault_case("is_kpq", never_kpq, "extremal_theorem", "bridge_grid_and_identities"),
     fault_case("_strictly_above", swap_arguments,
                "edge_monotonicity", "bridge_grid_and_identities"),
-    fault_case("min_degree", raise_min_degree, "cut_side_orders"),
+    fault_case("_min_degree", raise_min_degree, "cut_side_orders"),
     fault_case("canonical_form", constant_canonical_form, "extremal_theorem"),
 ])
 def test_injected_fault_fails_its_suite(monkeypatch, cold_class_tables, name, fault, failing):
@@ -873,7 +897,7 @@ def test_cut_sides_fails_a_table_connectivity_above_min_degree(monkeypatch, cold
     table = class_table(8)
     [target] = [g for g, lam, rho in zip(table.graphs, table.lam, table.rho)
                 if lam == 1 and rho == search.runner_up_rho]
-    assert min_degree(target) == 1
+    assert min(map(target.degree, range(target.n))) == 1
     monkeypatch.setattr(dsr.verify, "min_cuts", raise_cut_of(target)(dsr.verify.min_cuts))
     class_table.cache_clear()
     result = suite_cut_sides(8, [])
