@@ -21,11 +21,13 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import random
 import sys
 import time
 from dataclasses import MISSING, asdict, fields
+from json.encoder import encode_basestring_ascii
 
 from .cuts import edge_connectivity
 from .enumeration import MAX_BUILTIN_ORDER
@@ -104,12 +106,39 @@ def _record(obj) -> dict:
             for key, value in asdict(obj).items()}
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of a report payload, whose dicts have
+    string keys, byte for byte, built by joins rather than by the
+    pure-Python encoder that ``indent`` selects; ``pad`` is the newline and
+    indent of the line ``value`` closes on.  Strings are escaped by
+    ``json``'s own ASCII escaper (a graph6 label may hold a backslash), and
+    finite floats are their ``repr``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(key) + ": " + _json(item, inner)
+            for key, item in value.items()) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
+            # no item is NaN or infinite, so the list's repr spells each one
+            # as json does, ", " apart
+            return "[" + inner + repr(list(value))[1:-1].replace(", ", "," + inner) + pad + "]"
+        return "[" + inner + ("," + inner).join(_json(item, inner) for item in value) + pad + "]"
+    return json.dumps(value)  # null, true, false, [], {}, NaN and the infinities
+
+
 def _write(args, records: list[dict], line, payload) -> None:
     """Render ``--format`` and write it to ``--out`` or stdout: ``payload`` as
     JSON, ``records`` as CSV rows under the first record's keys with list
     fields joined by ";", or ``line(record)`` per record as text lines."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
@@ -289,7 +318,7 @@ def cmd_verify_all(args) -> int:
     }
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            fh.write(_json(payload) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -12,9 +12,9 @@ class P, and growing P back by w's neighbours gives a candidate that passes
 
 Each parent P tries only the least attachment set of each orbit under the
 group generated by the automorphisms that its own canonical search meets,
-on P's rows; none outlives the loop over parents.  For any automorphism
-gamma of P, P + S and P + gamma(S) are isomorphic by gamma extended to fix
-v, so v passes the rule in one iff it passes in the other.
+on P's rows; none outlives the order's step.  For any automorphism gamma of
+P, P + S and P + gamma(S) are isomorphic by gamma extended to fix v, so v
+passes the rule in one iff it passes in the other.
 
 A kept candidate is unique when v is the only non-cut vertex of the top
 key, and tied when other non-cut vertices, its rivals, share v's key.  A
@@ -40,6 +40,16 @@ transposition of those twins it maps v to v', so S = S' as above.  Every
 class is still reached, through a non-cut vertex of the top key and, unless
 those are all twins, of the top colour among them.  The classes are emitted
 sorted by rows, the canonicalized ones' rows canonical.
+
+Apart from the canonical searches, one per parent for its generators and
+one per tie the colours leave open, an order's step is stacked NumPy, run
+one ``graphs.stack_chunks`` chunk of parents at a time.  The orbit
+representatives come from min-label propagation under the parents' subset
+image tables.  The chunk's candidates then take their verdicts in one pass:
+degrees first, so that a non-cut vertex of larger degree rejects most
+candidates before any neighbour key is packed; the non-cut test from the
+components of each P - w; twins from the rows; and the root colours from a
+stacked refinement that ranks the same signatures as the search's.
 """
 
 from __future__ import annotations
@@ -47,10 +57,12 @@ from __future__ import annotations
 import logging
 import time
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, _bits, _reach
-from .isomorphism import _canonical_search, _orbit, _root_colors
+import numpy as np
+
+from .graphs import Graph, adjacency_stack, stack_chunks
+from .isomorphism import _canonical_search
 
 logger = logging.getLogger(__name__)
 
@@ -58,114 +70,148 @@ MAX_BUILTIN_ORDER = 8
 
 Perm = tuple[int, ...]
 
-
-# how a tied candidate is settled: kept as built because its top-key
-# vertices are twins, rejected or kept as built by root colour, or
-# canonicalized
-_TWINS, _OUTCOLOURED, _COLOUR_KEPT, _CANONICAL = (
-    "twins", "outcoloured", "colour-kept", "canonical")
-
-
-def _chosen_removal_test(prow: Sequence[int]) -> Callable[[int], int | None]:
-    """For a connected parent P with rows ``prow``, a test of attachment sets
-    that judges the new vertex v of P + v, joined to the mask ``sub``,
-    against the vertices whose deletion leaves P + v connected: None if one
-    of them has a larger key than v, else the mask of those that share v's
-    key, v's rivals.  Degrees are compared first; neighbour degrees
-    only on a tie.  P + v - w is connected iff ``sub`` meets every component
-    of P - w, which are found once per parent."""
-    m = len(prow)
-    deg = [row.bit_count() for row in prow]
-    # rivals by falling degree, so the scan stops at the first one that v
-    # outranks whether or not it joins v
-    by_degree = sorted(range(m), key=deg.__getitem__, reverse=True)
-    nbrs = [list(_bits(row)) for row in prow]
-    components = []
-    for w in range(m):
-        alive = rest = ((1 << m) - 1) ^ (1 << w)
-        comps = []
-        while rest:
-            comp = _reach(prow, rest & -rest, alive)
-            comps.append(comp)
-            rest ^= comp
-        components.append(comps)
-
-    def verdict(sub: int) -> int | None:
-        dv = sub.bit_count()
-        v_nbr_degs = None
-        rivals = 0
-        for w in by_degree:
-            if deg[w] + 1 < dv:
-                break
-            joined = sub >> w & 1
-            dw = deg[w] + joined
-            if dw < dv:
-                continue
-            larger = dw > dv
-            if not larger:
-                if v_nbr_degs is None:
-                    v_nbr_degs = sorted([deg[u] + 1 for u in _bits(sub)])
-                w_nbr_degs = [deg[u] + (sub >> u & 1) for u in nbrs[w]]
-                if joined:
-                    w_nbr_degs.append(dv)
-                w_nbr_degs.sort()
-                if w_nbr_degs < v_nbr_degs:
-                    continue
-                larger = w_nbr_degs > v_nbr_degs
-            if all(sub & comp for comp in components[w]):
-                if larger:
-                    return None
-                rivals |= 1 << w
-        return rivals
-
-    return verdict
+# a candidate's verdict: rejected by a larger key; kept as built as the only
+# vertex of the top key, or because its rivals are its twins; rejected or
+# kept as built by root colour; or canonicalized
+_REJECTED, _UNIQUE, _TWINS, _OUTCOLOURED, _COLOUR_KEPT, _CANONICAL = range(6)
+_KEPT_AS_BUILT = np.array([v in (_UNIQUE, _TWINS, _COLOUR_KEPT) for v in range(6)])
 
 
-def _settle_tie(rows: tuple[int, ...], rivals: int) -> str:
-    """How a candidate with rows ``rows``, whose new vertex v is the last,
-    is settled when the non-cut vertices of the mask ``rivals`` share v's
-    top key: _TWINS if all are twins of v; else, by the root colouring,
-    _OUTCOLOURED if one has a larger colour than v, _COLOUR_KEPT if none of
-    v's colour is other than a twin of v, and _CANONICAL otherwise."""
-    v = len(rows) - 1
-    others = [w for w in _bits(rivals) if rows[w] & ~(1 << v) != rows[v] & ~(1 << w)]
-    if not others:
-        return _TWINS
-    colours = _root_colors(rows)
-    if any(colours[w] > colours[v] for w in _bits(rivals)):
-        return _OUTCOLOURED
-    if colours[v] not in {colours[w] for w in others}:
-        return _COLOUR_KEPT
-    return _CANONICAL
+class _Parents(NamedTuple):
+    """What the stacked pass reads of P order-m parents."""
+
+    rows: np.ndarray  # (P, m) int64 bit rows
+    degrees: np.ndarray  # (P, m) int64
+    # (P, m, m) int16: entry (w, u) the mask of u's component of the parent
+    # minus w, and entry (w, w) the full mask
+    components: np.ndarray
 
 
-def _orbit_representatives(prow: Sequence[int], generators: Sequence[Perm]) -> Sequence[int]:
-    """The least member of each orbit of the nonempty vertex subsets of the
-    graph with rows ``prow``, as masks in increasing order, under the group
-    the permutations generate.  Each generator's image table takes one step
-    per subset, and must map every row onto the row of the image vertex, or
-    RuntimeError is raised: a permutation that is no automorphism could merge
-    orbits and so drop a class."""
-    m = len(prow)
+def _parent_tables(parents: Sequence[Graph]) -> _Parents:
+    """The rows, degrees and components of the order-m ``parents``.  P + v
+    - w is connected iff v's attachment set meets every component of P - w,
+    which holds iff it meets every mask of row w of the components: the
+    component of each other vertex, and the full mask in w's own place."""
+    m = parents[0].n
+    adj = adjacency_stack(m, parents)
+    others = ~np.eye(m, dtype=bool)
+    # paths in P - w, and w alone, by squaring the reach along one edge
+    reach = (adj[:, None] & others[:, :, None] & others[:, None, :]
+             | np.eye(m, dtype=bool)).astype(np.float32)
+    for _ in range(max(m - 2, 0).bit_length()):  # paths of up to m - 2 edges
+        reach = np.minimum(reach @ reach, 1)
+    components = (reach @ (1 << np.arange(m))).astype(np.int16)
+    components[:, range(m), range(m)] = (1 << m) - 1
+    rows = np.array([p.rows for p in parents], dtype=np.int64)
+    return _Parents(rows, adj.sum(2, dtype=np.int64), components)
+
+
+def _orbit_representatives(
+    prows: np.ndarray, generators: Sequence[Sequence[Perm]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The least member of each orbit of the nonempty vertex subsets of
+    every parent of the (P, m) rows ``prows``, under the group that parent's
+    permutations in ``generators`` generate, as (parent index, mask) arrays
+    sorted by parent, then mask.  Each generator's image table maps every
+    subset at once, and must map every row onto the row of the image vertex,
+    or RuntimeError is raised: a permutation that is no automorphism could
+    merge orbits and so drop a class.  Then each subset's label, at first
+    the subset, takes the least label among its images and jumps to its
+    label's label until no label moves."""
+    count, m = prows.shape
     full = 1 << m
-    if not generators:
-        return range(1, full)
-    tables = []
-    for gamma in generators:
-        image = [0] * full
-        for s in range(1, full):
-            low = s & -s
-            image[s] = image[s ^ low] | 1 << gamma[low.bit_length() - 1]
-        if any(image[row] != prow[gamma[v]] for v, row in enumerate(prow)):
-            raise RuntimeError(f"{gamma} is not an automorphism of the graph with rows {prow}")
-        tables.append(image)
-    reps = []
-    seen: set[int] = set()
-    for s in range(1, full):
-        if s not in seen:
-            reps.append(s)
-            seen |= _orbit(s, tables)
-    return reps
+    # the identity first, so that every parent has a generator
+    gammas = np.array([gamma for gens in generators for gamma in (range(m), *gens)],
+                      dtype=np.int64).reshape(-1, m)
+    owner = np.repeat(np.arange(count), [len(gens) + 1 for gens in generators])
+    members = np.arange(full)[:, None] >> np.arange(m) & 1
+    images = (1 << gammas) @ members.T  # (generators, subsets)
+    rows = prows[owner]
+    bogus = (np.take_along_axis(images, rows, 1) != np.take_along_axis(rows, gammas, 1)).any(1)
+    if bogus.any():
+        t = bogus.argmax()
+        raise RuntimeError(f"{tuple(gammas[t].tolist())} is not an automorphism of the graph "
+                           f"with rows {tuple(rows[t].tolist())}")
+    # a label is the index of a subset among the (P, 2^m) subsets of all parents
+    index = labels = np.arange(count * full).reshape(count, full)
+    targets = images + owner[:, None] * full
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    while True:
+        moved = np.minimum.reduceat(labels.ravel()[targets], starts)
+        moved = moved.ravel()[moved]
+        if (moved == labels).all():
+            break
+        labels = moved
+    parent, sub = np.nonzero(labels[:, 1:] == index[:, 1:])
+    return parent, sub + 1
+
+
+def _pack(values: np.ndarray, n: int) -> np.ndarray:
+    """Rows of int8 values below n along the last axis, sorted ascending
+    with n padding the end, as one float64 each: a digit of n.bit_length()
+    bits per entry, the value plus one or 0 for a pad, the first most
+    significant, so that the order of the numbers is the order of the rows
+    as lists, a proper prefix first.  Exact below 2^53, so for n <= 12."""
+    return (values + 1) % (n + 1) @ 2.0 ** (n.bit_length() * np.arange(n - 1, -1, -1))
+
+
+def _root_colours(adj: np.ndarray) -> np.ndarray:
+    """(k, n) int8 root equitable colourings of a (k, n, n) boolean
+    adjacency stack, the colourings ``isomorphism._refine`` gives from one
+    colour.  Each round gives each vertex the number of its graph's
+    signatures below its own, a signature being the vertex's colour followed
+    by its sorted neighbour colours as packed by ``_pack``; the rounds stop
+    when none moves a colour, so no partition was refined.  The colours are
+    then renumbered densely, as ``_refine`` numbers them."""
+    k, n = adj.shape[:2]
+    colour_digit = 2.0 ** (n.bit_length() * n)
+    colours = np.zeros((k, n), dtype=np.int8)
+    while True:
+        sigs = colours * colour_digit + _pack(np.sort(np.where(adj, colours[:, None, :], np.int8(n)), 2), n)
+        ranks = (sigs[:, None, :] < sigs[:, :, None]).sum(2, dtype=np.int8)
+        if (ranks == colours).all():
+            break
+        colours = ranks
+    used = (colours[:, :, None] == np.arange(n)).any(1)
+    return np.take_along_axis(np.cumsum(used, 1, dtype=np.int8) - used, colours, 1)
+
+
+def _judge(parents: _Parents, parent: np.ndarray, subs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked pass: for the candidates P + v, v joined to the mask
+    ``subs[i]`` of the parent ``parent[i]`` of ``parents``, their (k, n)
+    int64 rows, v last, and each one's verdict.  A non-cut vertex of larger
+    degree than v rejects; the sorted neighbour degrees, packed, order the
+    non-cut vertices of v's degree; v's rivals, those of its key, are twins
+    of v when their rows agree off the pair; and the root colours settle
+    the rest."""
+    m = parents.rows.shape[1]
+    n = m + 1
+    own = parents.rows[parent]
+    joined = subs[:, None] >> np.arange(m) & 1
+    rows = np.concatenate([own | joined << m, subs[:, None]], axis=1)
+    deg = np.concatenate([parents.degrees[parent] + joined, joined.sum(1, keepdims=True)], 1)
+    noncut = (subs.astype(np.int16)[:, None, None] & parents.components[parent] != 0).all(2)
+    level = noncut & (deg[:, :m] == deg[:, m:])
+    verdict = np.where((noncut & (deg[:, :m] > deg[:, m:])).any(1), _REJECTED, _UNIQUE)
+    tie = np.flatnonzero((verdict == _UNIQUE) & level.any(1))
+    adj, deg = adjacency_stack(n, rows[tie]), deg[tie].astype(np.int8)
+    # the keys of v and of each non-cut vertex w of v's degree
+    i, w = np.nonzero(level[tie])
+    key = _pack(np.sort(np.where(adj[:, m], deg, np.int8(n)), axis=1), n)[i]
+    key_w = _pack(np.sort(np.where(adj[i, w], deg[i], np.int8(n)), axis=1), n)
+    rejected = np.bincount(i, key_w > key, len(tie)) > 0
+    rivals = np.zeros((len(tie), m), dtype=bool)
+    rivals[i, w] = (key_w == key) & ~rejected[i]
+    others = rivals & (own[tie] != (subs[tie, None] & ~(1 << np.arange(m))))
+    verdict[tie[rejected]] = _REJECTED
+    verdict[tie[rivals.any(1)]] = _TWINS
+    coloured = np.flatnonzero(others.any(1))
+    colours = _root_colours(adj[coloured])
+    above, alike = colours[:, :m] > colours[:, m:], colours[:, :m] == colours[:, m:]
+    verdict[tie[coloured]] = np.where(
+        (rivals[coloured] & above).any(1), _OUTCOLOURED,
+        np.where((others[coloured] & alike).any(1), _CANONICAL, _COLOUR_KEPT))
+    return rows, verdict
 
 
 @lru_cache(maxsize=None)
@@ -174,42 +220,40 @@ def _classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
     parents = _classes(n - 1)
-    start = time.perf_counter()
-    new_bit = 1 << (n - 1)
+    m = n - 1
+    spent = np.zeros(4)  # parent searches, stacked pass, tied searches, classes
+    counts = np.zeros(6, dtype=np.int64)
+    tried = 0
     classes: set[tuple[int, ...]] = set()
-    tried = chosen = 0
-    settled = dict.fromkeys((_TWINS, _OUTCOLOURED, _COLOUR_KEPT, _CANONICAL), 0)
-    for parent in parents:
-        prow = parent.rows
-        judge = _chosen_removal_test(prow)
-        subs = _orbit_representatives(prow, _canonical_search(n - 1, prow)[1])
-        tried += len(subs)
-        for sub in subs:
-            rivals = judge(sub)
-            if rivals is None:
-                continue
-            chosen += 1
-            rows = tuple(
-                prow[i] | new_bit if sub >> i & 1 else prow[i] for i in range(n - 1)
-            ) + (sub,)
-            if rivals:
-                how = _settle_tie(rows, rivals)
-                settled[how] += 1
-                if how == _OUTCOLOURED:
-                    continue
-                if how == _CANONICAL:
-                    rows = _canonical_search(n, rows)[0]
-            classes.add(rows)
+    # n entries for each of a parent's 2^m attachment sets
+    for chunk in stack_chunks(len(parents), n << m):
+        start = time.perf_counter()
+        generators = [_canonical_search(m, parent.rows)[1] for parent in parents[chunk]]
+        searched = time.perf_counter()
+        tables = _parent_tables(parents[chunk])
+        rows, verdict = _judge(tables, *_orbit_representatives(tables.rows, generators))
+        judged = time.perf_counter()
+        classes.update(_canonical_search(n, tuple(r))[0]
+                       for r in rows[verdict == _CANONICAL].tolist())
+        tied_searched = time.perf_counter()
+        classes.update(map(tuple, rows[_KEPT_AS_BUILT[verdict]].tolist()))
+        spent += np.diff([start, searched, judged, tied_searched, time.perf_counter()])
+        counts += np.bincount(verdict, minlength=6)
+        tried += len(verdict)
+    start = time.perf_counter()
+    # relabeling keeps any asymmetry, so validating a canonicalized class's
+    # rows checks its candidate too
+    out = tuple(Graph(n, rows) for rows in sorted(classes))
+    spent[3] += time.perf_counter() - start
     logger.info(
         "enumerated %d connected classes of order %d (%d candidates, "
         "%d orbit representatives, %d chosen, %d kept as twins, %d rejected by colour, "
-        "%d kept by colour, %d canonicalized) in %.3f s",
-        len(classes), n, len(parents) * (new_bit - 1), tried, chosen, *settled.values(),
-        time.perf_counter() - start,
+        "%d kept by colour, %d canonicalized) in %.3f s (parent searches %.3f s, "
+        "stacked pass %.3f s, tied searches %.3f s, classes %.3f s)",
+        len(out), n, len(parents) * ((1 << m) - 1), tried, tried - counts[_REJECTED],
+        *counts[[_TWINS, _OUTCOLOURED, _COLOUR_KEPT, _CANONICAL]], spent.sum(), *spent,
     )
-    # relabeling keeps any asymmetry, so validating a canonicalized class's
-    # rows checks its candidate too
-    return tuple(Graph(n, rows) for rows in sorted(classes))
+    return out
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:

@@ -175,10 +175,13 @@ def stack_chunks(k: int, entries: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, k, step))
 
 
-def adjacency_stack(n: int, graphs: Sequence[Graph]) -> np.ndarray:
-    """(k, n, n) boolean adjacency matrices of k order-n graphs, unpacked
-    from their bit rows at their ``matrix_width(n) // 8``-byte width."""
-    rows = np.array([g.rows for g in graphs], dtype=f"<u{matrix_width(n) // 8}")
+def adjacency_stack(n: int, graphs: Sequence[Graph] | np.ndarray) -> np.ndarray:
+    """(k, n, n) boolean adjacency matrices of k order-n graphs, or of a
+    (k, n) array of their bit rows, unpacked from the bit rows at their
+    ``matrix_width(n) // 8``-byte width."""
+    if not isinstance(graphs, np.ndarray):
+        graphs = [g.rows for g in graphs]
+    rows = np.asarray(graphs, dtype=f"<u{matrix_width(n) // 8}")
     return np.unpackbits(rows.reshape(-1, n, 1).view(np.uint8),
                          axis=2, count=n, bitorder="little").view(bool)
 

@@ -23,8 +23,9 @@ transposition of each twin pair skipped, come back from ``_canonical_search``
 as found, on the labeling of the rows it searched: they generate a subgroup
 of that graph's automorphism group, and enumeration searches each parent to
 try its attachment sets once per orbit.  The search's first coloring,
-``_root_colors``, is an isomorphism invariant of each vertex, and
-enumeration reads it to settle most key ties without a search.
+``_refine`` from one color, is an isomorphism invariant of each vertex;
+enumeration computes the same coloring for whole stacks of candidates,
+``enumeration._root_colours``, to settle most key ties without a search.
 """
 
 from __future__ import annotations
@@ -64,12 +65,6 @@ def _refine(pickers: list[itemgetter], colors: list[int]) -> list[int]:
         if count == ncolors:
             return colors
         ncolors = count
-
-
-def _root_colors(rows: Sequence[int]) -> list[int]:
-    """The equitable coloring that the canonical search of the graph with
-    rows ``rows`` starts from: an isomorphism invariant of each vertex."""
-    return _refine(_pickers(rows), [0] * len(rows))
 
 
 def _orbit(v: int, generators: Sequence[Sequence[int]]) -> set[int]:

@@ -10,7 +10,7 @@ import numpy as np
 
 from dsr import (BridgeFamilyParams, ConvergenceError, Graph, Graph6Error, from_edge_list,
                  random_cross_edges)
-from dsr.isomorphism import canonical_form
+from dsr.isomorphism import _pickers, _refine, canonical_form
 from dsr.spectra import PerronPair
 
 
@@ -105,6 +105,13 @@ def reference_refine(g: Graph, colors: list[int]) -> list[int]:
         if len(rank) == ncolors:
             return colors
         ncolors = len(rank)
+
+
+def root_colors(rows) -> list[int]:
+    """The equitable coloring that the canonical search of the graph with
+    rows ``rows`` starts from, one graph at a time: the reference for the
+    enumeration's stacked root colourings."""
+    return _refine(_pickers(rows), [0] * len(rows))
 
 
 @lru_cache(maxsize=None)

@@ -583,3 +583,44 @@ def test_unreadable_path_exit_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[str(tmp_path) if a == "DIR" else a for a in argv])
     assert code == 2 and not out
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "GRAPHS"],
+    ["check", "--n1", "5", "--n2", "4", "--r", "2", "--t", "1"],
+    ["search", "--n", "6", "--r", "2"],
+    ["verify-all", "--max-n", "4", "--out", "OUT"],
+], ids=["compute", "check", "search", "verify-all"])
+def test_json_writer_matches_json_dumps(tmp_path, monkeypatch, capsys, argv):
+    """Every JSON report is what ``json.dumps(payload, indent=2)`` gives for
+    its payload, byte for byte; the compute input has a label with a
+    backslash, which JSON escapes."""
+    src = tmp_path / "in.g6"
+    src.write_text("C~\nES\\o\nDhC\nA_\n")
+    argv = [{"GRAPHS": str(src), "OUT": str(tmp_path / "out.json")}.get(a, a) for a in argv]
+    rendered = []
+    original = dsr.cli._json
+
+    def recorded(value, *rest):
+        rendered.append((value, original(value, *rest)))
+        return rendered[-1][1]
+
+    monkeypatch.setattr(dsr.cli, "_json", recorded)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload, text = rendered[-1]  # the outermost call, which recursion ends with
+    assert text == json.dumps(payload, indent=2)
+    written = (tmp_path / "out.json").read_text() if argv[0] == "verify-all" else out
+    assert written == text + "\n"
+    if argv[0] == "compute":
+        assert '"ES\\\\o"' in text
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": [], "b": {}}, [[]], None, True, False, 0, -7, 2 ** 70, 1.5, 1e-20, 1e300,
+    float("nan"), float("inf"), -float("inf"), [1e308, 1e308], [1.0, float("nan")], [1.0, 2],
+    [2.0, True], (1.0,), (0.1 + 0.2, 1e16), "back\\slash \"quoted\" é\n\t",
+    {"x": [1, 2.0, None, "s", [3, {}]], "y": {"z": [0.5]}},
+], ids=repr)
+def test_json_writer_matches_json_dumps_on_each_kind(value):
+    assert dsr.cli._json(value) == json.dumps(value, indent=2)

@@ -1,12 +1,15 @@
 import logging
 import re
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 import dsr.enumeration
+import dsr.graphs
 from dsr import (
     complete_graph,
     enumerate_connected,
@@ -15,10 +18,11 @@ from dsr import (
     isomorphic,
     kpq,
 )
-from dsr.enumeration import (_CANONICAL, _COLOUR_KEPT, _OUTCOLOURED, _TWINS,
-                             _chosen_removal_test, _classes, _orbit_representatives, _settle_tie)
-from dsr.graphs import Graph, _bits
-from dsr.isomorphism import _canonical_search, _root_colors, canonical_form
+from dsr.enumeration import (_CANONICAL, _COLOUR_KEPT, _OUTCOLOURED, _REJECTED, _TWINS, _UNIQUE,
+                             _classes, _judge, _orbit_representatives, _parent_tables,
+                             _root_colours)
+from dsr.graphs import Graph, stack_chunks
+from dsr.isomorphism import _canonical_search, canonical_form
 from helpers import (
     automorphism_count,
     count_calls,
@@ -27,6 +31,7 @@ from helpers import (
     perm_canonical,
     reference_refine,
     relabel,
+    root_colors,
     star_graph,
     unfiltered_classes,
     upper_triangle_pairs,
@@ -134,6 +139,12 @@ def test_each_candidate_validated_once(monkeypatch):
     assert [g.rows for g in classes] == [g.rows for g in expected]
 
 
+# the seconds spent in parent searches, the stacked pass, tied searches and
+# class construction, which go to the log only
+TIMES = (r"in \d+\.\d{3} s \(parent searches \d+\.\d{3} s, stacked pass \d+\.\d{3} s, "
+         r"tied searches \d+\.\d{3} s, classes \d+\.\d{3} s\)")
+
+
 def test_log_counts_candidates_and_canonical_forms(caplog):
     tuple(enumerate_connected(4))  # order 4 comes from the cache
     with caplog.at_level(logging.INFO, logger="dsr.enumeration"):
@@ -142,7 +153,7 @@ def test_log_counts_candidates_and_canonical_forms(caplog):
     assert re.fullmatch(
         r"enumerated 21 connected classes of order 5 \(90 candidates, "
         r"44 orbit representatives, 21 chosen, 13 kept as twins, 0 rejected by colour, "
-        r"0 kept by colour, 4 canonicalized\) in \d+\.\d{3} s",
+        r"0 kept by colour, 4 canonicalized\) " + TIMES,
         message,
     ), message
 
@@ -157,7 +168,7 @@ def test_log_counts_order_8_ties(caplog):
     assert re.fullmatch(
         r"enumerated 11117 connected classes of order 8 \(108331 candidates, "
         r"67141 orbit representatives, 11987 chosen, 1738 kept as twins, "
-        r"846 rejected by colour, 735 kept by colour, 1105 canonicalized\) in \d+\.\d{3} s",
+        r"846 rejected by colour, 735 kept by colour, 1105 canonicalized\) " + TIMES,
         message,
     ), message
 
@@ -211,22 +222,23 @@ def _without(g: Graph, w: int) -> tuple[tuple[int, ...], int]:
     return tuple(drop(row) for v, row in enumerate(g.rows) if v != w), drop(g.rows[w])
 
 
-REJECTED, UNIQUE = "rejected", "unique"
-
-
 def _grown(prow: tuple[int, ...], sub: int) -> tuple[int, ...]:
     """Rows of P + v, with v joined to the mask ``sub``."""
     new_bit = 1 << len(prow)
     return tuple(row | new_bit if sub >> i & 1 else row for i, row in enumerate(prow)) + (sub,)
 
 
-def _rule(judge, prow: tuple[int, ...], sub: int) -> str:
-    """The enumeration's whole rule on P + v, as ``_classes`` applies it:
-    ``judge`` is ``_chosen_removal_test(prow)``."""
-    rivals = judge(sub)
-    if rivals is None:
-        return REJECTED
-    return _settle_tie(_grown(prow, sub), rivals) if rivals else UNIQUE
+def _judged(parents: list[Graph], subs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked pass on the candidates parents[i] + v, v joined to
+    subs[i], one ``stack_chunks`` chunk at a time."""
+    n = parents[0].n + 1
+    rows, verdicts = [], []
+    for chunk in stack_chunks(len(parents), n * n):
+        tables = _parent_tables(parents[chunk])
+        got = _judge(tables, np.arange(len(tables.rows)), np.array(subs[chunk]))
+        rows.append(got[0])
+        verdicts.append(got[1])
+    return np.concatenate(rows), np.concatenate(verdicts)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -235,37 +247,55 @@ def test_every_class_has_a_chosen_removal(n):
     that passes the whole rule, key, twins and root colour, as the new
     vertex of (g - w) + w, so growing the class without w back by w's
     neighbours yields a kept candidate."""
-    for g in enumerate_connected(n):
-        assert any(
-            is_connected(Graph(n - 1, prow))
-            and _rule(_chosen_removal_test(prow), prow, sub) not in (REJECTED, _OUTCOLOURED)
-            for prow, sub in (_without(g, w) for w in range(n))
-        ), graph6_encode(g)
+    owners, parents, subs = [], [], []
+    classes = list(enumerate_connected(n))
+    for index, g in enumerate(classes):
+        for w in range(n):
+            prow, sub = _without(g, w)
+            if is_connected(parent := Graph(n - 1, prow)):
+                owners.append(index)
+                parents.append(parent)
+                subs.append(sub)
+    _, verdict = _judged(parents, subs)
+    kept = set(np.array(owners)[~np.isin(verdict, (_REJECTED, _OUTCOLOURED))].tolist())
+    assert [graph6_encode(g) for i, g in enumerate(classes) if i not in kept] == []
 
 
-def _chosen_removal_oracle(n: int, rows: tuple[int, ...]) -> str:
-    """The rule on a whole candidate: its key, with one connectivity test per
-    old vertex, then twins from neighbour sets, then the reference refinement's
-    root colours, then twins again among the rivals of v's colour."""
-    g = Graph(n, rows)
+def _key_ties(n: int, rows: tuple[int, ...]) -> list[int] | None:
+    """The rule's key step on a whole candidate, with one connectivity test
+    per old vertex: None if a non-cut vertex has a larger key than the new
+    vertex v, else the non-cut vertices of v's key."""
     nbrs = [{u for u in range(n) if row >> u & 1} for row in rows]
 
     def key(v):
         return len(nbrs[v]), sorted(len(nbrs[u]) for u in nbrs[v])
 
+    v = n - 1
+    noncut = [w for w in range(n - 1)
+              if is_connected(Graph(n - 1, _without(Graph(n, rows), w)[0]))]
+    if any(key(w) > key(v) for w in noncut):
+        return None
+    return [w for w in noncut if key(w) == key(v)]
+
+
+def _chosen_removal_oracle(n: int, rows: tuple[int, ...]) -> int:
+    """The rule on a whole candidate: its key, then twins from neighbour
+    sets, then the reference refinement's root colours, then twins again
+    among the rivals of v's colour."""
+    nbrs = [{u for u in range(n) if row >> u & 1} for row in rows]
+    v = n - 1
+
     def twin(w):
         return nbrs[w] - {v} == nbrs[v] - {w}
 
-    v = n - 1
-    noncut = [w for w in range(n - 1) if is_connected(Graph(n - 1, _without(g, w)[0]))]
-    if any(key(w) > key(v) for w in noncut):
-        return REJECTED
-    tied = [w for w in noncut if key(w) == key(v)]
+    tied = _key_ties(n, rows)
+    if tied is None:
+        return _REJECTED
     if not tied:
-        return UNIQUE
+        return _UNIQUE
     if all(map(twin, tied)):
         return _TWINS
-    colors = reference_refine(g, [0] * n)
+    colors = reference_refine(Graph(n, rows), [0] * n)
     if any(colors[w] > colors[v] for w in tied):
         return _OUTCOLOURED
     return _COLOUR_KEPT if all(twin(w) for w in tied if colors[w] == colors[v]) else _CANONICAL
@@ -273,35 +303,43 @@ def _chosen_removal_oracle(n: int, rows: tuple[int, ...]) -> str:
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_chosen_removal_test_matches_whole_graph_rule(n):
-    """The per-parent key test and the tie rule give each candidate the
-    whole-graph rule's verdict.  Key rejections, unique keys, twin ties and
-    canonicalized ties all occur from order 5 on, colour verdicts from 6."""
-    seen = set()
-    for parent in enumerate_connected(n - 1):
-        judge = _chosen_removal_test(parent.rows)
-        for sub in range(1, 1 << (n - 1)):
-            verdict = _chosen_removal_oracle(n, _grown(parent.rows, sub))
-            assert _rule(judge, parent.rows, sub) == verdict, (parent.rows, sub)
-            seen.add(verdict)
-    every = {REJECTED, UNIQUE, _TWINS, _CANONICAL, _OUTCOLOURED, _COLOUR_KEPT}
+    """The stacked pass builds each candidate's rows and gives it the
+    whole-graph rule's verdict, on every attachment set of every parent, not
+    only on orbit representatives.  Key rejections, unique keys, twin ties
+    and canonicalized ties all occur from order 5 on, colour verdicts from
+    6."""
+    parents = list(enumerate_connected(n - 1))
+    subs = range(1, 1 << (n - 1))
+    rows, verdict = _judged([p for p in parents for _ in subs], [s for _ in parents for s in subs])
+    grown = [_grown(p.rows, s) for p in parents for s in subs]
+    assert list(map(tuple, rows.tolist())) == grown
+    expected = [_chosen_removal_oracle(n, r) for r in grown]
+    assert verdict.tolist() == expected
+    every = {_REJECTED, _UNIQUE, _TWINS, _CANONICAL, _OUTCOLOURED, _COLOUR_KEPT}
+    seen = set(expected)
     assert seen == every if n >= 6 else n < 5 or seen == every - {_OUTCOLOURED, _COLOUR_KEPT}
 
 
-def _keep_every_tie(rows, rivals):
-    return _TWINS
+def _keep_every_tie(rows, verdict):
+    verdict[np.isin(verdict, (_OUTCOLOURED, _COLOUR_KEPT, _CANONICAL))] = _TWINS
+    return verdict
 
 
-def _reject_on_equal_colour(rows, rivals):
-    how = _settle_tie(rows, rivals)
-    if how == _TWINS:
-        return how
-    colors = _root_colors(rows)
-    return _OUTCOLOURED if any(colors[w] >= colors[-1] for w in _bits(rivals)) else how
+def _reject_on_equal_colour(rows, verdict):
+    """A tie that twins leave open is rejected when any rival has v's colour,
+    not only a larger one."""
+    n = rows.shape[1]
+    for i in np.flatnonzero(np.isin(verdict, (_COLOUR_KEPT, _CANONICAL))):
+        candidate = tuple(rows[i].tolist())
+        colors = root_colors(candidate)
+        if any(colors[w] >= colors[-1] for w in _key_ties(n, candidate)):
+            verdict[i] = _OUTCOLOURED
+    return verdict
 
 
-def _skip_twins_of_equal_colour(rows, rivals):
-    how = _settle_tie(rows, rivals)
-    return _COLOUR_KEPT if how == _CANONICAL else how
+def _skip_twins_of_equal_colour(rows, verdict):
+    verdict[verdict == _CANONICAL] = _COLOUR_KEPT
+    return verdict
 
 
 @pytest.mark.parametrize("mutant, n, emitted", [
@@ -310,13 +348,97 @@ def _skip_twins_of_equal_colour(rows, rivals):
     (_skip_twins_of_equal_colour, 7, 854),
 ], ids=["keep-every-tie", "reject-on-equal-colour", "skip-twins-of-equal-colour"])
 def test_faulty_tie_rule_is_caught(monkeypatch, mutant, n, emitted):
-    """Each fault in the tie rule, applied to one order grown from the
-    correct classes below it, fails the class-count or distinct-forms
-    check: kept ties emit a class twice, a rejected one drops a class."""
-    monkeypatch.setattr(dsr.enumeration, "_settle_tie", mutant)
+    """Each fault in the tie rule, applied to the stacked pass's verdicts on
+    one order grown from the correct classes below it, fails the class-count
+    or distinct-forms check: kept ties emit a class twice, a rejected one
+    drops a class."""
+    def judge(tables, parent, subs):
+        rows, verdict = _judge(tables, parent, subs)
+        return rows, mutant(rows, verdict)
+
+    monkeypatch.setattr(dsr.enumeration, "_judge", judge)
     classes = _classes.__wrapped__(n)  # order n - 1 comes from the cache
     assert len(classes) == emitted != EXPECTED_COUNTS[n]
     assert _distinct_forms(classes) == min(emitted, EXPECTED_COUNTS[n])
+
+
+def _colour_counts(adj):
+    """A naive stacked root colouring: each vertex's signature is its colour
+    followed by its count of neighbours of each colour, the lowest colour
+    first, which ranks vertices of equal colour in the reverse of the sorted
+    neighbour colours' order."""
+    k, n = adj.shape[:2]
+    colours = np.zeros((k, n), dtype=np.int64)
+    while True:
+        counts = (adj[:, :, :, None] & (colours[:, None, :, None] == np.arange(n))).sum(2)
+        sigs = colours * 16 ** n + counts @ 16 ** np.arange(n - 1, -1, -1)
+        ranks = (sigs[:, None, :] < sigs[:, :, None]).sum(2)
+        if (ranks == colours).all():
+            used = (colours[:, :, None] == np.arange(n)).any(1)
+            return np.take_along_axis(np.cumsum(used, 1) - used, colours, 1)
+        colours = ranks
+
+
+def _colour_order_8(monkeypatch, colouring):
+    """The order-8 classes grown with ``colouring`` as the stacked root
+    colouring, the number of candidates it coloured, and how many of those
+    it coloured unlike the search's own refinement."""
+    coloured = []
+
+    def recorded(adj):
+        colours = colouring(adj)
+        coloured.extend(zip((adj @ (1 << np.arange(8))).tolist(), colours.tolist()))
+        return colours
+
+    monkeypatch.setattr(dsr.enumeration, "_root_colours", recorded)
+    classes = _classes.__wrapped__(8)  # order 7 comes from the cache
+    return classes, len(coloured), sum(root_colors(rows) != got for rows, got in coloured)
+
+
+def test_root_colours_match_the_search_on_order_8(monkeypatch):
+    """The stacked root colouring equals ``isomorphism._refine``'s, colour
+    for colour, on each of the 2,686 order-8 candidates it colours."""
+    assert _colour_order_8(monkeypatch, _root_colours)[1:] == (846 + 735 + 1105, 0)
+
+
+def test_naive_colour_counts_are_caught(monkeypatch):
+    """Ranking the neighbour colours by their counts is caught by the
+    reference colouring, not by the class checks: the counts are an
+    isomorphism invariant too, so the rule stays exact and emits every
+    order-8 class once, only some of them with other rows."""
+    classes, coloured, unlike = _colour_order_8(monkeypatch, _colour_counts)
+    assert unlike > 0
+    assert len(classes) == _distinct_forms(classes) == EXPECTED_COUNTS[8]
+    assert [g.rows for g in classes] != [g.rows for g in _classes(8)]
+
+
+def test_small_chunks_give_the_same_classes_and_counts(monkeypatch, caplog):
+    """One parent a chunk changes neither the order-7 classes nor a count in
+    the log line."""
+    def step():
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="dsr.enumeration"):
+            classes = _classes.__wrapped__(7)  # order 6 comes from the cache
+        [message] = caplog.messages
+        return classes, message[:message.index(") in ")]
+
+    expected = step()
+    monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 1)
+    assert step() == expected
+
+
+def test_order_8_step_peak_memory():
+    # chunks of parents bound the order-8 step: about 3 MB at its peak, of
+    # which the 11,117 classes' rows and Graphs hold about 1.7 MB; one chunk
+    # for the whole order peaks near 31 MB
+    tuple(enumerate_connected(7))
+    tracemalloc.start()
+    try:
+        _classes.__wrapped__(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def _relabeled(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -330,14 +452,16 @@ def _relabeled(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
 def test_orbit_representatives_match_full_automorphism_group(n):
     """For every class, the orbits its search's generators give equal the
     orbits of attachment sets under every automorphism found by brute force."""
-    for g in enumerate_connected(n):
-        generators = _canonical_search(n, g.rows)[1]
+    classes = list(enumerate_connected(n))
+    generators = [_canonical_search(n, g.rows)[1] for g in classes]
+    parent, subs = _orbit_representatives(np.array([g.rows for g in classes]), generators)
+    for index, g in enumerate(classes):
         group = [p for p in permutations(range(n)) if _relabeled(g.rows, p) == g.rows]
         brute = [
             s for s in range(1, 1 << n)
             if all(sum(1 << p[i] for i in range(n) if s >> i & 1) >= s for p in group)
         ]
-        assert list(_orbit_representatives(g.rows, generators)) == brute, g.rows
+        assert subs[parent == index].tolist() == brute, g.rows
 
 
 def test_bogus_generator_raises(monkeypatch):

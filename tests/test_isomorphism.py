@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsr import complete_graph, enumerate_connected, from_edge_list, isomorphic, kpq
-from dsr.isomorphism import _canonical_search, _pickers, _refine, _root_colors, canonical_form
+from dsr.isomorphism import _canonical_search, _pickers, _refine, canonical_form
 from helpers import (
     automorphism_count,
     cycle_graph,
@@ -15,6 +15,7 @@ from helpers import (
     random_graph,
     reference_refine,
     relabel,
+    root_colors,
     star_graph,
     upper_triangle_pairs,
 )
@@ -130,7 +131,7 @@ def test_refine_matches_reference(n):
     for g in graphs:
         pickers = _pickers(g.rows)
         root = _refine(pickers, [0] * n)
-        assert root == reference_refine(g, [0] * n) == _root_colors(g.rows), g.rows
+        assert root == reference_refine(g, [0] * n), g.rows
         for v in range(n):
             child = [2 * c for c in root]
             child[v] -= 1
@@ -145,8 +146,8 @@ def test_root_colors_are_invariant(n):
     for g in enumerate_connected(n):
         perm = list(range(n))
         rng.shuffle(perm)
-        colors = _root_colors(relabel(g, perm).rows)
-        assert [colors[perm[v]] for v in range(n)] == _root_colors(g.rows), g.rows
+        colors = root_colors(relabel(g, perm).rows)
+        assert [colors[perm[v]] for v in range(n)] == root_colors(g.rows), g.rows
 
 
 def is_automorphism(rows, gamma):

@@ -12,9 +12,11 @@ stacked solves are grouped by order in one place and go through one
 distance-to-Perron step, graph6 files are read in one place (the CLI loader
 is the only caller of the decoder besides the round-trip suite), and
 ``dsr.graphs`` alone decides how a stack is chunked and unpacked from bit
-rows, which no module reads off a distance stack and only ``dsr.graphs`` and,
-in ``dsr.verify``, the class table, the order grouping of stacked solves and
-the cut-side suite unpack; every stacked kernel takes an adjacency stack, and
+rows, which no module reads off a distance stack and only ``dsr.graphs``, in
+``dsr.verify`` the class table, the order grouping of stacked solves and
+the cut-side suite, and in ``dsr.enumeration`` the parent tables and the
+stacked pass, which only ``_classes`` calls, unpack; every stacked kernel
+takes an adjacency stack, and
 distance stacks are built only by the distance-to-Perron step, the spectra
 oracle and ``distance_matrix``.  The bridge grid and
 ``dsr check``'s placements are each drawn in one place, through one drawer
@@ -175,9 +177,11 @@ def test_all_lists_exactly_the_imported_names():
 # distance-to-Perron step ``_solve`` that the class table and
 # ``_stacked_solve`` (the one place that groups graphs by order) share.
 # Bit rows are unpacked in one place, ``adjacency_stack``, which only
-# ``dsr.graphs`` and, in ``dsr.verify``, the class table (once per order),
+# ``dsr.graphs``, in ``dsr.verify`` the class table (once per order),
 # ``_stacked_solve`` (once per order group) and the cut-side suite's grid
-# stacks call; every stacked kernel (distances, the bipartition scan and
+# stacks, and in ``dsr.enumeration`` the parent tables and the stacked pass
+# (once per chunk of parents, the pass only for key ties) call; every
+# stacked kernel (distances, the bipartition scan and
 # the cut kernel) takes a stack rather than unpacking its own.  Distance
 # stacks are built by the distance-to-Perron step ``_solve``, the spectra
 # oracle (from the table's adjacency) and the one-graph ``distance_matrix``.
@@ -186,7 +190,11 @@ def test_all_lists_exactly_the_imported_names():
 # runner-up.  The canonical search itself, which also returns automorphism
 # generators, is internal to isomorphism and to ``enumeration._classes``,
 # which searches each parent for its generators and each key-tied candidate
-# for its canonical rows.
+# that the root colours leave tied for its canonical rows.  Every other
+# enumeration candidate is judged by the stacked pass ``_judge``, called
+# only by ``_classes``, one chunk of parents at a time; its root colourings
+# are stacked too, so no module colours one graph at a time outside the
+# search (``_root_colors`` is the tests' reference).
 # The input reader is pinned too: every graph6 file, ``compute``'s source and
 # ``search --corpus``, goes through ``cli._load_graphs``, the one caller of
 # ``graph6_decode`` outside the codec's round-trip suite.  Minimum cuts come
@@ -208,13 +216,15 @@ SLOW_CALLERS = {
     "perron_stack": {("verify.py", "_solve")},
     "unpackbits": {("graphs.py", "adjacency_stack")},
     "adjacency_stack": {"graphs.py", ("verify.py", "_build_table"),
-                        ("verify.py", "_stacked_solve"), ("verify.py", "suite_cut_sides")},
+                        ("verify.py", "_stacked_solve"), ("verify.py", "suite_cut_sides"),
+                        ("enumeration.py", "_parent_tables"), ("enumeration.py", "_judge")},
     "distance_stack": {("verify.py", "_solve"), ("verify.py", "suite_spectra_oracle"),
                        ("graphs.py", "distance_matrix")},
     "isomorphic": set(),
     "canonical_form": {"isomorphism.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", ("enumeration.py", "_classes")},
-    "_root_colors": {"isomorphism.py", ("enumeration.py", "_settle_tie")},
+    "_root_colors": set(),
+    "_judge": {("enumeration.py", "_classes")},
     "graph6_decode": {("cli.py", "_load_graphs"), ("verify.py", "suite_graph6_roundtrip")},
     "bridge_grid": {("verify.py", "run_all_suites")},
     "bridge_instances": {("verify.py", "bridge_grid"), ("cli.py", "main")},
