@@ -30,26 +30,37 @@ twin of v (the two have the same neighbours apart from each other), the
 candidate is kept as built.  Otherwise G's root equitable colouring, the
 canonical search's own first step, breaks the tie: a rival of larger colour
 rejects the candidate; if every rival of v's colour, if any, is a twin of
-v, it is kept as built; else it is canonicalized, and a set of canonical
-rows removes the duplicates.  This is exact.  The colours, whether the
-top-key vertices are twins, and whether those of the top colour among them
-are, are isomorphism invariants, so candidates settled by different
-clauses are never isomorphic.  An isomorphism between two candidates kept
-as built by one clause maps v to a twin of v'; composed with the
-transposition of those twins it maps v to v', so S = S' as above.  Every
-class is still reached, through a non-cut vertex of the top key and, unless
-those are all twins, of the top colour among them.  The classes are emitted
-sorted by rows, the canonicalized ones' rows canonical.
+v, it is kept as built; else the tie stays open.  This is exact.  The
+colours, whether the top-key vertices are twins, and whether those of the
+top colour among them are, are isomorphism invariants, so candidates
+settled by different clauses are never isomorphic.  An isomorphism between
+two candidates kept as built by one clause maps v to a twin of v'; composed
+with the transposition of those twins it maps v to v', so S = S' as above.
+Every class is still reached, through a non-cut vertex of the top key and,
+unless those are all twins, of the top colour among them.
+
+An open tie is canonicalized only if its invariant key collides with that
+of another open tie of the whole order.  Each vertex's type is its root
+colour and its closed-walk counts diag(A^k), k = 2..n-1, ranked among the
+types of every vertex of the order's open ties; the key is the candidate's
+sorted types.  The key is a function of the isomorphism class, so an open
+tie whose key no other has is isomorphic to no other open tie, nor, by the
+clause argument, to any candidate settled otherwise: it is kept as built.
+The open ties whose keys collide are canonicalized, and a set of canonical
+rows removes the duplicates; a key that merges classes only costs searches.
+The classes are emitted sorted by rows, the canonicalized ones' rows
+canonical.
 
 Apart from the canonical searches, one per parent for its generators and
-one per tie the colours leave open, an order's step is stacked NumPy, run
+one per open tie whose key collides, an order's step is stacked NumPy, run
 one ``graphs.stack_chunks`` chunk of parents at a time.  The orbit
 representatives come from min-label propagation under the parents' subset
 image tables.  The chunk's candidates then take their verdicts in one pass:
 degrees first, so that a non-cut vertex of larger degree rejects most
 candidates before any neighbour key is packed; the non-cut test from the
-components of each P - w; twins from the rows; and the root colours from a
-stacked refinement that ranks the same signatures as the search's.
+components of each P - w; twins from the rows; the root colours from a
+stacked refinement that ranks the same signatures as the search's; and the
+open ties' walk counts from powers of their adjacency stack.
 """
 
 from __future__ import annotations
@@ -72,7 +83,7 @@ Perm = tuple[int, ...]
 
 # a candidate's verdict: rejected by a larger key; kept as built as the only
 # vertex of the top key, or because its rivals are its twins; rejected or
-# kept as built by root colour; or canonicalized
+# kept as built by root colour; or left open, to be settled by its key
 _REJECTED, _UNIQUE, _TWINS, _OUTCOLOURED, _COLOUR_KEPT, _CANONICAL = range(6)
 _KEPT_AS_BUILT = np.array([v in (_UNIQUE, _TWINS, _COLOUR_KEPT) for v in range(6)])
 
@@ -176,14 +187,39 @@ def _root_colours(adj: np.ndarray) -> np.ndarray:
     return np.take_along_axis(np.cumsum(used, 1, dtype=np.int8) - used, colours, 1)
 
 
-def _judge(parents: _Parents, parent: np.ndarray, subs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_features(adj: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """(k, n, n - 1) int32 feature rows of the vertices of a (k, n, n)
+    boolean adjacency stack: each vertex's colour in ``colours``, then its
+    closed-walk counts diag(A^j) for j = 2..n-1.  A count is at most
+    (n-1)^(j-1), so float32 products are exact for n <= 8."""
+    a = walks = adj.astype(np.float32)
+    features = [colours]
+    for _ in range(adj.shape[1] - 2):
+        walks = walks @ a
+        features.append(np.diagonal(walks, axis1=1, axis2=2))
+    return np.stack(features, 2).astype(np.int32)
+
+
+def _keys(features: np.ndarray) -> np.ndarray:
+    """(k, n) invariant keys of k candidates from their (k, n, f) vertex
+    feature rows: each vertex's dense rank among all k * n rows, sorted
+    within its candidate, so that candidates compare only by keys computed
+    together."""
+    k, n, f = features.shape
+    types = np.unique(features.reshape(-1, f), axis=0, return_inverse=True)[1]
+    return np.sort(types.reshape(k, n), axis=1)
+
+
+def _judge(parents: _Parents, parent: np.ndarray,
+           subs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stacked pass: for the candidates P + v, v joined to the mask
     ``subs[i]`` of the parent ``parent[i]`` of ``parents``, their (k, n)
-    int64 rows, v last, and each one's verdict.  A non-cut vertex of larger
-    degree than v rejects; the sorted neighbour degrees, packed, order the
-    non-cut vertices of v's degree; v's rivals, those of its key, are twins
-    of v when their rows agree off the pair; and the root colours settle
-    the rest."""
+    int64 rows, v last, each one's verdict, and the ``_vertex_features`` of
+    the candidates left open, in candidate order.  A non-cut vertex of
+    larger degree than v rejects; the sorted neighbour degrees, packed,
+    order the non-cut vertices of v's degree; v's rivals, those of its key,
+    are twins of v when their rows agree off the pair; and the root colours
+    settle the rest or leave them open."""
     m = parents.rows.shape[1]
     n = m + 1
     own = parents.rows[parent]
@@ -208,10 +244,11 @@ def _judge(parents: _Parents, parent: np.ndarray, subs: np.ndarray) -> tuple[np.
     coloured = np.flatnonzero(others.any(1))
     colours = _root_colours(adj[coloured])
     above, alike = colours[:, :m] > colours[:, m:], colours[:, :m] == colours[:, m:]
-    verdict[tie[coloured]] = np.where(
-        (rivals[coloured] & above).any(1), _OUTCOLOURED,
-        np.where((others[coloured] & alike).any(1), _CANONICAL, _COLOUR_KEPT))
-    return rows, verdict
+    settled = np.where((rivals[coloured] & above).any(1), _OUTCOLOURED,
+                       np.where((others[coloured] & alike).any(1), _CANONICAL, _COLOUR_KEPT))
+    verdict[tie[coloured]] = settled
+    open_ = settled == _CANONICAL
+    return rows, verdict, _vertex_features(adj[coloured[open_]], colours[open_])
 
 
 @lru_cache(maxsize=None)
@@ -225,33 +262,43 @@ def _classes(n: int) -> tuple[Graph, ...]:
     counts = np.zeros(6, dtype=np.int64)
     tried = 0
     classes: set[tuple[int, ...]] = set()
+    open_rows, open_features = [], []
     # n entries for each of a parent's 2^m attachment sets
     for chunk in stack_chunks(len(parents), n << m):
         start = time.perf_counter()
         generators = [_canonical_search(m, parent.rows)[1] for parent in parents[chunk]]
         searched = time.perf_counter()
         tables = _parent_tables(parents[chunk])
-        rows, verdict = _judge(tables, *_orbit_representatives(tables.rows, generators))
+        rows, verdict, features = _judge(tables, *_orbit_representatives(tables.rows, generators))
         judged = time.perf_counter()
-        classes.update(_canonical_search(n, tuple(r))[0]
-                       for r in rows[verdict == _CANONICAL].tolist())
-        tied_searched = time.perf_counter()
+        open_rows.append(rows[verdict == _CANONICAL])
+        open_features.append(features)
         classes.update(map(tuple, rows[_KEPT_AS_BUILT[verdict]].tolist()))
-        spent += np.diff([start, searched, judged, tied_searched, time.perf_counter()])
+        spent[[0, 1, 3]] += np.diff([start, searched, judged, time.perf_counter()])
         counts += np.bincount(verdict, minlength=6)
         tried += len(verdict)
     start = time.perf_counter()
+    # the keys of the whole order's open ties, grouped: only those that
+    # share a key are searched
+    open_rows = np.concatenate(open_rows)
+    _, group, size = np.unique(_keys(np.concatenate(open_features)), axis=0,
+                               return_inverse=True, return_counts=True)
+    collides = size[group.reshape(-1)] > 1
+    classes.update(map(tuple, open_rows[~collides].tolist()))
+    classes.update(_canonical_search(n, tuple(r))[0] for r in open_rows[collides].tolist())
+    tied_searched = time.perf_counter()
     # relabeling keeps any asymmetry, so validating a canonicalized class's
     # rows checks its candidate too
     out = tuple(Graph(n, rows) for rows in sorted(classes))
-    spent[3] += time.perf_counter() - start
+    spent[2:] += np.diff([start, tied_searched, time.perf_counter()])
     logger.info(
         "enumerated %d connected classes of order %d (%d candidates, "
         "%d orbit representatives, %d chosen, %d kept as twins, %d rejected by colour, "
-        "%d kept by colour, %d canonicalized) in %.3f s (parent searches %.3f s, "
-        "stacked pass %.3f s, tied searches %.3f s, classes %.3f s)",
+        "%d kept by colour, %d tied by colour, %d searched) in %.3f s (parent searches "
+        "%.3f s, stacked pass %.3f s, tied searches %.3f s, classes %.3f s)",
         len(out), n, len(parents) * ((1 << m) - 1), tried, tried - counts[_REJECTED],
-        *counts[[_TWINS, _OUTCOLOURED, _COLOUR_KEPT, _CANONICAL]], spent.sum(), *spent,
+        *counts[[_TWINS, _OUTCOLOURED, _COLOUR_KEPT, _CANONICAL]], collides.sum(),
+        spent.sum(), *spent,
     )
     return out
 
@@ -259,8 +306,8 @@ def _classes(n: int) -> tuple[Graph, ...]:
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """Connected graphs of order n, one representative per isomorphism
     class, sorted by rows.  Only the classes whose key tie the root colouring
-    leaves open carry canonical rows; the rest keep the rows they were
-    built with."""
+    leaves open, and whose invariant key another such tie shares, carry
+    canonical rows; the rest keep the rows they were built with."""
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(
             f"built-in enumeration supports 1 <= n <= {MAX_BUILTIN_ORDER}, got {n}"

@@ -19,9 +19,9 @@ from dsr import (
     kpq,
 )
 from dsr.enumeration import (_CANONICAL, _COLOUR_KEPT, _OUTCOLOURED, _REJECTED, _TWINS, _UNIQUE,
-                             _classes, _judge, _orbit_representatives, _parent_tables,
-                             _root_colours)
-from dsr.graphs import Graph, stack_chunks
+                             _classes, _judge, _keys, _orbit_representatives, _parent_tables,
+                             _root_colours, _vertex_features)
+from dsr.graphs import Graph, adjacency_stack, stack_chunks
 from dsr.isomorphism import _canonical_search, canonical_form
 from helpers import (
     automorphism_count,
@@ -115,10 +115,10 @@ def test_each_candidate_validated_once(monkeypatch):
     """Order 5 grows each of the 6 order-4 classes by 15 attachment sets; of
     those 90, the 44 least members of their parent's automorphism orbits are
     tried, and the 21 whose new vertex is a chosen removal are kept.  The
-    canonical search runs once per parent, for its generators, and once per
-    kept candidate whose key tie neither twins nor root colours settle: 4
-    of them, whose canonical rows are classes.  Only the 21 classes build a
-    Graph, and the others build none."""
+    canonical search runs once per parent, for its generators, and for no
+    candidate: the 4 whose key tie neither twins nor root colours settle
+    have 4 distinct invariant keys, so they are 4 classes kept as built.
+    Only the 21 classes build a Graph, and the others build none."""
     expected = tuple(enumerate_connected(5))  # fills the cache up to order 5
     built = []
 
@@ -129,12 +129,15 @@ def test_each_candidate_validated_once(monkeypatch):
 
     monkeypatch.setattr(dsr.enumeration, "Graph", CountingGraph)
     canonicalized = count_calls(monkeypatch, dsr.enumeration, "_canonical_search")
+    judged = count_calls(monkeypatch, dsr.enumeration, "_judge")
     classes = _classes.__wrapped__(5)  # order 4 comes from the cache
-    assert len(canonicalized) == 10
-    assert [rows for m, rows in canonicalized if m == 4] == [
-        g.rows for g in enumerate_connected(4)]
-    tied = [_canonical_search(5, rows)[0] for m, rows in canonicalized if m == 5]
-    assert len(tied) == len(set(tied)) == 4 and set(tied) <= {g.rows for g in classes}
+    assert [(m, rows) for m, rows in canonicalized] == [
+        (4, g.rows) for g in enumerate_connected(4)]
+    [(rows, verdict, features)] = [_judge(*args) for args in judged]
+    open_rows = [tuple(r) for r in rows[verdict == _CANONICAL].tolist()]
+    assert len({tuple(key) for key in _keys(features).tolist()}) == len(open_rows) == 4
+    assert set(open_rows) <= {g.rows for g in classes}
+    assert len({_canonical_search(5, rows)[0] for rows in open_rows}) == 4
     assert len(built) == 21
     assert [g.rows for g in classes] == [g.rows for g in expected]
 
@@ -153,14 +156,15 @@ def test_log_counts_candidates_and_canonical_forms(caplog):
     assert re.fullmatch(
         r"enumerated 21 connected classes of order 5 \(90 candidates, "
         r"44 orbit representatives, 21 chosen, 13 kept as twins, 0 rejected by colour, "
-        r"0 kept by colour, 4 canonicalized\) " + TIMES,
+        r"0 kept by colour, 4 tied by colour, 0 searched\) " + TIMES,
         message,
     ), message
 
 
 def test_log_counts_order_8_ties(caplog):
     """Of the 11,987 key-chosen order-8 candidates, 4,424 tie another
-    non-cut vertex's key; twins and root colours settle all but 1,105."""
+    non-cut vertex's key; twins and root colours settle all but 1,105, and
+    the invariant keys all but 43 of those."""
     tuple(enumerate_connected(7))  # order 7 comes from the cache
     with caplog.at_level(logging.INFO, logger="dsr.enumeration"):
         _classes.__wrapped__(8)
@@ -168,7 +172,8 @@ def test_log_counts_order_8_ties(caplog):
     assert re.fullmatch(
         r"enumerated 11117 connected classes of order 8 \(108331 candidates, "
         r"67141 orbit representatives, 11987 chosen, 1738 kept as twins, "
-        r"846 rejected by colour, 735 kept by colour, 1105 canonicalized\) " + TIMES,
+        r"846 rejected by colour, 735 kept by colour, 1105 tied by colour, 43 searched\) "
+        + TIMES,
         message,
     ), message
 
@@ -235,7 +240,7 @@ def _judged(parents: list[Graph], subs: list[int]) -> tuple[np.ndarray, np.ndarr
     rows, verdicts = [], []
     for chunk in stack_chunks(len(parents), n * n):
         tables = _parent_tables(parents[chunk])
-        got = _judge(tables, np.arange(len(tables.rows)), np.array(subs[chunk]))
+        got = _judge(tables, np.arange(len(tables.rows)), np.array(subs[chunk]))[:2]
         rows.append(got[0])
         verdicts.append(got[1])
     return np.concatenate(rows), np.concatenate(verdicts)
@@ -353,8 +358,10 @@ def test_faulty_tie_rule_is_caught(monkeypatch, mutant, n, emitted):
     or distinct-forms check: kept ties emit a class twice, a rejected one
     drops a class."""
     def judge(tables, parent, subs):
-        rows, verdict = _judge(tables, parent, subs)
-        return rows, mutant(rows, verdict)
+        rows, verdict, features = _judge(tables, parent, subs)
+        was_open = verdict == _CANONICAL
+        verdict = mutant(rows, verdict)
+        return rows, verdict, features[verdict[was_open] == _CANONICAL]
 
     monkeypatch.setattr(dsr.enumeration, "_judge", judge)
     classes = _classes.__wrapped__(n)  # order n - 1 comes from the cache
@@ -412,19 +419,81 @@ def test_naive_colour_counts_are_caught(monkeypatch):
     assert [g.rows for g in classes] != [g.rows for g in _classes(8)]
 
 
-def test_small_chunks_give_the_same_classes_and_counts(monkeypatch, caplog):
-    """One parent a chunk changes neither the order-7 classes nor a count in
-    the log line."""
-    def step():
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="dsr.enumeration"):
-            classes = _classes.__wrapped__(7)  # order 6 comes from the cache
-        [message] = caplog.messages
-        return classes, message[:message.index(") in ")]
+def _logged_step(caplog, n: int) -> tuple[tuple[Graph, ...], str]:
+    """The order-n classes, order n - 1 from the cache, and the counts of
+    the step's log line."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="dsr.enumeration"):
+        classes = _classes.__wrapped__(n)
+    [message] = caplog.messages
+    return classes, message[:message.index(") in ")]
 
-    expected = step()
-    monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", 1)
-    assert step() == expected
+
+def test_small_chunks_give_the_same_classes_and_counts(monkeypatch, caplog):
+    """Neither one parent a chunk nor one chunk for the whole order changes
+    the order-7 classes or a count in the log line, the searched count
+    among them: the open ties' keys are grouped over the whole order, not
+    chunk by chunk, and the 2 open ties whose keys collide lie in different
+    chunks of the default size."""
+    _classes(6)
+    expected = _logged_step(caplog, 7)
+    for entries in (1, 1 << 30):
+        monkeypatch.setattr(dsr.graphs, "STACK_ENTRIES", entries)
+        assert _logged_step(caplog, 7) == expected
+
+
+def _open_ties(monkeypatch, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and vertex features of the order-n candidates that the
+    stacked pass leaves open, as the order's step meets them."""
+    seen = []
+
+    def judge(*args):
+        rows, verdict, features = _judge(*args)
+        seen.append((rows[verdict == _CANONICAL], features))
+        return rows, verdict, features
+
+    _classes(n - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(dsr.enumeration, "_judge", judge)
+        _classes.__wrapped__(n)
+    rows, features = zip(*seen)
+    return np.concatenate(rows), np.concatenate(features)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_keys_are_label_invariant(monkeypatch, n):
+    """A seeded relabelling of every open tie moves each vertex's features,
+    root colour and walk counts, with the vertex, so the open tie and its
+    relabelling get the same key when ranked together."""
+    rows, features = _open_ties(monkeypatch, n)
+    rng = np.random.default_rng(n)
+    perms = [tuple(rng.permutation(n).tolist()) for _ in rows]
+    moved = np.array([_relabeled(tuple(r), p) for r, p in zip(rows.tolist(), perms)])
+    adj = adjacency_stack(n, moved)
+    got = _vertex_features(adj, _root_colours(adj))
+    assert (got != features).any()
+    assert (np.take_along_axis(got, np.array(perms)[:, :, None], 1) == features).all()
+    keys = _keys(np.concatenate([features, got]))
+    assert (keys[:len(rows)] == keys[len(rows):]).all()
+
+
+@pytest.mark.parametrize("n, tied, searched", [(7, 120, 2), (8, 1105, 43)])
+def test_constant_key_searches_every_open_tie(monkeypatch, caplog, n, tied, searched):
+    """With one key for every open tie, each is searched, as before the keys
+    were: the counts but the searched one stay, and the classes differ from
+    the keyed ones only in the open ties of unique key, whose built rows
+    give way to their canonical forms."""
+    _classes(n - 1)
+    classes, message = _logged_step(caplog, n)
+    assert message.endswith(f"{tied} tied by colour, {searched} searched")
+    monkeypatch.setattr(dsr.enumeration, "_keys",
+                        lambda features: np.zeros(features.shape[:2], dtype=np.int64))
+    constant_classes, constant_message = _logged_step(caplog, n)
+    assert constant_message == message.replace(f"{searched} searched", f"{tied} searched")
+    keyed, constant = {g.rows for g in classes}, {g.rows for g in constant_classes}
+    assert len(constant) == len(keyed) == EXPECTED_COUNTS[n]
+    assert {canonical_form(Graph(n, rows)).rows for rows in keyed - constant} == constant - keyed
+    assert len(keyed - constant) <= tied - searched
 
 
 def test_order_8_step_peak_memory():
