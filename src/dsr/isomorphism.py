@@ -25,9 +25,10 @@ of that graph's automorphism group, and enumeration searches each parent to
 try its attachment sets once per orbit.  The search's first coloring,
 ``_refine`` from one color, is an isomorphism invariant of each vertex;
 enumeration computes the same coloring for whole stacks of candidates,
-``enumeration._root_colours``, to settle most key ties without a search,
-and searches a tie the coloring leaves open only if another open tie of
-its order shares its invariant key of colors and closed-walk counts.
+``enumeration._root_colours``, to choose each candidate's new vertex
+without a search, and searches a candidate the coloring leaves open only
+if another open candidate of its order shares its invariant key of colors
+and closed-walk counts.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ from dsr import (
     isomorphic,
     kpq,
 )
-from dsr.enumeration import (_CANONICAL, _COLOUR_KEPT, _OUTCOLOURED, _REJECTED, _TWINS, _UNIQUE,
-                             _classes, _judge, _keys, _orbit_representatives, _parent_tables,
-                             _root_colours, _vertex_features)
+from dsr.enumeration import (_CANONICAL, _KEPT, _REJECTED, _classes, _judge, _keys,
+                             _orbit_representatives, _parent_tables, _root_colours,
+                             _vertex_features)
 from dsr.graphs import Graph, adjacency_stack, stack_chunks
 from dsr.isomorphism import _canonical_search, canonical_form
 from helpers import (
@@ -116,8 +116,8 @@ def test_each_candidate_validated_once(monkeypatch):
     those 90, the 44 least members of their parent's automorphism orbits are
     tried, and the 21 whose new vertex is a chosen removal are kept.  The
     canonical search runs once per parent, for its generators, and for no
-    candidate: the 4 whose key tie neither twins nor root colours settle
-    have 4 distinct invariant keys, so they are 4 classes kept as built.
+    candidate: the 4 that the root colouring leaves open have 4 distinct
+    invariant keys, so they are 4 classes kept as built.
     Only the 21 classes build a Graph, and the others build none."""
     expected = tuple(enumerate_connected(5))  # fills the cache up to order 5
     built = []
@@ -133,7 +133,7 @@ def test_each_candidate_validated_once(monkeypatch):
     classes = _classes.__wrapped__(5)  # order 4 comes from the cache
     assert [(m, rows) for m, rows in canonicalized] == [
         (4, g.rows) for g in enumerate_connected(4)]
-    [(rows, verdict, features)] = [_judge(*args) for args in judged]
+    [(rows, verdict, features, _)] = [_judge(*args) for args in judged]
     open_rows = [tuple(r) for r in rows[verdict == _CANONICAL].tolist()]
     assert len({tuple(key) for key in _keys(features).tolist()}) == len(open_rows) == 4
     assert set(open_rows) <= {g.rows for g in classes}
@@ -155,25 +155,25 @@ def test_log_counts_candidates_and_canonical_forms(caplog):
     [message] = caplog.messages
     assert re.fullmatch(
         r"enumerated 21 connected classes of order 5 \(90 candidates, "
-        r"44 orbit representatives, 21 chosen, 13 kept as twins, 0 rejected by colour, "
-        r"0 kept by colour, 4 tied by colour, 0 searched\) " + TIMES,
+        r"44 orbit representatives, 20 coloured degree ties, 21 chosen, 4 tied by colour, "
+        r"0 searched\) " + TIMES,
         message,
     ), message
 
 
 def test_log_counts_order_8_ties(caplog):
-    """Of the 11,987 key-chosen order-8 candidates, 4,424 tie another
-    non-cut vertex's key; twins and root colours settle all but 1,105, and
-    the invariant keys all but 43 of those."""
+    """Of the 67,141 order-8 orbit representatives, 11,072 have another
+    non-cut vertex of the new vertex's degree and are coloured; 11,141 are
+    chosen, the root colouring leaves 1,105 of them open, and the invariant
+    keys settle all but 43 of those."""
     tuple(enumerate_connected(7))  # order 7 comes from the cache
     with caplog.at_level(logging.INFO, logger="dsr.enumeration"):
         _classes.__wrapped__(8)
     [message] = caplog.messages
     assert re.fullmatch(
         r"enumerated 11117 connected classes of order 8 \(108331 candidates, "
-        r"67141 orbit representatives, 11987 chosen, 1738 kept as twins, "
-        r"846 rejected by colour, 735 kept by colour, 1105 tied by colour, 43 searched\) "
-        + TIMES,
+        r"67141 orbit representatives, 11072 coloured degree ties, 11141 chosen, "
+        r"1105 tied by colour, 43 searched\) " + TIMES,
         message,
     ), message
 
@@ -197,7 +197,7 @@ def _distinct_forms(classes) -> int:
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_no_class_emitted_twice(n):
-    """Unique-key candidates skip canonicalization, so only the parents' full
+    """Candidates kept as built skip canonicalization, so only the parents' full
     automorphism groups keep one class from being emitted twice: the
     emitted classes' canonical forms are pairwise distinct."""
     classes = list(enumerate_connected(n))
@@ -249,9 +249,9 @@ def _judged(parents: list[Graph], subs: list[int]) -> tuple[np.ndarray, np.ndarr
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_class_has_a_chosen_removal(n):
     """The rule's completeness invariant: every class has a non-cut vertex w
-    that passes the whole rule, key, twins and root colour, as the new
-    vertex of (g - w) + w, so growing the class without w back by w's
-    neighbours yields a kept candidate."""
+    that passes the whole rule, degree and root colour, as the new vertex
+    of (g - w) + w, so growing the class without w back by w's neighbours
+    yields a candidate kept as built or left open."""
     owners, parents, subs = [], [], []
     classes = list(enumerate_connected(n))
     for index, g in enumerate(classes):
@@ -262,57 +262,38 @@ def test_every_class_has_a_chosen_removal(n):
                 parents.append(parent)
                 subs.append(sub)
     _, verdict = _judged(parents, subs)
-    kept = set(np.array(owners)[~np.isin(verdict, (_REJECTED, _OUTCOLOURED))].tolist())
+    kept = set(np.array(owners)[verdict != _REJECTED].tolist())
     assert [graph6_encode(g) for i, g in enumerate(classes) if i not in kept] == []
 
 
-def _key_ties(n: int, rows: tuple[int, ...]) -> list[int] | None:
-    """The rule's key step on a whole candidate, with one connectivity test
-    per old vertex: None if a non-cut vertex has a larger key than the new
-    vertex v, else the non-cut vertices of v's key."""
-    nbrs = [{u for u in range(n) if row >> u & 1} for row in rows]
-
-    def key(v):
-        return len(nbrs[v]), sorted(len(nbrs[u]) for u in nbrs[v])
-
-    v = n - 1
-    noncut = [w for w in range(n - 1)
-              if is_connected(Graph(n - 1, _without(Graph(n, rows), w)[0]))]
-    if any(key(w) > key(v) for w in noncut):
-        return None
-    return [w for w in noncut if key(w) == key(v)]
+def _noncut(rows: tuple[int, ...]) -> list[int]:
+    """The old vertices of a candidate whose deletion leaves it connected,
+    by one connectivity test each."""
+    n = len(rows)
+    return [w for w in range(n - 1) if is_connected(Graph(n - 1, _without(Graph(n, rows), w)[0]))]
 
 
 def _chosen_removal_oracle(n: int, rows: tuple[int, ...]) -> int:
-    """The rule on a whole candidate: its key, then twins from neighbour
-    sets, then the reference refinement's root colours, then twins again
-    among the rivals of v's colour."""
+    """The rule on a whole candidate: the reference refinement's root
+    colours, rejected if a non-cut vertex has a larger one than the new
+    vertex v, else kept as built if every non-cut vertex of v's colour is a
+    twin of v by neighbour sets, else open."""
     nbrs = [{u for u in range(n) if row >> u & 1} for row in rows]
     v = n - 1
-
-    def twin(w):
-        return nbrs[w] - {v} == nbrs[v] - {w}
-
-    tied = _key_ties(n, rows)
-    if tied is None:
-        return _REJECTED
-    if not tied:
-        return _UNIQUE
-    if all(map(twin, tied)):
-        return _TWINS
     colors = reference_refine(Graph(n, rows), [0] * n)
-    if any(colors[w] > colors[v] for w in tied):
-        return _OUTCOLOURED
-    return _COLOUR_KEPT if all(twin(w) for w in tied if colors[w] == colors[v]) else _CANONICAL
+    noncut = _noncut(rows)
+    if any(colors[w] > colors[v] for w in noncut):
+        return _REJECTED
+    alike = [w for w in noncut if colors[w] == colors[v]]
+    return _KEPT if all(nbrs[w] - {v} == nbrs[v] - {w} for w in alike) else _CANONICAL
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_chosen_removal_test_matches_whole_graph_rule(n):
     """The stacked pass builds each candidate's rows and gives it the
     whole-graph rule's verdict, on every attachment set of every parent, not
-    only on orbit representatives.  Key rejections, unique keys, twin ties
-    and canonicalized ties all occur from order 5 on, colour verdicts from
-    6."""
+    only on orbit representatives.  Orders 2 and 3 keep every candidate as
+    built; rejections and open candidates occur from order 4 on."""
     parents = list(enumerate_connected(n - 1))
     subs = range(1, 1 << (n - 1))
     rows, verdict = _judged([p for p in parents for _ in subs], [s for _ in parents for s in subs])
@@ -320,49 +301,69 @@ def test_chosen_removal_test_matches_whole_graph_rule(n):
     assert list(map(tuple, rows.tolist())) == grown
     expected = [_chosen_removal_oracle(n, r) for r in grown]
     assert verdict.tolist() == expected
-    every = {_REJECTED, _UNIQUE, _TWINS, _CANONICAL, _OUTCOLOURED, _COLOUR_KEPT}
-    seen = set(expected)
-    assert seen == every if n >= 6 else n < 5 or seen == every - {_OUTCOLOURED, _COLOUR_KEPT}
+    assert set(expected) == ({_KEPT} if n < 4 else {_REJECTED, _KEPT, _CANONICAL})
+
+
+def test_degree_round_is_exact():
+    """The pass rejects on a non-cut vertex of larger degree before any
+    colouring: on every candidate of orders 2..7, a vertex of larger degree
+    has a larger reference root colour."""
+    for n in range(2, 8):
+        for p in enumerate_connected(n - 1):
+            for sub in range(1, 1 << (n - 1)):
+                g = Graph(n, _grown(p.rows, sub))
+                colors = reference_refine(g, [0] * n)
+                degree = [row.bit_count() for row in g.rows]
+                assert all(colors[u] > colors[w] for u in range(n) for w in range(n)
+                           if degree[u] > degree[w])
 
 
 def _keep_every_tie(rows, verdict):
-    verdict[np.isin(verdict, (_OUTCOLOURED, _COLOUR_KEPT, _CANONICAL))] = _TWINS
+    """The colouring ignored: every candidate that no non-cut vertex of
+    larger degree rejects is kept as built."""
+    for i in np.flatnonzero(verdict != _KEPT):
+        candidate = tuple(rows[i].tolist())
+        degree = [row.bit_count() for row in candidate]
+        if all(degree[w] <= degree[-1] for w in _noncut(candidate)):
+            verdict[i] = _KEPT
     return verdict
 
 
 def _reject_on_equal_colour(rows, verdict):
-    """A tie that twins leave open is rejected when any rival has v's colour,
-    not only a larger one."""
-    n = rows.shape[1]
-    for i in np.flatnonzero(np.isin(verdict, (_COLOUR_KEPT, _CANONICAL))):
+    """A candidate is rejected when any non-cut vertex has v's colour, not
+    only a larger one."""
+    for i in np.flatnonzero(verdict != _REJECTED):
         candidate = tuple(rows[i].tolist())
         colors = root_colors(candidate)
-        if any(colors[w] >= colors[-1] for w in _key_ties(n, candidate)):
-            verdict[i] = _OUTCOLOURED
+        if any(colors[w] >= colors[-1] for w in _noncut(candidate)):
+            verdict[i] = _REJECTED
     return verdict
 
 
 def _skip_twins_of_equal_colour(rows, verdict):
-    verdict[verdict == _CANONICAL] = _COLOUR_KEPT
+    """A candidate is kept as built whatever the non-cut vertices of v's
+    colour, twins of v or not."""
+    verdict[verdict == _CANONICAL] = _KEPT
     return verdict
 
 
 @pytest.mark.parametrize("mutant, n, emitted", [
-    (_keep_every_tie, 6, 114),
-    (_reject_on_equal_colour, 6, 83),
+    (_keep_every_tie, 6, 134),
+    (_reject_on_equal_colour, 6, 37),
     (_skip_twins_of_equal_colour, 7, 854),
 ], ids=["keep-every-tie", "reject-on-equal-colour", "skip-twins-of-equal-colour"])
 def test_faulty_tie_rule_is_caught(monkeypatch, mutant, n, emitted):
-    """Each fault in the tie rule, applied to the stacked pass's verdicts on
-    one order grown from the correct classes below it, fails the class-count
-    or distinct-forms check: kept ties emit a class twice, a rejected one
+    """Each fault in the rule, applied to the stacked pass's verdicts on one
+    order grown from the correct classes below it, fails the class-count or
+    distinct-forms check: kept candidates emit a class twice, a rejected one
     drops a class."""
     def judge(tables, parent, subs):
-        rows, verdict, features = _judge(tables, parent, subs)
+        rows, verdict, features, coloured = _judge(tables, parent, subs)
         was_open = verdict == _CANONICAL
         verdict = mutant(rows, verdict)
-        return rows, verdict, features[verdict[was_open] == _CANONICAL]
+        return rows, verdict, features[verdict[was_open] == _CANONICAL], coloured
 
+    _classes(n - 1)
     monkeypatch.setattr(dsr.enumeration, "_judge", judge)
     classes = _classes.__wrapped__(n)  # order n - 1 comes from the cache
     assert len(classes) == emitted != EXPECTED_COUNTS[n]
@@ -397,6 +398,7 @@ def _colour_order_8(monkeypatch, colouring):
         coloured.extend(zip((adj @ (1 << np.arange(8))).tolist(), colours.tolist()))
         return colours
 
+    _classes(7)
     monkeypatch.setattr(dsr.enumeration, "_root_colours", recorded)
     classes = _classes.__wrapped__(8)  # order 7 comes from the cache
     return classes, len(coloured), sum(root_colors(rows) != got for rows, got in coloured)
@@ -404,8 +406,9 @@ def _colour_order_8(monkeypatch, colouring):
 
 def test_root_colours_match_the_search_on_order_8(monkeypatch):
     """The stacked root colouring equals ``isomorphism._refine``'s, colour
-    for colour, on each of the 2,686 order-8 candidates it colours."""
-    assert _colour_order_8(monkeypatch, _root_colours)[1:] == (846 + 735 + 1105, 0)
+    for colour, on each of the 11,072 order-8 candidates it colours: every
+    one in which another non-cut vertex ties the new vertex's degree."""
+    assert _colour_order_8(monkeypatch, _root_colours)[1:] == (11072, 0)
 
 
 def test_naive_colour_counts_are_caught(monkeypatch):
@@ -417,6 +420,31 @@ def test_naive_colour_counts_are_caught(monkeypatch):
     assert unlike > 0
     assert len(classes) == _distinct_forms(classes) == EXPECTED_COUNTS[8]
     assert [g.rows for g in classes] != [g.rows for g in _classes(8)]
+
+
+def _counts_from_one_colour(adj):
+    """The stacked kernel's count rounds started from one colour, without
+    its degree round: the first round then ranks the degrees in reverse."""
+    k, n = adj.shape[:2]
+    colours = np.zeros((k, n), dtype=np.int64)
+    while True:
+        sigs = colours * (n + 1) ** n - (adj * (n + 1) ** (n - 1 - colours[:, None, :])).sum(2)
+        ranks = (sigs[:, None, :] < sigs[:, :, None]).sum(2)
+        if (ranks == colours).all():
+            used = (colours[:, :, None] == np.arange(n)).any(1)
+            return np.take_along_axis(np.cumsum(used, 1) - used, colours, 1)
+        colours = ranks
+
+
+def test_count_rounds_without_the_degree_round_are_caught(monkeypatch):
+    """The count signature orders the sorted neighbour colours only among
+    vertices of one degree, so started from one colour it ranks the degrees
+    in reverse.  The reference colouring catches that, and so do the class
+    counts: a non-cut vertex of smaller degree now outranks the new vertex,
+    so the rule drops classes."""
+    classes, _, unlike = _colour_order_8(monkeypatch, _counts_from_one_colour)
+    assert unlike > 0
+    assert len(classes) < EXPECTED_COUNTS[8]
 
 
 def _logged_step(caplog, n: int) -> tuple[tuple[Graph, ...], str]:
@@ -448,9 +476,9 @@ def _open_ties(monkeypatch, n: int) -> tuple[np.ndarray, np.ndarray]:
     seen = []
 
     def judge(*args):
-        rows, verdict, features = _judge(*args)
+        rows, verdict, features, coloured = _judge(*args)
         seen.append((rows[verdict == _CANONICAL], features))
-        return rows, verdict, features
+        return rows, verdict, features, coloured
 
     _classes(n - 1)
     with monkeypatch.context() as patch:

@@ -180,7 +180,8 @@ def test_all_lists_exactly_the_imported_names():
 # ``dsr.graphs``, in ``dsr.verify`` the class table (once per order),
 # ``_stacked_solve`` (once per order group) and the cut-side suite's grid
 # stacks, and in ``dsr.enumeration`` the parent tables and the stacked pass
-# (once per chunk of parents, the pass only for key ties) call; every
+# (once per chunk of parents, the pass only for the candidates in which a
+# non-cut vertex ties the new vertex's degree) call; every
 # stacked kernel (distances, the bipartition scan and
 # the cut kernel) takes a stack rather than unpacking its own.  Distance
 # stacks are built by the distance-to-Perron step ``_solve``, the spectra
@@ -189,12 +190,13 @@ def test_all_lists_exactly_the_imported_names():
 # ``families.is_kpq`` recognizes kpq and canonical forms key the search's
 # runner-up.  The canonical search itself, which also returns automorphism
 # generators, is internal to isomorphism and to ``enumeration._classes``,
-# which searches each parent for its generators and each key-tied candidate
-# that the root colours leave tied for its canonical rows.  Every other
-# enumeration candidate is judged by the stacked pass ``_judge``, called
-# only by ``_classes``, one chunk of parents at a time; its root colourings
-# are stacked too, so no module colours one graph at a time outside the
-# search (``_root_colors`` is the tests' reference).
+# which searches each parent for its generators and each candidate that the
+# root colouring leaves open, and whose invariant key another open one
+# shares, for its canonical rows.  Every enumeration candidate is judged by
+# the stacked pass ``_judge``, called only by ``_classes``, one chunk of
+# parents at a time; only ``_judge`` colours candidates and reads their
+# vertex features, both stacked, so no module colours one graph at a time
+# outside the search (``_root_colors`` is the tests' reference).
 # The input reader is pinned too: every graph6 file, ``compute``'s source and
 # ``search --corpus``, goes through ``cli._load_graphs``, the one caller of
 # ``graph6_decode`` outside the codec's round-trip suite.  Minimum cuts come
@@ -224,6 +226,8 @@ SLOW_CALLERS = {
     "canonical_form": {"isomorphism.py", ("verify.py", "extremal_search")},
     "_canonical_search": {"isomorphism.py", ("enumeration.py", "_classes")},
     "_root_colors": set(),
+    "_root_colours": {("enumeration.py", "_judge")},
+    "_vertex_features": {("enumeration.py", "_judge")},
     "_judge": {("enumeration.py", "_classes")},
     "graph6_decode": {("cli.py", "_load_graphs"), ("verify.py", "suite_graph6_roundtrip")},
     "bridge_grid": {("verify.py", "run_all_suites")},
