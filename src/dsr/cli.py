@@ -31,6 +31,7 @@ from json.encoder import encode_basestring_ascii
 
 from .cuts import edge_connectivity
 from .enumeration import MAX_BUILTIN_ORDER
+from .families import bridge_graph
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, distance_matrix, from_edge_list, is_connected
 from .spectra import ConvergenceError, perron
@@ -263,7 +264,8 @@ def cmd_compute(args) -> int:
 
 def cmd_check(args) -> int:
     # main validated the parameters by drawing them, and kept the draw
-    records = [_record(c) for claims in bridge_claims(args.params) for c in claims]
+    claims = bridge_claims(args.params, [bridge_graph(p) for p in args.params])
+    records = [_record(c) for instance in claims for c in instance]
     _write(args, records, lambda rec: (
         f"{'ok' if rec['holds'] else 'FAIL':4s} {rec['claim']:36s} {rec['params']}"
     ), records)

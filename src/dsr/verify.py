@@ -238,24 +238,25 @@ def _level(entries: np.ndarray) -> tuple[float, float]:
     return mean, float(np.max(np.abs(entries - mean)))
 
 
-def bridge_claims(grid: Sequence[BridgeFamilyParams]) -> list[list[LemmaVerdict]]:
+def bridge_claims(grid: Sequence[BridgeFamilyParams],
+                  bridges: Sequence[Graph]) -> list[list[LemmaVerdict]]:
     """Per bridge instance, the flattening verdict and then one verdict per
-    identity, all on one Perron pair of the flattened graph.  Every bridge
-    and flattened graph of the grid is solved in one stacked solve.
-    Flattening must strictly lower the radius, land on kpq(n1+n2-1, r) and
-    give the three-level Perron pattern.  The hub row is
-    rho*x1 = r*x3 + 2(n1+n2-r-1)*x2 on the flattened graph; the form shift,
-    only when t == r, is x(D - D~)x = 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2).
-    A residual holds below IDENTITY_TOL; it is None where a strict
-    consequence of the hub row fails."""
-    graphs = []
-    for params in grid:
-        graphs += [bridge_graph(params), bridge_graph_tilde(params)]
-    records = _stacked_solve(graphs)
+    identity, all on one Perron pair of the flattened graph.  That graph reads
+    only the cell (n1, n2, r, t), so one per cell is solved, stacked with
+    ``bridges``, the instances' bridge graphs.  Flattening must strictly
+    lower the radius, land on kpq(n1+n2-1, r) and give the three-level Perron
+    pattern.  The hub row is rho*x1 = r*x3 + 2(n1+n2-r-1)*x2 on the
+    flattened graph; the form shift, only when t == r, is
+    x(D - D~)x = 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2).  A residual holds
+    below IDENTITY_TOL, None where a strict consequence of the hub row fails."""
+    cells = {(p.n1, p.n2, p.r, p.t): p for p in grid}
+    flat = [bridge_graph_tilde(p) for p in cells.values()]
+    records = _stacked_solve([*bridges, *flat])
+    solved = dict(zip(cells, zip(flat, records[len(grid):])))
     out = []
-    for params, tilde, (dg, lhs, _), (dt, rhs, xt) in zip(grid, graphs[1::2],
-                                                          records[::2], records[1::2]):
+    for params, (dg, lhs, _) in zip(grid, records):
         n1, n2, r, n = params.n1, params.n2, params.r, params.order
+        tilde, (dt, rhs, xt) = solved[n1, n2, r, params.t]
         (m1, _), (m2, d2), (m3, d3) = (_level(xt[list(idx)])
                                        for idx in tilde_level_groups(params))
         label = f"n1={n1} n2={n2} r={r} t={params.t} cross={list(params.cross_edges)}"
@@ -489,10 +490,11 @@ def suite_perron_order(max_n: int) -> SuiteResult:
     return _tally("perron_entry_order", verdicts)
 
 
-def suite_bridge_grid(grid: Sequence[BridgeFamilyParams]) -> SuiteResult:
+def suite_bridge_grid(grid: Sequence[BridgeFamilyParams],
+                      bridges: Sequence[Graph]) -> SuiteResult:
     """Bridge-family grid: flattening strictly lowers the radius, lands on
     kpq, shows the three-level pattern, and satisfies both eigen identities."""
-    claims = bridge_claims(grid)
+    claims = bridge_claims(grid, bridges)
     worst = max((float("inf") if c.residual is None else c.residual
                  for instance in claims for c in instance[1:]), default=0.0)
     notes = f"max identity residual {worst:.3e}"
@@ -505,14 +507,14 @@ def _min_degree(adj: np.ndarray) -> np.ndarray:
     return adj.sum(axis=2, dtype=np.int16).min(axis=1)
 
 
-def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResult:
+def suite_cut_sides(max_n: int, bridges: Sequence[Graph]) -> SuiteResult:
     """The cut-side lemma: when every degree exceeds the edge connectivity r,
     each side S of a minimum cut has |S|(r+1) <= |S|(|S|-1) + r, so at least
     r+2 vertices, whichever minimum cut is read.  Checked on the table's cut
     of every class up to max_n whose minimum degree exceeds its table edge
-    connectivity, and on the cut of every grid instance (which must meet the
-    hypothesis), one ``min_cuts`` stack per grid order.  A class whose
-    minimum degree is below it fails: a minimum-degree star is a cut."""
+    connectivity, and on the cut of each grid graph in ``bridges`` (which
+    must meet the hypothesis), one ``min_cuts`` stack per order.  A class
+    whose minimum degree is below it fails: a minimum-degree star is a cut."""
 
     def sides_clear(adj: np.ndarray, lam: np.ndarray, side: np.ndarray,
                     star_ok: bool) -> list[bool]:
@@ -522,10 +524,8 @@ def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResu
         return (clear | star_ok & (degree == lam)).tolist()
 
     verdicts = []
-    for n in range(2, max_n + 1):
-        table = class_table(n)
+    for table in map(class_table, range(2, max_n + 1)):
         verdicts += sides_clear(table.adjacency, table.lam, table.side, True)
-    bridges = [bridge_graph(params) for params in grid]
     for n in sorted({g.n for g in bridges}):
         adj = adjacency_stack(n, [g for g in bridges if g.n == n])
         verdicts += sides_clear(adj, *min_cuts(adj), False)
@@ -534,9 +534,10 @@ def suite_cut_sides(max_n: int, grid: Sequence[BridgeFamilyParams]) -> SuiteResu
 
 def run_all_suites(seed: int, max_n: int) -> list[SuiteResult]:
     """Every verification suite at the given caps, in a fixed order.  The
-    bridge grid is drawn once and read by both suites that need it."""
+    bridge grid and its bridge graphs are built once for both grid suites."""
     small = min(7, max_n)
     grid = list(bridge_grid(seed, min(4, max(1, max_n - 4))))
+    bridges = [bridge_graph(params) for params in grid]
     results = [
         suite_closed_forms(),
         suite_graph6_roundtrip(small),
@@ -546,6 +547,6 @@ def run_all_suites(seed: int, max_n: int) -> list[SuiteResult]:
         results.append(suite_theorem(max_n))
     results.append(suite_edge_monotonicity(seed))
     results.append(suite_perron_order(small))
-    results.append(suite_bridge_grid(grid))
-    results.append(suite_cut_sides(max_n, grid))
+    results.append(suite_bridge_grid(grid, bridges))
+    results.append(suite_cut_sides(max_n, bridges))
     return results

@@ -8,10 +8,11 @@ from itertools import permutations
 
 import numpy as np
 
-from dsr import (BridgeFamilyParams, ConvergenceError, Graph, Graph6Error, from_edge_list,
-                 random_cross_edges)
+from dsr import (BridgeFamilyParams, ConvergenceError, Graph, Graph6Error, bridge_graph,
+                 from_edge_list, random_cross_edges)
 from dsr.isomorphism import _pickers, _refine, canonical_form
 from dsr.spectra import PerronPair
+from dsr.verify import bridge_claims
 
 
 def upper_triangle_pairs(n: int) -> list[tuple[int, int]]:
@@ -146,6 +147,20 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_returns(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper; returns the list of the values
+    it returned."""
+    returned = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, counted)
+    return returned
+
+
 def count_slow_paths(monkeypatch) -> list[list]:
     """Count, one list each, the per-graph isomorphism and canonical-form
     tests that the stacked solves do without (dsr.verify binds neither
@@ -222,6 +237,12 @@ def reference_bridge_grid(seed: int, r_max: int):
                             yield BridgeFamilyParams(
                                 n1, n2, r, t, random_cross_edges(n1, n2, r, t, rng)
                             )
+
+
+def grid_claims(grid):
+    """``bridge_claims`` on a list of bridge instances, with the bridge graph
+    of each built here, as ``run_all_suites`` builds them."""
+    return bridge_claims(grid, [bridge_graph(p) for p in grid])
 
 
 def reference_transpose(packed: int, w: int) -> int:

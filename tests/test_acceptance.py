@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dsr import (
+    bridge_graph,
     brute_force_min_cut,
     complete_graph,
     distance_matrix,
@@ -29,13 +30,12 @@ from dsr.verify import (
     MONOTONICITY_CASES,
     MONOTONICITY_MAX_ORDER,
     _stacked_solve,
-    bridge_claims,
     bridge_grid,
     suite_cut_sides,
     suite_edge_monotonicity,
     suite_perron_order,
 )
-from helpers import path_graph
+from helpers import grid_claims, path_graph
 
 GRID_SEED = 0
 
@@ -52,7 +52,7 @@ def grid_outcomes():
     start = time.perf_counter()
     grid = list(bridge_grid(GRID_SEED, 4))
     rows = []
-    for params, (verdict, *identities) in zip(grid, bridge_claims(grid)):
+    for params, (verdict, *identities) in zip(grid, grid_claims(grid)):
         residuals = {c.claim: c.residual for c in identities}
         hub_residual = residuals["hub_row_identity"]
         strict_ok = hub_residual is not None
@@ -164,7 +164,7 @@ def test_criterion_7_identity_residuals(grid_outcomes):
 
 
 def test_criterion_8_cut_side_orders():
-    result = suite_cut_sides(8, list(bridge_grid(GRID_SEED, 4)))
+    result = suite_cut_sides(8, [bridge_graph(p) for p in bridge_grid(GRID_SEED, 4)])
     report(8, result.failures == 0,
            f"{result.instances} graphs (exhaustive n<=8 plus grid), "
            f"{result.failures} counterexamples")

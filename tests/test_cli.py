@@ -313,14 +313,17 @@ class TestCheck:
     def test_solves_each_flattened_pair_once(self, monkeypatch, capsys, t, placements):
         stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
         distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
+        bridges = count_calls(monkeypatch, dsr.cli, "bridge_graph")
+        flattened = count_calls(monkeypatch, dsr.verify, "bridge_graph_tilde")
         slow = count_slow_paths(monkeypatch)
         code, _, _ = run(capsys, "check", "--n1", "5", "--n2", "4",
                          "--r", "2", "--t", str(t))
         assert code == 0
-        # the bridge and flattened graph of every placement, in one stacked
-        # solve and one order-9 distance stack
-        assert [len(mats) for mats, in stacks] == [2 * placements]
-        assert [adj.shape for adj, in distances] == [(2 * placements, 9, 9)]
+        # the bridge graph of every placement and the one flattened graph of
+        # their cell, in one stacked solve and one order-9 distance stack
+        assert (len(bridges), len(flattened)) == (placements, 1)
+        assert [len(mats) for mats, in stacks] == [placements + 1]
+        assert [adj.shape for adj, in distances] == [(placements + 1, 9, 9)]
         assert not any(slow)
 
     def test_identity_band_is_the_verify_tolerance(self, monkeypatch, capsys):

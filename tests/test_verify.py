@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import random
+import textwrap
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -61,8 +64,10 @@ from dsr.verify import (
 from helpers import (
     adjacency,
     count_calls,
+    count_returns,
     count_slow_paths,
     cycle_graph,
+    grid_claims,
     path_graph,
     reference_bridge_grid,
     reference_order_holds,
@@ -191,12 +196,12 @@ class TestOrderHolds:
 
 def identity_residuals(params: BridgeFamilyParams) -> dict[str, float | None]:
     """Each identity's residual on one bridge instance, by claim name."""
-    return {c.claim: c.residual for c in bridge_claims([params])[0][1:]}
+    return {c.claim: c.residual for c in grid_claims([params])[0][1:]}
 
 
 class TestTransformation:
     def test_hub_only(self):
-        [[v, *identities]] = bridge_claims([BridgeFamilyParams(4, 4, 2, 2)])
+        [[v, *identities]] = grid_claims([BridgeFamilyParams(4, 4, 2, 2)])
         assert v.claim == "bridge_flattening_decreases_radius"
         assert v.holds and v.residual is None
         assert v.margin > 1e-3
@@ -208,12 +213,12 @@ class TestTransformation:
         grid = [BridgeFamilyParams(5, 4, 2, 1,
                                    random_cross_edges(5, 4, 2, 1, random.Random(seed)))
                 for seed in range(5)]
-        for p, (v, *_) in zip(grid, bridge_claims(grid)):
+        for p, (v, *_) in zip(grid, grid_claims(grid)):
             assert v.holds, p.cross_edges
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            bridge_claims([BridgeFamilyParams(3, 3, 2, 1, ((2, 1),))])
+            grid_claims([BridgeFamilyParams(3, 3, 2, 1, ((2, 1),))])
 
     @pytest.mark.parametrize("p", [
         BridgeFamilyParams(4, 4, 2, 2),
@@ -233,7 +238,7 @@ class TestTransformation:
         m1, m2, m3 = x[0], x[mid].mean(), x[near].mean()
         assert m3 < m2 < m1
         hub = abs(rho * m1 - (p.r * m3 + 2.0 * (p.order - p.r - 1) * m2))
-        [verdict, hub_row, *_] = bridge_claims([p])[0]
+        [verdict, hub_row, *_] = grid_claims([p])[0]
         assert verdict.holds and hub_row.holds
         assert hub_row.residual == pytest.approx(hub, abs=1e-12)
 
@@ -314,7 +319,7 @@ class TestCutSideLemma:
 
         monkeypatch.setattr(dsr.verify, "min_cuts", bad(dsr.verify.min_cuts))
         class_table.cache_clear()
-        result = suite_cut_sides(8, list(bridge_grid(0, 1)))
+        result = suite_cut_sides(8, [bridge_graph(p) for p in bridge_grid(0, 1)])
         assert result.failures == 1
 
     def test_suite_fails_on_a_one_vertex_side(self, monkeypatch, cold_class_tables):
@@ -572,13 +577,14 @@ def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch)
         for t in tables
     ]
     assert eligible[-1] == 44  # of the 11,117 order-8 classes
-    grid = list(bridge_grid(0, 1))
+    bridges = [bridge_graph(p) for p in bridge_grid(0, 1)]
     per_graph = count_calls(monkeypatch, dsr.cuts, "edge_connectivity")
     cuts = count_calls(monkeypatch, dsr.verify, "min_cuts")
-    result = suite_cut_sides(8, grid)
-    bridges = [bridge_graph(p) for p in grid]
-    assert result.ok
-    assert result.instances == sum(len(t.graphs) for t in tables) + len(grid)
+    builds = [count_calls(monkeypatch, dsr.verify, name)
+              for name in ("bridge_graph", "bridge_graph_tilde")]
+    result = suite_cut_sides(8, bridges)
+    assert result.ok and not any(builds)
+    assert result.instances == sum(len(t.graphs) for t in tables) + len(bridges)
     # the classes' cuts come from the tables; one kernel call per grid
     # order holds that order's bridge graphs in grid order
     orders = sorted({g.n for g in bridges})
@@ -587,23 +593,36 @@ def test_cut_sides_certifies_only_where_degree_exceeds_connectivity(monkeypatch)
         assert np.array_equal(adj, adjacency_stack(n, [g for g in bridges if g.n == n]))
 
 
+def cell(p: BridgeFamilyParams) -> tuple[int, int, int, int]:
+    """The grid cell of a bridge instance: all that its flattened graph reads."""
+    return p.n1, p.n2, p.r, p.t
+
+
+def per_order(grid) -> list[tuple[int, int]]:
+    """(order, graphs) of each stack ``bridge_claims`` solves on ``grid``: the
+    bridge graph of every instance and the flattened graph of every cell."""
+    return [(n, sum(p.order == n for p in grid) + len({cell(p) for p in grid if p.order == n}))
+            for n in sorted({p.order for p in grid})]
+
+
 def test_bridge_grid_solves_each_flattened_pair_once(monkeypatch):
     grid = list(bridge_grid(0, 2))
-    claims = bridge_claims(grid)
+    bridges = [bridge_graph(p) for p in grid]
+    claims = bridge_claims(grid, bridges)
     worst = max(c.residual for instance in claims for c in instance[1:])
     assert all(c.holds for instance in claims for c in instance)
     stacks = count_calls(monkeypatch, dsr.verify, "perron_stack")
     distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
     slow = count_slow_paths(monkeypatch)
-    result = suite_bridge_grid(grid)
+    result = suite_bridge_grid(grid, bridges)
     assert result.ok and result.instances == len(grid)
     assert result.notes == f"max identity residual {worst:.3e}"
-    # the bridge and flattened graph of every instance in one stacked solve:
-    # one distance stack and one Perron stack per order
-    orders = sorted({p.order for p in grid})
-    assert [len(mats) for mats, in stacks] == [2 * sum(p.order == n for p in grid)
-                                               for n in orders]
-    assert [adj.shape[1] for adj, in distances] == orders
+    # the bridge graph of every instance and the flattened graph of every
+    # cell in one stacked solve: one distance and one Perron stack per order
+    assert [len(mats) for mats, in stacks] == [k for _, k in per_order(grid)]
+    assert [adj.shape[1] for adj, in distances] == [n for n, _ in per_order(grid)]
+    # 175 instances in 75 cells: 250 graphs, where a pair per instance is 350
+    assert sum(k for _, k in per_order(grid)) == 250
     assert not any(slow)
 
 
@@ -612,19 +631,77 @@ def test_bridge_claims_builds_each_distance_matrix_once(monkeypatch, t):
     grid = [p for p in bridge_grid(0, 2) if (p.r, p.t) == (2, t)]
     distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
     slow = count_slow_paths(monkeypatch)
-    bridge_claims(grid)
-    # one stack per order, holding the bridge graph and the flattened graph
-    # of each instance of that order
-    assert [(adj.shape[1], len(adj)) for adj, in distances] == [
-        (n, 2 * sum(p.order == n for p in grid)) for n in sorted({p.order for p in grid})
-    ]
+    grid_claims(grid)
+    # one stack per order, holding the bridge graph of each instance and the
+    # flattened graph of each cell of that order
+    assert [(adj.shape[1], len(adj)) for adj, in distances] == per_order(grid)
     assert not any(slow)
+
+
+def claims_alone(grid) -> list[list]:
+    """Each instance's claims with nothing else in its stacked solve, which
+    holds only the pair ``[bridge_graph(p), bridge_graph_tilde(p)]``."""
+    return [bridge_claims([p], [bridge_graph(p)])[0] for p in grid]
+
+
+def key_without_t():
+    """``bridge_claims`` rebuilt from its source with every (n1, n2, r, t)
+    cell key cut to (n1, n2, r), so that the instances of one (n1, n2, r)
+    share one cell's flattened graph and its labelling."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(dsr.verify.bridge_claims)))
+    cut = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple):
+            names = [getattr(e, "attr", getattr(e, "id", None)) for e in node.elts]
+            if names == ["n1", "n2", "r", "t"]:
+                cut.append(node.elts.pop())
+    assert len(cut) == 2  # where the cells are keyed, and where they are read
+    namespace = dict(vars(dsr.verify))
+    exec(compile(tree, dsr.verify.__file__, "exec"), namespace)
+    return namespace["bridge_claims"]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_cell_claims_equal_each_instance_solved_alone(monkeypatch, seed):
+    # oracle: every instance's claims from its own two-graph solve, equal
+    # field for field (radii and residuals bit for bit) to the claims that
+    # read its cell's flattened graph from the grid's one stacked solve
+    grid = list(bridge_grid(seed, 4))
+    solves = count_calls(monkeypatch, dsr.verify, "_stacked_solve")
+    expected = claims_alone(grid)
+    assert [graphs for graphs, in solves] == [
+        [bridge_graph(p), bridge_graph_tilde(p)] for p in grid
+    ]
+    assert len({cell(p) for p in grid}) == 250 < len(grid) == 850
+    assert grid_claims(grid) == expected
+
+
+def test_a_cell_key_without_t_fails_the_oracle():
+    # the mutant hands every mixed instance the hub-only cell's flattened
+    # graph, the last of its (n1, n2, r) in grid order
+    grid = list(bridge_grid(0, 4))
+    mutant = key_without_t()(grid, [bridge_graph(p) for p in grid])
+    wrong = [p for p, got, want in zip(grid, mutant, claims_alone(grid)) if got != want]
+    assert wrong == [p for p in grid if p.t < p.r]
+
+
+def test_one_run_builds_each_grid_graph_once(monkeypatch):
+    bridges = count_calls(monkeypatch, dsr.verify, "bridge_graph")
+    flattened = count_calls(monkeypatch, dsr.verify, "bridge_graph_tilde")
+    solves = count_calls(monkeypatch, dsr.verify, "_stacked_solve")
+    results = run_all_suites(0, 8)
+    assert all(r.ok for r in results), results
+    assert len(bridges) == 850
+    assert len(flattened) == len({cell(p) for p, in flattened}) == 250
+    # the closed forms, edge monotonicity, and the bridge claims' one solve
+    # of 850 bridge graphs and 250 flattened graphs
+    assert [len(graphs) for graphs, in solves] == [14, 586, 1100]
 
 
 def test_bridge_claims_match_power_iteration():
     # oracle: each graph alone by power iteration, kpq by canonical forms
     grid = list(bridge_grid(0, 2))
-    for p, (verdict, *identities) in zip(grid, bridge_claims(grid)):
+    for p, (verdict, *identities) in zip(grid, grid_claims(grid)):
         lhs = perron(distance_matrix(bridge_graph(p))).rho
         pp = perron(distance_matrix(bridge_graph_tilde(p)))
         assert verdict.lhs_rho == pytest.approx(lhs, rel=1e-10, abs=0)
@@ -685,16 +762,18 @@ def test_edge_monotonicity_solves_each_drawn_graph_once(monkeypatch, seed, solve
 
 def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
     solve = dsr.verify._stacked_solve
+    flattened = count_returns(monkeypatch, dsr.verify, "bridge_graph_tilde")
 
     def hub_above_bound(graphs):
         records = solve(graphs)
-        for _, _, x in records[1::2]:
-            x[0] += 10.0  # each flattened hub: x1 now exceeds r*x3 + 2(n2-r)*x2
+        for g, (_, _, x) in zip(graphs, records):
+            if any(g is h for h in flattened):
+                x[0] += 10.0  # each flattened hub: x1 now exceeds r*x3 + 2(n2-r)*x2
         return records
 
     monkeypatch.setattr(dsr.verify, "_stacked_solve", hub_above_bound)
     p = BridgeFamilyParams(4, 4, 2, 2)
-    [[_, hub, _]] = bridge_claims([p])  # flattening, hub row, form shift
+    [[_, hub, _]] = grid_claims([p])  # flattening, hub row, form shift
     assert (hub.claim, hub.residual, hub.holds) == ("hub_row_identity", None, False)
     assert main(["check", "--n1", "4", "--n2", "4", "--r", "2", "--t", "2"]) == 3
     out = capsys.readouterr().out
@@ -702,7 +781,7 @@ def test_failed_strict_consequence_is_a_none_residual(monkeypatch, capsys):
     hub = [rec for rec in json.loads(out) if rec["claim"] == "hub_row_identity"]
     assert [(rec["residual"], rec["holds"]) for rec in hub] == [(None, False)]
     grid = list(bridge_grid(0, 2))
-    result = suite_bridge_grid(grid)
+    result = suite_bridge_grid(grid, [bridge_graph(p) for p in grid])
     assert result.instances == len(grid)
     assert result.failures == result.instances
     assert result.notes == "max identity residual inf"
