@@ -232,48 +232,45 @@ def extremal_search(
 # bridge claims
 
 
-def _level(entries: np.ndarray) -> tuple[float, float]:
-    """Mean of one level's Perron entries and their max deviation from it."""
-    mean = float(entries.mean())
-    return mean, float(np.max(np.abs(entries - mean)))
-
-
 def bridge_claims(grid: Sequence[BridgeFamilyParams],
                   bridges: Sequence[Graph]) -> list[list[LemmaVerdict]]:
     """Per bridge instance, the flattening verdict and then one verdict per
-    identity, all on one Perron pair of the flattened graph.  That graph reads
-    only the cell (n1, n2, r, t), so one per cell is solved, stacked with
-    ``bridges``, the instances' bridge graphs.  Flattening must strictly
-    lower the radius, land on kpq(n1+n2-1, r) and give the three-level Perron
-    pattern.  The hub row is rho*x1 = r*x3 + 2(n1+n2-r-1)*x2 on the
-    flattened graph; the form shift, only when t == r, is
-    x(D - D~)x = 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2).  A residual holds
-    below IDENTITY_TOL, None where a strict consequence of the hub row fails."""
+    identity.  The flattened graph reads only the cell (n1, n2, r, t), so one
+    per cell is solved, stacked with ``bridges``, the instances' bridge
+    graphs, and evaluated once: its Perron levels x1 (hub), x2 and x3, the
+    pattern (flat levels, x3 < x2 < x1, and kpq(n1+n2-1, r)), the hub row
+    rho*x1 = r*x3 + 2(n1+n2-r-1)*x2 and the closed side of the form shift
+    x(D - D~)x = 2(n1-1) x2 (-x1 + r x3 + 2(n2-r) x2).  Each instance adds
+    what it owns: its label, its radius's strict margin over the cell's, and
+    when t == r the form's direct side from its distance matrix.  A residual
+    holds below IDENTITY_TOL, None where a strict consequence of the hub row
+    fails."""
     cells = {(p.n1, p.n2, p.r, p.t): p for p in grid}
     flat = [bridge_graph_tilde(p) for p in cells.values()]
     records = _stacked_solve([*bridges, *flat])
-    solved = dict(zip(cells, zip(flat, records[len(grid):])))
-    out = []
-    for params, (dg, lhs, _) in zip(grid, records):
-        n1, n2, r, n = params.n1, params.n2, params.r, params.order
-        tilde, (dt, rhs, xt) = solved[n1, n2, r, params.t]
-        (m1, _), (m2, d2), (m3, d3) = (_level(xt[list(idx)])
-                                       for idx in tilde_level_groups(params))
-        label = f"n1={n1} n2={n2} r={r} t={params.t} cross={list(params.cross_edges)}"
-        flattens = (
-            _strictly_above(lhs, rhs)
-            and max(d2, d3) < GROUP_DEV_TOL and m3 < m2 < m1
-            and is_kpq(tilde, r)
-        )
-        claims = [LemmaVerdict("bridge_flattening_decreases_radius", label,
-                               lhs, rhs, lhs - rhs, None, flattens)]
+    evaluated = {}
+    for (key, p), tilde, (dt, rhs, xt) in zip(cells.items(), flat, records[len(grid):]):
+        n1, n2, r, n = p.n1, p.n2, p.r, p.order
+        _, mid, near = (xt[list(idx)] for idx in tilde_level_groups(p))
+        m1, m2, m3 = float(xt[0]), float(mid.mean()), float(near.mean())
+        deviation = float(max(np.abs(mid - m2).max(), np.abs(near - m3).max()))
+        pattern = deviation < GROUP_DEV_TOL and m3 < m2 < m1 and is_kpq(tilde, r)
         # the hub row's strict consequences: rho > n-1 and x1 < r*x3 + 2(n2-r)*x2
         strict = rhs > n - 1 and m1 < r * m3 + 2.0 * (n2 - r) * m2
-        residuals = [("hub_row_identity",
-                      abs(rhs * m1 - (r * m3 + 2.0 * (n - r - 1) * m2)) if strict else None)]
+        hub = abs(rhs * m1 - (r * m3 + 2.0 * (n - r - 1) * m2)) if strict else None
+        closed = 2.0 * (n1 - 1) * m2 * (-m1 + r * m3 + 2.0 * (n2 - r) * m2)
+        evaluated[key] = dt, rhs, xt, pattern, hub, closed
+    out = []
+    for params, (dg, lhs, _) in zip(grid, records):
+        n1, n2, r = params.n1, params.n2, params.r
+        dt, rhs, xt, pattern, hub, closed = evaluated[n1, n2, r, params.t]
+        label = f"n1={n1} n2={n2} r={r} t={params.t} cross={list(params.cross_edges)}"
+        flattens = _strictly_above(lhs, rhs) and pattern
+        claims = [LemmaVerdict("bridge_flattening_decreases_radius", label,
+                               lhs, rhs, lhs - rhs, None, flattens)]
+        residuals = [("hub_row_identity", hub)]
         if params.t == r:
             direct = float(xt @ ((dg - dt) @ xt))
-            closed = 2.0 * (n1 - 1) * m2 * (-m1 + r * m3 + 2.0 * (n2 - r) * m2)
             residuals.append(("form_shift_identity", abs(direct - closed)))
         claims += [
             LemmaVerdict(claim, label, None, None, None, res,

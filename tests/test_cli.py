@@ -315,13 +315,17 @@ class TestCheck:
         distances = count_calls(monkeypatch, dsr.verify, "distance_stack")
         bridges = count_calls(monkeypatch, dsr.cli, "bridge_graph")
         flattened = count_calls(monkeypatch, dsr.verify, "bridge_graph_tilde")
+        evaluated = [count_calls(monkeypatch, dsr.verify, name)
+                     for name in ("tilde_level_groups", "is_kpq")]
         slow = count_slow_paths(monkeypatch)
         code, _, _ = run(capsys, "check", "--n1", "5", "--n2", "4",
                          "--r", "2", "--t", str(t))
         assert code == 0
         # the bridge graph of every placement and the one flattened graph of
-        # their cell, in one stacked solve and one order-9 distance stack
+        # their cell, in one stacked solve and one order-9 distance stack;
+        # the cell's levels and kpq verdict are evaluated once
         assert (len(bridges), len(flattened)) == (placements, 1)
+        assert [len(calls) for calls in evaluated] == [1, 1]
         assert [len(mats) for mats, in stacks] == [placements + 1]
         assert [adj.shape for adj, in distances] == [(placements + 1, 9, 9)]
         assert not any(slow)

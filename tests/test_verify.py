@@ -676,23 +676,68 @@ def test_cell_claims_equal_each_instance_solved_alone(monkeypatch, seed):
     assert grid_claims(grid) == expected
 
 
+# the 11 of the 150 mixed cells whose Perron vector, solved under the hub-only
+# sibling's labelling, lands on the same bits at seed 0
+SAME_BITS_UNDER_HUB_ONLY_LABELS = {
+    (4, 7, 2, 1), (5, 4, 2, 1), (7, 4, 2, 1), (8, 6, 2, 1), (9, 9, 3, 1), (7, 9, 3, 2),
+    (8, 6, 3, 2), (7, 9, 4, 1), (8, 10, 4, 1), (10, 6, 4, 1), (8, 6, 4, 3),
+}
+
+
 def test_a_cell_key_without_t_fails_the_oracle():
     # the mutant hands every mixed instance the hub-only cell's flattened
-    # graph, the last of its (n1, n2, r) in grid order
+    # graph and its level groups, the last of its (n1, n2, r) in grid order:
+    # a differently labelled but self-consistent kpq, so no verdict flips,
+    # yet the flattened radius, its margin or the hub residual moves in
+    # every mixed cell but 11
     grid = list(bridge_grid(0, 4))
     mutant = key_without_t()(grid, [bridge_graph(p) for p in grid])
-    wrong = [p for p, got, want in zip(grid, mutant, claims_alone(grid)) if got != want]
-    assert wrong == [p for p in grid if p.t < p.r]
+    expected = claims_alone(grid)
+    wrong = [i for i, (got, want) in enumerate(zip(mutant, expected)) if got != want]
+    assert [grid[i] for i in wrong] == [
+        p for p in grid if p.t < p.r and cell(p) not in SAME_BITS_UNDER_HUB_ONLY_LABELS
+    ]
+    assert len(wrong) == 695
+    moved = {
+        (want.claim, field.name)
+        for i in wrong for got, want in zip(mutant[i], expected[i])
+        for field in dataclasses.fields(want)
+        if getattr(got, field.name) != getattr(want, field.name)
+    }
+    assert moved == {("bridge_flattening_decreases_radius", "rhs_rho"),
+                     ("bridge_flattening_decreases_radius", "margin"),
+                     ("hub_row_identity", "residual")}
+
+
+def test_hub_only_level_groups_fail_the_oracle(monkeypatch):
+    # the mutant reads each cell's own Perron vector through the level groups
+    # of its hub-only sibling (t set to r), which mislabel a mixed cell's
+    # vertices, so every mixed instance, and only those, loses flattening
+    grid = list(bridge_grid(0, 4))
+    expected = claims_alone(grid)
+    groups = dsr.verify.tilde_level_groups
+    monkeypatch.setattr(dsr.verify, "tilde_level_groups",
+                        lambda p: groups(BridgeFamilyParams(p.n1, p.n2, p.r, p.r)))
+    mutant = grid_claims(grid)
+    wrong = [i for i, (got, want) in enumerate(zip(mutant, expected)) if got != want]
+    assert [grid[i] for i in wrong] == [p for p in grid if p.t < p.r]
+    assert not any(mutant[i][0].holds for i in wrong)
 
 
 def test_one_run_builds_each_grid_graph_once(monkeypatch):
     bridges = count_calls(monkeypatch, dsr.verify, "bridge_graph")
     flattened = count_calls(monkeypatch, dsr.verify, "bridge_graph_tilde")
     solves = count_calls(monkeypatch, dsr.verify, "_stacked_solve")
+    levels = count_calls(monkeypatch, dsr.verify, "tilde_level_groups")
+    recognized = count_calls(monkeypatch, dsr.verify, "is_kpq")
     results = run_all_suites(0, 8)
     assert all(r.ok for r in results), results
     assert len(bridges) == 850
     assert len(flattened) == len({cell(p) for p, in flattened}) == 250
+    # each cell's levels and kpq verdict are read once, and is_kpq once more
+    # per extremal search, 20 of them
+    assert [p for p, in levels] == [p for p, in flattened]
+    assert len(recognized) == 250 + 20
     # the closed forms, edge monotonicity, and the bridge claims' one solve
     # of 850 bridge graphs and 250 flattened graphs
     assert [len(graphs) for graphs, in solves] == [14, 586, 1100]
